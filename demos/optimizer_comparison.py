@@ -16,18 +16,9 @@ import dataclasses
 
 import numpy as np
 
-from flatlora.harness import ExperimentConfig, generate_task, _build_student
+from flatlora.harness import ExperimentConfig, generate_task, make_step, _build_student
 from flatlora.model import forward
-from flatlora.optimizers import (
-    BaseUpdateConfig,
-    eflat_lora_step,
-    flat_lora_step,
-    init_perturb_state,
-    init_sgd_state,
-    lora_sam_step,
-    lora_step,
-    rho_at,
-)
+from flatlora.optimizers import OPTIMIZER_KINDS
 from flatlora.diagnostics import sharpness_sam
 
 RHO = 0.3
@@ -53,27 +44,14 @@ print()
 print(f"{'optimizer':<12} {'train loss':>10} {'eval loss':>10} "
       f"{'sharpness':>10} {'grad evals':>10}")
 
-for kind in ("lora", "lora-sam", "flat-lora", "eflat-lora"):
+for kind in OPTIMIZER_KINDS:
     cfg = dataclasses.replace(base, optimizer=kind)
     net = _build_student(cfg, task)
-    opt = BaseUpdateConfig(learning_rate=cfg.learning_rate)
-    sgd = init_sgd_state(net)
-    pstate = init_perturb_state(net, rho0=RHO, beta=0.9) if kind == "eflat-lora" else None
-    schedule = cfg.resolved_schedule()
+    step, pstate = make_step(cfg, net)
 
     evals = 0
     for t in range(1, cfg.steps + 1):
-        batch = task.train_batches[(t - 1) % len(task.train_batches)]
-        rho_t = rho_at(RHO, t, schedule)
-        if kind == "lora":
-            stats = lora_step(net, batch, opt, sgd)
-        elif kind == "lora-sam":
-            stats = lora_sam_step(net, batch, rho_t, opt, sgd)
-        elif kind == "flat-lora":
-            stats = flat_lora_step(net, batch, rho_t, opt, sgd)
-        else:
-            stats = eflat_lora_step(net, batch, pstate, opt, sgd, schedule=schedule)
-        evals += stats.grad_evals
+        evals += step(task.train_batches[(t - 1) % len(task.train_batches)], t).grad_evals
 
     # Measure everything at the unperturbed parameters.
     if pstate is not None and pstate.applied:

@@ -1,11 +1,13 @@
 """Sharpness-aware training for low-rank adapters on dense numpy networks.
 
-The package splits into five layers: linalg (pseudo-inverses, projectors,
-seeded randomness), model (adapted networks, forward/backward, reversible
-perturbations), optimizers (the training steps and their shared
-perturbation pipeline), diagnostics (sharpness probes, the EMA gap bound,
-balancedness dynamics), and harness (configs, synthetic tasks, the
-experiment loop, benchmark, and self-checks) with a CLI on top.
+The package splits into five layers: linalg (the SVD pseudo-inverse,
+projectors, seeded randomness), model (adapted networks, forward/backward,
+reversible perturbations), optimizers (the training steps, their shared
+perturbation pipeline, and the Gram pseudo-inverse it runs on),
+diagnostics (sharpness probes, the EMA gap bound, balancedness dynamics),
+and harness (configs, synthetic tasks, the config-to-step entry point
+make_step, the experiment loop, benchmark, and self-checks) with a CLI
+on top.
 """
 
 from .linalg import (
@@ -16,9 +18,7 @@ from .linalg import (
     ShapeError,
     SvdResult,
     frobenius_norm,
-    gram_pseudo_inverse,
     make_rng,
-    matmul,
     matrixize,
     pseudo_inverse,
     row_space_projector,
@@ -54,6 +54,7 @@ from .optimizers import (
     eflat_lora_step,
     flat_lora_step,
     full_to_lowrank_perturbation,
+    gram_pseudo_inverse,
     init_perturb_state,
     init_sgd_state,
     lora_sam_step,
@@ -68,7 +69,6 @@ from .optimizers import (
 from .diagnostics import (
     AssumptionConstants,
     BalancednessTrace,
-    SharpnessReport,
     balancedness,
     ema_sam_gap_bound,
     estimate_assumption_constants,
@@ -91,6 +91,7 @@ from .harness import (
     bench,
     generate_task,
     load_config,
+    make_step,
     parse_config_text,
     run_experiment,
     sweep,

@@ -2,8 +2,8 @@
 
 Subcommands: run (one experiment), sweep (same config across seeds),
 verify (self-check suite), bench (per-step wall-time comparison).  Exit
-codes: 0 on success, 1 when a config is invalid or a verify check fails,
-2 when training aborts on non-finite numbers.
+codes: 0 on success, 1 when a config or the bench arguments are invalid
+or a verify check fails, 2 when training aborts on non-finite numbers.
 """
 
 from __future__ import annotations

@@ -36,17 +36,6 @@ from .optimizers import PerturbState, sam_direction
 
 
 @dataclass
-class SharpnessReport:
-    """Sharpness measurements at one evaluation point during a run."""
-
-    step: int
-    sharpness_sam: float
-    sharpness_ema: float
-    gap: float
-    bound_rhs: float
-
-
-@dataclass
 class AssumptionConstants:
     """Empirical stand-ins for the smoothness constant, the gradient-norm
     ceiling, and the minibatch gradient noise variance."""

@@ -17,13 +17,13 @@ import json
 import math
 import os
 import statistics
-import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import diagnostics
-from .linalg import gram_pseudo_inverse, make_rng, pseudo_inverse, row_space_projector
+from .linalg import make_rng, pseudo_inverse, row_space_projector
 from .model import (
     Batch,
     Network,
@@ -38,9 +38,12 @@ from .optimizers import (
     OPTIMIZER_KINDS,
     RHO_SCHEDULES,
     BaseUpdateConfig,
+    PerturbState,
+    StepStats,
     base_update,
     eflat_lora_step,
     flat_lora_step,
+    gram_pseudo_inverse,
     init_perturb_state,
     init_sgd_state,
     lora_sam_step,
@@ -48,7 +51,6 @@ from .optimizers import (
     param_and_memory_counts,
     perturbation_from_gradients,
     rho_at,
-    sam_direction,
 )
 
 TASK_KINDS = ("teacher-student", "two-cluster", "matrix-factorization")
@@ -423,6 +425,43 @@ def _build_student(cfg: ExperimentConfig, task: Task) -> Network:
     )
 
 
+def make_step(
+    cfg: ExperimentConfig, net: Network
+) -> tuple[Callable[[Batch, int], StepStats], PerturbState | None]:
+    """The configured optimizer as one callable over net.
+
+    Returns (step, pstate): step(batch, t) takes the 1-based step t and
+    runs one step of cfg.optimizer with the config's update, radius
+    schedule, direction variant and SVD tolerance; pstate is the EMA
+    state of eflat-lora (None for the other kinds), which evaluation code
+    removes and reapplies around its measurements.  The step functions are
+    looked up in this module on every call, so wrappers installed on this
+    module's names (perfbench's tracer) see every step.
+    """
+    opt = BaseUpdateConfig(
+        learning_rate=cfg.learning_rate,
+        momentum=cfg.momentum,
+        weight_decay=cfg.weight_decay,
+    )
+    sgd = init_sgd_state(net)
+    rho0, schedule = cfg.rho0, cfg.resolved_schedule()
+    variant, tol = cfg.direction_variant, cfg.svd_tol
+    kind = cfg.optimizer
+    if kind == "lora":
+        return (lambda batch, t: lora_step(net, batch, opt, sgd)), None
+    if kind == "lora-sam":
+        return (lambda batch, t: lora_sam_step(
+            net, batch, rho_at(rho0, t, schedule), opt, sgd, variant)), None
+    if kind == "flat-lora":
+        return (lambda batch, t: flat_lora_step(
+            net, batch, rho_at(rho0, t, schedule), opt, sgd, variant, tol)), None
+    if kind == "eflat-lora":
+        pstate = init_perturb_state(net, rho0=rho0, beta=cfg.beta)
+        return (lambda batch, t: eflat_lora_step(
+            net, batch, pstate, opt, sgd, variant, tol, schedule)), pstate
+    raise ValueError(f"unknown optimizer kind {kind!r}")
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | None = None,
@@ -438,20 +477,7 @@ def run_experiment(
     if task is None:
         task = generate_task(cfg)
     net = _build_student(cfg, task)
-    opt_cfg = BaseUpdateConfig(
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-    )
-    sgd = init_sgd_state(net)
-    pstate = (
-        init_perturb_state(net, rho0=cfg.rho0, beta=cfg.beta)
-        if cfg.optimizer == "eflat-lora"
-        else None
-    )
-    schedule = cfg.resolved_schedule()
-    variant = cfg.direction_variant
-    tol = cfg.svd_tol
+    step, pstate = make_step(cfg, net)
 
     records: list[MetricsRecord] = []
     grad_evals = 0
@@ -459,21 +485,7 @@ def run_experiment(
     last_train_loss = math.nan
     pool = task.train_batches
     for t in range(1, cfg.steps + 1):
-        batch = pool[(t - 1) % len(pool)]
-        if cfg.optimizer == "lora":
-            stats = lora_step(net, batch, opt_cfg, sgd)
-        elif cfg.optimizer == "lora-sam":
-            stats = lora_sam_step(
-                net, batch, rho_at(cfg.rho0, t, schedule), opt_cfg, sgd, variant
-            )
-        elif cfg.optimizer == "flat-lora":
-            stats = flat_lora_step(
-                net, batch, rho_at(cfg.rho0, t, schedule), opt_cfg, sgd, variant, tol
-            )
-        else:
-            stats = eflat_lora_step(
-                net, batch, pstate, opt_cfg, sgd, variant, tol, schedule
-            )
+        stats = step(pool[(t - 1) % len(pool)], t)
         grad_evals += stats.grad_evals
         wall_ms += stats.wall_time_ms
         last_train_loss = (
@@ -486,11 +498,11 @@ def run_experiment(
         if t % cfg.eval_every == 0 or t == cfg.steps:
             records.append(
                 _evaluate(cfg, net, task, pstate, t, last_train_loss, grad_evals,
-                          wall_ms, stats.perturb_norm, schedule)
+                          wall_ms, stats.perturb_norm)
             )
 
     if cfg.steps == 0:
-        final = _evaluate(cfg, net, task, pstate, 0, math.nan, 0, 0.0, 0.0, schedule)
+        final = _evaluate(cfg, net, task, pstate, 0, math.nan, 0, 0.0, 0.0)
         summary_source = final
     else:
         summary_source = records[-1]
@@ -526,7 +538,6 @@ def _evaluate(
     grad_evals: int,
     wall_ms: float,
     perturb_norm: float,
-    schedule: str,
 ) -> MetricsRecord:
     """Measure everything at the unperturbed parameters, then put the
     network back exactly as found."""
@@ -536,7 +547,7 @@ def _evaluate(
     _, eval_loss = forward(net, task.eval_batch)
     if not math.isfinite(eval_loss):
         raise ExperimentAbort(step, f"eval loss is {eval_loss}")
-    rho_now = rho_at(cfg.rho0, max(step, 1), schedule)
+    rho_now = rho_at(cfg.rho0, max(step, 1), cfg.resolved_schedule())
     s_sam = diagnostics.sharpness_sam(
         net, task.eval_batch, rho_now, cfg.direction_variant
     )
@@ -627,11 +638,7 @@ class BenchReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def bench(
-    cfg: ExperimentConfig,
-    repeats: int = 3,
-    optimizers: tuple[str, ...] = OPTIMIZER_KINDS,
-) -> BenchReport:
+def bench(cfg: ExperimentConfig, repeats: int = 3) -> BenchReport:
     """Median per-step wall time for each optimizer on the config's task,
     with diagnostics disabled (bare steps, no evaluation in the loop).
 
@@ -640,73 +647,40 @@ def bench(
     across repeats (repeat 1 of each kind, then repeat 2, ...) so a drift
     in machine speed cannot systematically favour one kind; the first
     tenth of each run's steps (at least one) is discarded as warmup before
-    taking medians.
+    taking medians.  Too few repeats or steps raise ConfigError.
     """
     cfg.validate()
     if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    task = generate_task(cfg)
+        raise ConfigError({"repeats": f"must be >= 1, got {repeats}"})
     warmup = max(1, cfg.steps // 10)
     if cfg.steps <= warmup:
-        raise ValueError(f"bench needs steps > {warmup} for warmup at this config")
-    times: dict[str, list[float]] = {kind: [] for kind in optimizers}
-    eval_counts: dict[str, int] = {kind: 0 for kind in optimizers}
+        raise ConfigError({"steps": f"bench needs steps > {warmup} for warmup"})
+    task = generate_task(cfg)
+    pool = task.train_batches
+    times: dict[str, list[float]] = {kind: [] for kind in OPTIMIZER_KINDS}
+    eval_counts = dict.fromkeys(OPTIMIZER_KINDS, 0)
     for _ in range(repeats):
-        for kind in optimizers:
+        for kind in OPTIMIZER_KINDS:
             run_cfg = dataclasses.replace(cfg, optimizer=kind)
-            net = _build_student(run_cfg, task)
-            opt_cfg = BaseUpdateConfig(
-                learning_rate=cfg.learning_rate,
-                momentum=cfg.momentum,
-                weight_decay=cfg.weight_decay,
-            )
-            sgd = init_sgd_state(net)
-            pstate = (
-                init_perturb_state(net, rho0=cfg.rho0, beta=cfg.beta)
-                if kind == "eflat-lora"
-                else None
-            )
-            schedule = run_cfg.resolved_schedule()
-            pool = task.train_batches
+            step, _ = make_step(run_cfg, _build_student(run_cfg, task))
             for t in range(1, cfg.steps + 1):
-                batch = pool[(t - 1) % len(pool)]
-                if kind == "lora":
-                    stats = lora_step(net, batch, opt_cfg, sgd)
-                elif kind == "lora-sam":
-                    stats = lora_sam_step(
-                        net, batch, rho_at(cfg.rho0, t, schedule), opt_cfg, sgd,
-                        cfg.direction_variant,
-                    )
-                elif kind == "flat-lora":
-                    stats = flat_lora_step(
-                        net, batch, rho_at(cfg.rho0, t, schedule), opt_cfg, sgd,
-                        cfg.direction_variant, cfg.svd_tol,
-                    )
-                else:
-                    stats = eflat_lora_step(
-                        net, batch, pstate, opt_cfg, sgd,
-                        cfg.direction_variant, cfg.svd_tol, schedule,
-                    )
+                stats = step(pool[(t - 1) % len(pool)], t)
                 eval_counts[kind] += stats.grad_evals
                 if t > warmup:
                     times[kind].append(stats.wall_time_ms)
-    medians = {kind: statistics.median(times[kind]) for kind in optimizers}
-    evals = {
-        kind: eval_counts[kind] / (repeats * cfg.steps) for kind in optimizers
-    }
-    lora_median = medians.get("lora")
-    lora_evals = evals.get("lora")
+    medians = {kind: statistics.median(times[kind]) for kind in OPTIMIZER_KINDS}
+    evals = {kind: n / (repeats * cfg.steps) for kind, n in eval_counts.items()}
     net_for_counts = _build_student(cfg, task)
     entries = []
-    for kind in optimizers:
+    for kind in OPTIMIZER_KINDS:
         counts = param_and_memory_counts(net_for_counts, kind)
         entries.append(
             BenchEntry(
                 optimizer=kind,
                 median_step_ms=medians[kind],
-                ratio_vs_lora=(medians[kind] / lora_median) if lora_median else math.nan,
+                ratio_vs_lora=medians[kind] / medians["lora"],
                 grad_evals_per_step=evals[kind],
-                grad_eval_ratio_vs_lora=(evals[kind] / lora_evals) if lora_evals else math.nan,
+                grad_eval_ratio_vs_lora=evals[kind] / evals["lora"],
                 trainable_params=counts.trainable,
                 extra_memory_elements=counts.extra,
             )
@@ -920,20 +894,13 @@ def verify() -> VerifyReport:
         task = generate_task(cfg_a)
         net_a = _build_student(cfg_a, task)
         net_b = _build_student(cfg_b, task)
-        opt = BaseUpdateConfig(learning_rate=0.05)
-        sgd_a = init_sgd_state(net_a)
-        sgd_b = init_sgd_state(net_b)
-        pstate = init_perturb_state(net_b, rho0=0.0, beta=0.9)
+        step_a, _ = make_step(cfg_a, net_a)
+        step_b, pstate = make_step(cfg_b, net_b)
         for t in range(1, 26):
             b = task.train_batches[(t - 1) % len(task.train_batches)]
-            lora_step(net_a, b, opt, sgd_a)
-            if kind == "lora-sam":
-                lora_sam_step(net_b, b, 0.0, opt, sgd_b)
-            elif kind == "flat-lora":
-                flat_lora_step(net_b, b, 0.0, opt, sgd_b)
-            else:
-                eflat_lora_step(net_b, b, pstate, opt, sgd_b)
-        if kind == "eflat-lora":
+            step_a(b, t)
+            step_b(b, t)
+        if pstate is not None:
             pstate.remove(net_b)
         for la, lb in zip(net_a.layers, net_b.layers):
             worst = max(
@@ -945,18 +912,15 @@ def verify() -> VerifyReport:
 
     # EMA of per-step perturbations matches its closed form.
     worst = 0.0
-    cfg_e = _tiny_config("eflat-lora", steps=10, rho0=0.08)
+    beta = 0.7
+    cfg_e = _tiny_config("eflat-lora", steps=10, rho0=0.08, beta=beta)
     task = generate_task(cfg_e)
     net_e = _build_student(cfg_e, task)
-    opt = BaseUpdateConfig(learning_rate=0.05)
-    sgd_e = init_sgd_state(net_e)
-    pstate = init_perturb_state(net_e, rho0=0.08, beta=0.7)
+    step_e, pstate = make_step(cfg_e, net_e)
     per_step: list[list[np.ndarray]] = []
     for t in range(1, 11):
-        b = task.train_batches[(t - 1) % len(task.train_batches)]
-        eflat_lora_step(net_e, b, pstate, opt, sgd_e)
+        step_e(task.train_batches[(t - 1) % len(task.train_batches)], t)
         per_step.append([e.copy() for e in pstate.last_e_b])
-    beta = 0.7
     t_final = len(per_step)
     for li in range(len(net_e.layers)):
         closed = np.zeros_like(pstate.ema_e_b[li])
@@ -987,8 +951,7 @@ def verify() -> VerifyReport:
     net_live = _build_student(cfg_c, task)
     net_ref = clone_network(net_live)
     b0 = task.train_batches[0]
-    flat_lora_step(net_live, b0, 0.05, BaseUpdateConfig(learning_rate=0.05),
-                   init_sgd_state(net_live))
+    make_step(cfg_c, net_live)[0](b0, 1)
     plan = perturbation_from_gradients(net_ref, backward(net_ref, b0), 0.05)
     probe = clone_network(net_ref)
     for layer, e in zip(probe.layers, plan.e_b):
@@ -1010,11 +973,9 @@ def verify() -> VerifyReport:
     task = generate_task(cfg_w)
     net_w = _build_student(cfg_w, task)
     w0_before = [layer.w0.copy() for layer in net_w.layers]
-    sgd_w = init_sgd_state(net_w)
-    ps_w = init_perturb_state(net_w, rho0=cfg_w.rho0, beta=cfg_w.beta)
+    step_w, _ = make_step(cfg_w, net_w)
     for t in range(1, 21):
-        b = task.train_batches[(t - 1) % len(task.train_batches)]
-        eflat_lora_step(net_w, b, ps_w, BaseUpdateConfig(learning_rate=0.05), sgd_w)
+        step_w(task.train_batches[(t - 1) % len(task.train_batches)], t)
     frozen_ok = all(
         np.array_equal(layer.w0, w0_before[i]) for i, layer in enumerate(net_w.layers)
     )
@@ -1028,20 +989,9 @@ def verify() -> VerifyReport:
     cfg_g = _tiny_config("lora", steps=3)
     task = generate_task(cfg_g)
     for kind, want in expected_evals.items():
-        net_g = _build_student(cfg_g, task)
-        sgd_g = init_sgd_state(net_g)
-        ps_g = init_perturb_state(net_g, rho0=0.05, beta=0.9)
-        b = task.train_batches[0]
-        opt = BaseUpdateConfig(learning_rate=0.05)
-        if kind == "lora":
-            stats = lora_step(net_g, b, opt, sgd_g)
-        elif kind == "lora-sam":
-            stats = lora_sam_step(net_g, b, 0.05, opt, sgd_g)
-        elif kind == "flat-lora":
-            stats = flat_lora_step(net_g, b, 0.05, opt, sgd_g)
-        else:
-            stats = eflat_lora_step(net_g, b, ps_g, opt, sgd_g)
-        eval_ok = eval_ok and stats.grad_evals == want
+        kind_cfg = dataclasses.replace(cfg_g, optimizer=kind)
+        step_g, _ = make_step(kind_cfg, _build_student(kind_cfg, task))
+        eval_ok = eval_ok and step_g(task.train_batches[0], 1).grad_evals == want
     checks.append(
         VerifyCheck("grad_eval_counts", eval_ok, 0.0 if eval_ok else 1.0, 0.0)
     )

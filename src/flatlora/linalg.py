@@ -49,18 +49,6 @@ def as_matrix(values) -> Matrix:
     return m
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with an explicit shape check.
-
-    Raises ShapeError naming both shapes when the inner dimensions differ.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def frobenius_norm(m: Matrix) -> float:
     """sqrt of the sum of squared entries."""
     return float(np.linalg.norm(np.asarray(m, dtype=np.float64)))
@@ -135,40 +123,6 @@ def pseudo_inverse(m: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
     nz = res.singular_values > 0.0
     s_inv[nz] = 1.0 / res.singular_values[nz]
     return (res.v_t.T * s_inv) @ res.u.T
-
-
-# Cholesky-diagonal ratio below which the Gram system is treated as too
-# ill-conditioned for the fast solve and the SVD route is used instead.
-_GRAM_GUARD = 3e-3
-
-
-def gram_pseudo_inverse(m: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
-    """Pseudo-inverse via the Gram-matrix normal equations when safe.
-
-    For a well-conditioned full-row-rank matrix this computes
-    m.T @ inv(m @ m.T) with one Cholesky factorisation and one solve,
-    several times cheaper than an SVD at small sizes (the transposed
-    formula covers the tall case).  Rank-deficient or poorly conditioned
-    inputs -- detected by a failed factorisation or a tiny Cholesky
-    diagonal ratio -- fall back to pseudo_inverse, so the result agrees
-    with the SVD route to within the usual solve round-off everywhere.
-    """
-    m = as_matrix(m)
-    _check_tol(tol)
-    rows, cols = m.shape
-    wide = cols >= rows
-    gram = m @ m.T if wide else m.T @ m
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return pseudo_inverse(m, tol)
-    diag = np.diagonal(chol)
-    if diag.min() <= _GRAM_GUARD * diag.max():
-        return pseudo_inverse(m, tol)
-    if wide:
-        # solve(m m^T, m) = inv(m m^T) m, so the transpose is m^+.
-        return np.linalg.solve(gram, m).T
-    return np.linalg.solve(gram, m.T)
 
 
 def row_space_projector(a: Matrix, tol: float = DEFAULT_TOL) -> Matrix:

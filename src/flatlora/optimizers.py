@@ -27,7 +27,8 @@ from .linalg import (
     DEFAULT_TOL,
     ZERO_GRAD_EPS,
     Matrix,
-    gram_pseudo_inverse,
+    _check_tol,
+    as_matrix,
     pseudo_inverse,
 )
 from .model import (
@@ -139,8 +140,6 @@ def reconstruct_full_gradient(
     b: Matrix,
     scale: float,
     tol: float = DEFAULT_TOL,
-    a_pinv: Matrix | None = None,
-    b_pinv: Matrix | None = None,
 ) -> Matrix:
     """Merged-weight gradient implied by the two factor gradients.
 
@@ -152,13 +151,10 @@ def reconstruct_full_gradient(
 
     which equals 0.5 * (G @ P_A + P_B @ G) when the factor gradients are
     exact -- the dense gradient seen through the row space of a and the
-    column space of b.  Precomputed pseudo-inverses may be passed to share
-    work with the perturbation transfer.
+    column space of b.
     """
-    if a_pinv is None:
-        a_pinv = gram_pseudo_inverse(a, tol)
-    if b_pinv is None:
-        b_pinv = gram_pseudo_inverse(b, tol)
+    a_pinv = gram_pseudo_inverse(a, tol)
+    b_pinv = gram_pseudo_inverse(b, tol)
     inv_scale = 1.0 / scale
     return 0.5 * (
         inv_scale * (grad_b @ a_pinv.T) + inv_scale * (b_pinv.T @ grad_a)
@@ -166,11 +162,7 @@ def reconstruct_full_gradient(
 
 
 def full_to_lowrank_perturbation(
-    e_w_bar: Matrix,
-    a: Matrix,
-    scale: float,
-    tol: float = DEFAULT_TOL,
-    a_pinv: Matrix | None = None,
+    e_w_bar: Matrix, a: Matrix, scale: float, tol: float = DEFAULT_TOL
 ) -> Matrix:
     """b-factor shift whose merged effect matches a dense perturbation.
 
@@ -180,9 +172,7 @@ def full_to_lowrank_perturbation(
     unrepresentable at fixed a and is silently dropped; callers who care
     measure it with diagnostics.loss_match_residual.
     """
-    if a_pinv is None:
-        a_pinv = gram_pseudo_inverse(a, tol)
-    return (1.0 / scale) * (e_w_bar @ a_pinv)
+    return (1.0 / scale) * (e_w_bar @ gram_pseudo_inverse(a, tol))
 
 
 @dataclass
@@ -205,7 +195,7 @@ class PerturbationPlan:
 
 
 # Cholesky-diagonal ratio below which the Gram solve is not trusted and
-# the SVD pseudo-inverse takes over; mirrors linalg.gram_pseudo_inverse.
+# the SVD pseudo-inverse takes over.
 _GRAM_GUARD = 3e-3
 
 
@@ -227,6 +217,20 @@ def _gram_solve_pinv_t(m: Matrix, tol: float) -> Matrix:
     if min(diag) <= _GRAM_GUARD * max(diag):
         return pseudo_inverse(m, tol).T
     return cho_solve(factor, m, check_finite=False)
+
+
+def gram_pseudo_inverse(m: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
+    """Moore-Penrose pseudo-inverse m^+ of a wide or tall matrix through
+    the Gram route of _gram_solve_pinv_t.
+
+    A tall m is solved as its wide transpose, since (m^T)^+ = (m^+)^T.
+    Agrees with linalg.pseudo_inverse to within solve round-off.
+    """
+    m = as_matrix(m)
+    _check_tol(tol)
+    if m.shape[1] >= m.shape[0]:
+        return _gram_solve_pinv_t(m, tol).T
+    return _gram_solve_pinv_t(m.T, tol)
 
 
 def perturbation_from_gradients(

@@ -18,8 +18,10 @@ from flatlora.harness import (
     ExperimentAbort,
     ExperimentConfig,
     bench,
+    _build_student,
     generate_task,
     load_config,
+    make_step,
     parse_config_text,
     run_experiment,
     run_paths,
@@ -27,7 +29,17 @@ from flatlora.harness import (
     verify,
 )
 from flatlora.model import PerturbationHandle, forward
-from flatlora.optimizers import OPTIMIZER_KINDS
+from flatlora.optimizers import (
+    OPTIMIZER_KINDS,
+    BaseUpdateConfig,
+    eflat_lora_step,
+    flat_lora_step,
+    init_perturb_state,
+    init_sgd_state,
+    lora_sam_step,
+    lora_step,
+    rho_at,
+)
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -268,6 +280,52 @@ def test_sweep_writes_one_file_pair_per_seed(tmp_path):
     assert summaries[0].final_eval_loss != summaries[1].final_eval_loss
 
 
+# ----------------------------------------------------------------- make_step
+
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_make_step_matches_explicit_calls_with_every_field(kind):
+    """Every optimizer field off its default; on the matrix-factorization
+    task the factors pass through the SVD fallback, so svd_tol moves the
+    trajectory as well and a dropped field breaks bit equality."""
+    schedule = "constant" if kind == "eflat-lora" else "inverse-sqrt"
+    cfg = ExperimentConfig(
+        task="matrix-factorization", layer_dims=[6, 5], rank=2, optimizer=kind,
+        learning_rate=0.05, momentum=0.5, weight_decay=0.01, rho0=0.05,
+        beta=0.6, rho_schedule=schedule, direction_variant="signed",
+        svd_tol=1e-2, steps=10, seed=3,
+    )
+    task = generate_task(cfg)
+    net, twin = _build_student(cfg, task), _build_student(cfg, task)
+    step, pstate = make_step(cfg, net)
+    assert (pstate is not None) == (kind == "eflat-lora")
+    opt = BaseUpdateConfig(learning_rate=0.05, momentum=0.5, weight_decay=0.01)
+    sgd = init_sgd_state(twin)
+    twin_pstate = init_perturb_state(twin, rho0=0.05, beta=0.6)
+    batch = task.train_batches[0]
+    for t in range(1, 11):
+        step(batch, t)
+        rho = rho_at(0.05, t, schedule)
+        if kind == "lora":
+            lora_step(twin, batch, opt, sgd)
+        elif kind == "lora-sam":
+            lora_sam_step(twin, batch, rho, opt, sgd, "signed")
+        elif kind == "flat-lora":
+            flat_lora_step(twin, batch, rho, opt, sgd, "signed", 1e-2)
+        else:
+            eflat_lora_step(twin, batch, twin_pstate, opt, sgd, "signed", 1e-2,
+                            schedule)
+    for got, want in zip(net.layers, twin.layers):
+        assert np.array_equal(got.b, want.b)
+        assert np.array_equal(got.a, want.a)
+
+
+def test_make_step_rejects_unknown_kind():
+    cfg = tiny_config()
+    net = _build_student(cfg, generate_task(cfg))
+    with pytest.raises(ValueError, match="bogus"):
+        make_step(dataclasses.replace(cfg, optimizer="bogus"), net)
+
+
 # --------------------------------------------------------------------- bench
 
 def test_bench_report_structure_and_grad_eval_ratios():
@@ -387,3 +445,16 @@ def test_cli_bench_writes_json(tmp_path, capsys):
     bench_path = os.path.join(out, f"{cfg.config_hash()}.bench.json")
     assert os.path.exists(bench_path)
     assert "optimizer" in capsys.readouterr().out
+
+
+def test_cli_bench_argument_errors_exit_one(tmp_path, capsys):
+    """Zero repeats, or no steps left after the warmup, end in one message
+    line and exit 1, not a traceback."""
+    cfg_path, _ = write_cfg(tmp_path, optimizer="lora", steps=30, batch_size=4)
+    short_path, _ = write_cfg(tmp_path, "short.cfg", optimizer="lora", steps=1)
+    out = str(tmp_path / "bench")
+    for argv in (["--config", cfg_path, "--repeats", "0"], ["--config", short_path]):
+        assert main(["bench", *argv, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+    assert not os.path.exists(out)

@@ -9,32 +9,17 @@ from flatlora.linalg import (
     ShapeError,
     col_space_projector,
     frobenius_norm,
-    gram_pseudo_inverse,
     make_rng,
-    matmul,
     matrixize,
     pseudo_inverse,
     row_space_projector,
     svd,
     vectorize,
 )
+from flatlora.optimizers import gram_pseudo_inverse
 
 MP_TOL = 1e-9
 PROJ_TOL = 1e-10
-
-
-def matmul_oracle(a, b):
-    """Triple-loop product, the slowest possible reference."""
-    n, k = a.shape
-    _, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for p in range(k):
-                acc += a[i, p] * b[p, j]
-            out[i, j] = acc
-    return out
 
 
 def random_cases(rng, count, max_dim=8, rank_deficient_every=3):
@@ -46,28 +31,6 @@ def random_cases(rng, count, max_dim=8, rank_deficient_every=3):
         if trial % rank_deficient_every == 0 and min(rows, cols) > 1:
             m[-1, :] = m[0, :] * 2.0
         yield m
-
-
-def test_matmul_matches_triple_loop():
-    rng = make_rng(0)
-    for _ in range(20):
-        n, k, m = (int(rng.integers(1, 7)) for _ in range(3))
-        a = rng.standard_normal((n, k))
-        b = rng.standard_normal((k, m))
-        assert np.max(np.abs(matmul(a, b) - matmul_oracle(a, b))) < 1e-12
-
-
-def test_matmul_shape_error_names_both_shapes():
-    a = np.zeros((2, 3))
-    b = np.zeros((4, 5))
-    with pytest.raises(ShapeError) as err:
-        matmul(a, b)
-    assert "(2, 3)" in str(err.value) and "(4, 5)" in str(err.value)
-
-
-def test_matmul_rejects_vectors():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros(3), np.zeros((3, 2)))
 
 
 def test_frobenius_norm_is_root_of_squared_sum():
@@ -181,6 +144,13 @@ def test_gram_pseudo_inverse_fallback_paths():
     p = gram_pseudo_inverse(m)
     assert np.max(np.abs(m @ p @ m - m)) < 1e-6  # rank-1 treatment, not a blow-up
     assert np.max(np.abs(p)) < 1e3
+
+
+def test_gram_pseudo_inverse_rejects_bad_tol():
+    m = make_rng(10).standard_normal((2, 5))
+    for bad in (0.0, 1.0, -1e-3):
+        with pytest.raises(ValueError):
+            gram_pseudo_inverse(m, tol=bad)
 
 
 def test_projector_properties():
