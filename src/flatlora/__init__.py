@@ -1,13 +1,14 @@
 """Sharpness-aware training for low-rank adapters on dense numpy networks.
 
-The package splits into five layers: linalg (the SVD pseudo-inverse,
+The package splits into six layers: linalg (the SVD pseudo-inverse,
 projectors, seeded randomness), model (adapted networks, forward/backward,
 reversible perturbations), optimizers (the training steps, their shared
 perturbation pipeline, and the Gram pseudo-inverse it runs on),
 diagnostics (sharpness probes, the EMA gap bound, balancedness dynamics),
-and harness (configs, synthetic tasks, the config-to-step entry point
-make_step, the experiment loop, benchmark, and self-checks) with a CLI
-on top.
+harness (configs, synthetic tasks, the config-to-step entry point
+make_step, the experiment loop, and benchmark), and checks (the identity
+checks that both the verify self-check suite and the acceptance tests
+run), with a CLI on top.
 """
 
 from .linalg import (
@@ -87,7 +88,6 @@ from .harness import (
     MetricsRecord,
     RunSummary,
     Task,
-    VerifyReport,
     bench,
     generate_task,
     load_config,
@@ -95,7 +95,7 @@ from .harness import (
     parse_config_text,
     run_experiment,
     sweep,
-    verify,
 )
+from .checks import VerifyReport, verify
 
 __version__ = "0.1.0"

@@ -22,8 +22,8 @@ from .harness import (
     run_experiment,
     run_paths,
     sweep,
-    verify,
 )
+from .checks import verify
 from .linalg import NumericalError
 
 EXIT_OK = 0
@@ -149,8 +149,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"cannot read {exc.filename}", file=sys.stderr)
+        return EXIT_INVALID
+    except UnicodeDecodeError as exc:
+        print(f"cannot read {args.config}: not UTF-8 ({exc.reason})", file=sys.stderr)
         return EXIT_INVALID
     except ExperimentAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

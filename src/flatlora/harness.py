@@ -1,5 +1,5 @@
-"""Experiment harness: configs, task generators, the training loop with
-metrics output, the wall-time benchmark, and the self-check suite.
+"""Experiment harness: configs, task generators, the config-to-step entry
+point, the training loop with metrics output, and the wall-time benchmark.
 
 Runs are deterministic by construction: every random draw flows from the
 config seed through named substreams, and the metrics CSV is written with
@@ -23,16 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagnostics
-from .linalg import make_rng, pseudo_inverse, row_space_projector
-from .model import (
-    Batch,
-    Network,
-    apply_b_perturbation,
-    backward,
-    build_network,
-    clone_network,
-    forward,
-)
+from .linalg import make_rng
+from .model import Batch, Network, build_network, forward
 from .optimizers import (
     DIRECTION_VARIANTS,
     OPTIMIZER_KINDS,
@@ -40,16 +32,13 @@ from .optimizers import (
     BaseUpdateConfig,
     PerturbState,
     StepStats,
-    base_update,
     eflat_lora_step,
     flat_lora_step,
-    gram_pseudo_inverse,
     init_perturb_state,
     init_sgd_state,
     lora_sam_step,
     lora_step,
     param_and_memory_counts,
-    perturbation_from_gradients,
     rho_at,
 )
 
@@ -129,8 +118,8 @@ class ExperimentConfig:
             problems["learning_rate"] = "must be positive"
         if not (0.0 <= self.momentum < 1.0):
             problems["momentum"] = "must lie in [0, 1)"
-        if self.weight_decay < 0.0:
-            problems["weight_decay"] = "must be >= 0"
+        if not (self.weight_decay >= 0.0 and math.isfinite(self.weight_decay)):
+            problems["weight_decay"] = "must be >= 0 and finite"
         if self.rho0 < 0.0 or not math.isfinite(self.rho0):
             problems["rho0"] = "must be >= 0 and finite"
         if not (0.0 < self.beta <= 1.0):
@@ -143,12 +132,14 @@ class ExperimentConfig:
             problems["batch_size"] = "must be >= 1"
         if self.n_batches < 1:
             problems["n_batches"] = "must be >= 1"
-        if self.noise_std < 0.0:
-            problems["noise_std"] = "must be >= 0"
+        if not (self.noise_std >= 0.0 and math.isfinite(self.noise_std)):
+            problems["noise_std"] = "must be >= 0 and finite"
         if self.steps < 0:
             problems["steps"] = "must be >= 0"
         if self.eval_every < 1:
             problems["eval_every"] = "must be >= 1"
+        if self.seed < 0:
+            problems["seed"] = "must be >= 0"
         if not (0.0 < self.svd_tol < 1.0):
             problems["svd_tol"] = "must lie in (0, 1)"
         if problems:
@@ -691,381 +682,3 @@ def bench(cfg: ExperimentConfig, repeats: int = 3) -> BenchReport:
         steps_timed=cfg.steps - warmup,
         entries=entries,
     )
-
-
-@dataclass
-class VerifyCheck:
-    name: str
-    passed: bool
-    residual: float
-    tolerance: float
-    note: str = ""
-
-    def format_line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        line = (
-            f"{status}  {self.name}: residual {self.residual:.3e} "
-            f"(tol {self.tolerance:.1e})"
-        )
-        if self.note:
-            line += f"  [{self.note}]"
-        return line
-
-
-@dataclass
-class VerifyReport:
-    checks: list[VerifyCheck]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def exit_code(self) -> int:
-        return 0 if self.all_passed else 1
-
-    def format_lines(self) -> list[str]:
-        lines = [c.format_line() for c in self.checks]
-        n_fail = sum(not c.passed for c in self.checks)
-        lines.append(
-            f"{len(self.checks)} checks, {n_fail} failed"
-            if n_fail
-            else f"{len(self.checks)} checks, all passed"
-        )
-        return lines
-
-
-def _tiny_config(optimizer: str = "flat-lora", **overrides) -> ExperimentConfig:
-    base = dict(
-        task="teacher-student",
-        layer_dims=[6, 5, 3],
-        rank=2,
-        scale=2.0,
-        optimizer=optimizer,
-        learning_rate=0.05,
-        rho0=0.05,
-        batch_size=12,
-        n_batches=3,
-        steps=30,
-        eval_every=10,
-        seed=7,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
-
-
-def _make_verify_net(rng, dims=(6, 5, 3), rank=2, scale=2.0, loss="mse"):
-    net = build_network(list(dims), rank=rank, scale=scale, rng=rng,
-                        activation="tanh", loss_kind=loss)
-    # b starts at zero; fill it so column spaces are generic.
-    for layer in net.layers:
-        layer.b = 0.3 * rng.standard_normal(layer.b.shape)
-    return net
-
-
-def _random_batch(rng, net: Network, k: int = 8) -> Batch:
-    return Batch(
-        inputs=rng.standard_normal((net.in_dim, k)),
-        targets=rng.standard_normal((net.out_dim, k)),
-    )
-
-
-def verify() -> VerifyReport:
-    """Self-check suite covering the identities the package is built on.
-
-    Each check exercises a property end to end on freshly generated
-    problems and reports its worst residual against a fixed tolerance.
-    The unrepresentable-component check is informational: it reports the
-    size of the perturbation component outside the row space of a without
-    ever failing on it.
-    """
-    checks: list[VerifyCheck] = []
-    rng = make_rng(2026)
-
-    # Moore-Penrose conditions, including rank-deficient inputs.
-    worst = 0.0
-    for trial in range(30):
-        rows = int(rng.integers(1, 9))
-        cols = int(rng.integers(1, 9))
-        m = rng.standard_normal((rows, cols))
-        if trial % 3 == 0 and min(rows, cols) > 1:
-            m[:, -1] = m[:, 0]  # force rank deficiency
-        p = pseudo_inverse(m)
-        worst = max(
-            worst,
-            float(np.max(np.abs(m @ p @ m - m))),
-            float(np.max(np.abs(p @ m @ p - p))),
-            float(np.max(np.abs((m @ p) - (m @ p).T))),
-            float(np.max(np.abs((p @ m) - (p @ m).T))),
-        )
-    checks.append(VerifyCheck("pseudo_inverse_moore_penrose", worst <= 1e-9, worst, 1e-9))
-
-    # The fast Gram route agrees with the SVD route everywhere.
-    worst = 0.0
-    for trial in range(30):
-        rows = int(rng.integers(1, 9))
-        cols = int(rng.integers(1, 9))
-        m = rng.standard_normal((rows, cols))
-        if trial % 4 == 0:
-            m[0, :] = 0.0
-        if trial == 0:
-            m = np.zeros((rows, cols))
-        worst = max(worst, float(np.max(np.abs(gram_pseudo_inverse(m) - pseudo_inverse(m)))))
-    checks.append(VerifyCheck("gram_pseudo_inverse_agreement", worst <= 1e-9, worst, 1e-9))
-
-    # Projector idempotence, symmetry, and action on the row space.
-    worst = 0.0
-    for _ in range(20):
-        r = int(rng.integers(1, 5))
-        c = int(rng.integers(r, 10))
-        a = rng.standard_normal((r, c))
-        p = row_space_projector(a)
-        worst = max(
-            worst,
-            float(np.max(np.abs(p @ p - p))),
-            float(np.max(np.abs(p - p.T))),
-            float(np.max(np.abs(a @ p - a))),
-        )
-    checks.append(VerifyCheck("row_projector_properties", worst <= 1e-10, worst, 1e-10))
-
-    # Gradient check against central finite differences.
-    worst = 0.0
-    net = _make_verify_net(rng)
-    batch = _random_batch(rng, net)
-    grads = backward(net, batch)
-    eps = 1e-6
-    for li, layer in enumerate(net.layers):
-        for mat, grad in ((layer.b, grads.grad_b[li]), (layer.a, grads.grad_a[li])):
-            idx = (int(rng.integers(mat.shape[0])), int(rng.integers(mat.shape[1])))
-            orig = mat[idx]
-            mat[idx] = orig + eps
-            _, lp = forward(net, batch)
-            mat[idx] = orig - eps
-            _, lm = forward(net, batch)
-            mat[idx] = orig
-            numeric = (lp - lm) / (2 * eps)
-            denom = max(abs(numeric), abs(grad[idx]), 1e-8)
-            worst = max(worst, abs(numeric - grad[idx]) / denom)
-    checks.append(VerifyCheck("gradient_finite_difference", worst <= 1e-4, worst, 1e-4))
-
-    # Factor gradients match the merged-weight gradient through the chain rule.
-    worst = 0.0
-    grads = backward(net, batch, want_full=True)
-    for li, layer in enumerate(net.layers):
-        gw = grads.grad_w[li]
-        worst = max(
-            worst,
-            float(np.max(np.abs(grads.grad_b[li] - layer.scale * (gw @ layer.a.T)))),
-            float(np.max(np.abs(grads.grad_a[li] - layer.scale * (layer.b.T @ gw)))),
-        )
-    checks.append(VerifyCheck("gradient_chain_identity", worst <= 1e-10, worst, 1e-10))
-
-    # Transferred perturbation reproduces the projected dense loss exactly,
-    # and the unrepresentable component is reported, never asserted.
-    worst = 0.0
-    residual_info = 0.0
-    for _ in range(5):
-        net_t = _make_verify_net(rng)
-        batch_t = _random_batch(rng, net_t)
-        plan = perturbation_from_gradients(
-            net_t, backward(net_t, batch_t), rho=0.1
-        )
-        for li in range(len(net_t.layers)):
-            diff, unproj = diagnostics.loss_match_residual(
-                net_t, batch_t, li, plan.e_w_bar[li], plan.e_b[li]
-            )
-            worst = max(worst, diff)
-            residual_info = max(residual_info, unproj)
-    checks.append(VerifyCheck("transfer_loss_match", worst <= 1e-10, worst, 1e-10))
-    checks.append(
-        VerifyCheck(
-            "unrepresentable_component_report",
-            True,
-            residual_info,
-            math.inf,
-            "informational: dense perturbation mass outside the row space of a",
-        )
-    )
-
-    # rho = 0 collapses every variant onto the plain step.
-    worst = 0.0
-    for kind in ("lora-sam", "flat-lora", "eflat-lora"):
-        cfg_a = _tiny_config("lora", rho0=0.0, steps=25)
-        cfg_b = _tiny_config(kind, rho0=0.0, steps=25)
-        task = generate_task(cfg_a)
-        net_a = _build_student(cfg_a, task)
-        net_b = _build_student(cfg_b, task)
-        step_a, _ = make_step(cfg_a, net_a)
-        step_b, pstate = make_step(cfg_b, net_b)
-        for t in range(1, 26):
-            b = task.train_batches[(t - 1) % len(task.train_batches)]
-            step_a(b, t)
-            step_b(b, t)
-        if pstate is not None:
-            pstate.remove(net_b)
-        for la, lb in zip(net_a.layers, net_b.layers):
-            worst = max(
-                worst,
-                float(np.max(np.abs(la.b - lb.b))),
-                float(np.max(np.abs(la.a - lb.a))),
-            )
-    checks.append(VerifyCheck("rho_zero_degeneration", worst <= 1e-12, worst, 1e-12))
-
-    # EMA of per-step perturbations matches its closed form.
-    worst = 0.0
-    beta = 0.7
-    cfg_e = _tiny_config("eflat-lora", steps=10, rho0=0.08, beta=beta)
-    task = generate_task(cfg_e)
-    net_e = _build_student(cfg_e, task)
-    step_e, pstate = make_step(cfg_e, net_e)
-    per_step: list[list[np.ndarray]] = []
-    for t in range(1, 11):
-        step_e(task.train_batches[(t - 1) % len(task.train_batches)], t)
-        per_step.append([e.copy() for e in pstate.last_e_b])
-    t_final = len(per_step)
-    for li in range(len(net_e.layers)):
-        closed = np.zeros_like(pstate.ema_e_b[li])
-        for k, e_list in enumerate(per_step, start=1):
-            closed += beta * (1.0 - beta) ** (t_final - k) * e_list[li]
-        worst = max(worst, float(np.max(np.abs(closed - pstate.ema_e_b[li]))))
-    checks.append(VerifyCheck("ema_closed_form", worst <= 1e-10, worst, 1e-10))
-
-    # Apply/revert restores the exact parameter bytes.
-    net_r = _make_verify_net(rng)
-    before_b = [layer.b.copy() for layer in net_r.layers]
-    before_a = [layer.a.copy() for layer in net_r.layers]
-    shifts = [0.1 * rng.standard_normal(layer.b.shape) for layer in net_r.layers]
-    handle = apply_b_perturbation(net_r, shifts)
-    handle.revert()
-    exact = all(
-        np.array_equal(layer.b, before_b[i]) and np.array_equal(layer.a, before_a[i])
-        for i, layer in enumerate(net_r.layers)
-    )
-    checks.append(
-        VerifyCheck("apply_revert_bit_identical", exact, 0.0 if exact else 1.0, 0.0)
-    )
-
-    # A full two-pass step equals the same computation written without any
-    # in-place perturb/revert (catches a skipped or wrong revert).
-    cfg_c = _tiny_config("flat-lora", steps=1)
-    task = generate_task(cfg_c)
-    net_live = _build_student(cfg_c, task)
-    net_ref = clone_network(net_live)
-    b0 = task.train_batches[0]
-    make_step(cfg_c, net_live)[0](b0, 1)
-    plan = perturbation_from_gradients(net_ref, backward(net_ref, b0), 0.05)
-    probe = clone_network(net_ref)
-    for layer, e in zip(probe.layers, plan.e_b):
-        layer.b = layer.b + e
-    grads1 = backward(probe, b0)
-    base_update(net_ref, grads1, BaseUpdateConfig(learning_rate=0.05),
-                init_sgd_state(net_ref))
-    worst = 0.0
-    for ll, lr_ in zip(net_live.layers, net_ref.layers):
-        worst = max(
-            worst,
-            float(np.max(np.abs(ll.b - lr_.b))),
-            float(np.max(np.abs(ll.a - lr_.a))),
-        )
-    checks.append(VerifyCheck("step_composition_equivalence", worst <= 1e-14, worst, 1e-14))
-
-    # Frozen base weights never move, whatever the optimizer does.
-    cfg_w = _tiny_config("eflat-lora", steps=20)
-    task = generate_task(cfg_w)
-    net_w = _build_student(cfg_w, task)
-    w0_before = [layer.w0.copy() for layer in net_w.layers]
-    step_w, _ = make_step(cfg_w, net_w)
-    for t in range(1, 21):
-        step_w(task.train_batches[(t - 1) % len(task.train_batches)], t)
-    frozen_ok = all(
-        np.array_equal(layer.w0, w0_before[i]) for i, layer in enumerate(net_w.layers)
-    )
-    checks.append(
-        VerifyCheck("base_weights_frozen", frozen_ok, 0.0 if frozen_ok else 1.0, 0.0)
-    )
-
-    # Gradient evaluations per step are exactly 1, 2, 2, 1.
-    expected_evals = {"lora": 1, "lora-sam": 2, "flat-lora": 2, "eflat-lora": 1}
-    eval_ok = True
-    cfg_g = _tiny_config("lora", steps=3)
-    task = generate_task(cfg_g)
-    for kind, want in expected_evals.items():
-        kind_cfg = dataclasses.replace(cfg_g, optimizer=kind)
-        step_g, _ = make_step(kind_cfg, _build_student(kind_cfg, task))
-        eval_ok = eval_ok and step_g(task.train_batches[0], 1).grad_evals == want
-    checks.append(
-        VerifyCheck("grad_eval_counts", eval_ok, 0.0 if eval_ok else 1.0, 0.0)
-    )
-
-    # Sharpness probe on an exactly quadratic objective has a closed form.
-    worst = 0.0
-    mf_cfg = ExperimentConfig(
-        task="matrix-factorization", layer_dims=[5, 4], rank=2, scale=1.0,
-        optimizer="lora", steps=0, seed=3,
-    )
-    task = generate_task(mf_cfg)
-    net_q = _build_student(mf_cfg, task)
-    for layer in net_q.layers:
-        layer.b = 0.5 * make_rng(11).standard_normal(layer.b.shape)
-    batch_q = task.eval_batch
-    grads_q = backward(net_q, batch_q, want_full=True)
-    g_norm = float(np.linalg.norm(grads_q.grad_w[0]))
-    for rho in (0.01, 0.1, 0.5):
-        measured = diagnostics.sharpness_sam(net_q, batch_q, rho)
-        expected = rho * g_norm + 0.5 * rho * rho
-        worst = max(worst, abs(measured - expected))
-    checks.append(VerifyCheck("sharpness_quadratic_closed_form", worst <= 1e-9, worst, 1e-9))
-
-    # The brute-force neighborhood maximum dominates the one-direction probe.
-    net_o = _make_verify_net(make_rng(21))
-    batch_o = _random_batch(make_rng(22), net_o)
-    s_probe = diagnostics.sharpness_sam(net_o, batch_o, 0.1)
-    s_oracle = diagnostics.neighborhood_max_oracle(net_o, batch_o, 0.1, n_samples=32)
-    short = max(0.0, s_probe - s_oracle)
-    checks.append(VerifyCheck("oracle_dominates_probe", short <= 1e-12, short, 1e-12))
-
-    # Balancedness drift in the perturbed factorisation flow stays under
-    # its ceiling (10% discretisation slack at this eta).
-    worst = 0.0
-    for seed in (0, 1):
-        rng_f = make_rng([97, seed])
-        target = np.outer(rng_f.standard_normal(6), rng_f.standard_normal(5))
-        trace = diagnostics.run_scale_invariant_flow(
-            target, rho=0.05, scale=2.0, eta=1e-4, steps=300, seed=seed
-        )
-        worst = max(worst, float(np.max(trace.drift_rate - 1.1 * trace.bound_rhs)))
-    checks.append(
-        VerifyCheck("balancedness_drift_bound", worst <= 1e-9, max(worst, 0.0), 1e-9)
-    )
-
-    # Gap-bound formula against a hand-computed value.
-    consts = diagnostics.AssumptionConstants(
-        tau_hat=2.0, grad_bound_hat=3.0, noise_var_hat=0.25
-    )
-    got = diagnostics.ema_sam_gap_bound(consts, rho0=0.1, beta=0.9, t=5)
-    lhs = 2.0 * 0.1 / 2.0 + 3.0 + 0.25
-    rhs = 0.1 / math.sqrt(5.0) + 0.1 * 0.1**4 + 0.1
-    expected = lhs * rhs
-    diff = abs(got - expected)
-    checks.append(VerifyCheck("gap_bound_formula", diff <= 1e-12, diff, 1e-12))
-
-    # Identical config and seed reproduce the metrics CSV byte for byte.
-    import tempfile
-
-    cfg_d = _tiny_config("eflat-lora", steps=30, eval_every=10)
-    with tempfile.TemporaryDirectory() as tmp:
-        dir_a = os.path.join(tmp, "a")
-        dir_b = os.path.join(tmp, "b")
-        run_experiment(cfg_d, out_dir=dir_a)
-        run_experiment(cfg_d, out_dir=dir_b)
-        path_a, _ = run_paths(cfg_d, dir_a)
-        path_b, _ = run_paths(cfg_d, dir_b)
-        with open(path_a, "rb") as fh:
-            bytes_a = fh.read()
-        with open(path_b, "rb") as fh:
-            bytes_b = fh.read()
-    replay_ok = bytes_a == bytes_b and bytes_a.startswith(CSV_HEADER.encode())
-    checks.append(
-        VerifyCheck("csv_replay_determinism", replay_ok, 0.0 if replay_ok else 1.0, 0.0)
-    )
-
-    return VerifyReport(checks=checks)

@@ -3,53 +3,27 @@ pass/fail line.  Tolerances and sample counts are part of the contract; do
 not loosen them to make a failing build green."""
 
 import dataclasses
-import math
 import time
 
 import numpy as np
-import pytest
 
 from conftest import acceptance_lines
 
 from flatlora import diagnostics
+from flatlora.checks import (algebraic_core, csv_replays, drift_bound, ema_closed_form,
+                             gradient_fidelity, random_batch, random_net, verify,
+                             zero_radius_degeneration)
 from flatlora.harness import (
-    CSV_HEADER,
     ExperimentConfig,
     _build_student,
     bench,
     generate_task,
+    make_step,
     run_experiment,
-    run_paths,
-    verify,
 )
-from flatlora.linalg import (
-    make_rng,
-    pseudo_inverse,
-    row_space_projector,
-    col_space_projector,
-)
-from flatlora.model import (
-    Batch,
-    LoRALinear,
-    Network,
-    PerturbationHandle,
-    backward,
-    build_network,
-    forward,
-)
-from flatlora.optimizers import (
-    BaseUpdateConfig,
-    eflat_lora_step,
-    flat_lora_step,
-    full_to_lowrank_perturbation,
-    init_perturb_state,
-    init_sgd_state,
-    lora_sam_step,
-    lora_step,
-    param_and_memory_counts,
-    reconstruct_full_gradient,
-    rho_at,
-)
+from flatlora.linalg import make_rng, row_space_projector, col_space_projector
+from flatlora.model import PerturbationHandle, backward, build_network, forward
+from flatlora.optimizers import param_and_memory_counts, reconstruct_full_gradient
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -61,76 +35,12 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _random_net(rng, dims, rank, scale=1.0, activation="tanh", loss="mse"):
-    net = build_network(list(dims), rank=rank, scale=scale, rng=rng,
-                        activation=activation, loss_kind=loss)
-    for layer in net.layers:
-        layer.b = 0.4 * rng.standard_normal(layer.b.shape)
-    return net
-
-
-def _random_batch(rng, net, k=6):
-    if net.loss_kind == "softmax-ce":
-        targets = np.zeros((net.out_dim, k))
-        targets[rng.integers(0, net.out_dim, size=k), np.arange(k)] = 1.0
-    else:
-        targets = rng.standard_normal((net.out_dim, k))
-    return Batch(inputs=rng.standard_normal((net.in_dim, k)), targets=targets)
-
-
 def test_algebraic_core_on_randomized_configurations():
     """Pseudo-inverse conditions, projector properties, and the projected
     loss-match identity across 1000 random dims/ranks, under 30 seconds."""
     t0 = time.perf_counter()
-    rng = make_rng(1001)
     n_cases = 1000
-    worst_mp = 0.0
-    worst_proj = 0.0
-    worst_match = 0.0
-    for trial in range(n_cases):
-        n = int(rng.integers(1, 17))
-        m = int(rng.integers(1, 17))
-        r = int(rng.integers(1, min(n, m) + 1))
-        mat = rng.standard_normal((n, m))
-        if trial % 4 == 0 and n > 1:
-            mat[-1, :] = mat[0, :]  # rank-deficient slice of the population
-        p = pseudo_inverse(mat)
-        worst_mp = max(
-            worst_mp,
-            float(np.max(np.abs(mat @ p @ mat - mat))),
-            float(np.max(np.abs(p @ mat @ p - p))),
-            float(np.max(np.abs(mat @ p - (mat @ p).T))),
-            float(np.max(np.abs(p @ mat - (p @ mat).T))),
-        )
-        a = rng.standard_normal((r, m))
-        proj = row_space_projector(a)
-        cproj = col_space_projector(rng.standard_normal((n, r)))
-        worst_proj = max(
-            worst_proj,
-            float(np.max(np.abs(proj @ proj - proj))),
-            float(np.max(np.abs(proj - proj.T))),
-            float(np.max(np.abs(cproj @ cproj - cproj))),
-            float(np.max(np.abs(cproj - cproj.T))),
-        )
-        # Transferred dense perturbation and its projection cost the same
-        # loss on a live single-layer network.  Cases mirror real use:
-        # init-scaled weights and a norm-rho dense direction, the only
-        # kind the optimizer ever transfers.
-        scale = float(rng.uniform(0.5, 2.0))
-        layer = LoRALinear(
-            w0=rng.standard_normal((n, m)) / np.sqrt(m),
-            b=0.4 * rng.standard_normal((n, r)),
-            a=rng.standard_normal((r, m)) * np.sqrt(2.0 / m),
-            scale=scale,
-            rank=r,
-        )
-        net = Network(layers=[layer], activation="identity", loss_kind="mse")
-        batch = _random_batch(rng, net, k=4)
-        e_w_bar = rng.standard_normal((n, m))
-        e_w_bar *= 0.1 / np.linalg.norm(e_w_bar)
-        e_b = full_to_lowrank_perturbation(e_w_bar, layer.a, scale)
-        diff, _ = diagnostics.loss_match_residual(net, batch, 0, e_w_bar, e_b)
-        worst_match = max(worst_match, diff)
+    worst_mp, worst_proj, worst_match = algebraic_core(make_rng(1001), n_cases)
     elapsed = time.perf_counter() - t0
     ok = worst_mp <= 1e-9 and worst_proj <= 1e-10 and worst_match <= 1e-10 and elapsed < 30.0
     _report(
@@ -146,40 +56,8 @@ def test_gradient_fidelity_against_finite_differences():
     """Analytic adapter gradients vs central differences on 100 random
     networks (every entry of both factors), plus the exact chain tie
     between factor gradients and the merged-weight gradient."""
-    rng = make_rng(1002)
-    worst_rel = 0.0
-    worst_chain = 0.0
-    eps = 1e-6
     n_nets = 100
-    for trial in range(n_nets):
-        depth = int(rng.integers(2, 4))
-        dims = [int(rng.integers(2, 6)) for _ in range(depth + 1)]
-        rank = int(rng.integers(1, min(dims) + 1))
-        activation = ("tanh", "relu", "identity")[trial % 3]
-        loss = ("mse", "softmax-ce")[trial % 2]
-        net = _random_net(rng, dims, rank, scale=float(rng.uniform(0.5, 2.0)),
-                          activation=activation, loss=loss)
-        batch = _random_batch(rng, net, k=5)
-        grads = backward(net, batch, want_full=True)
-        for li, layer in enumerate(net.layers):
-            for mat, grad in ((layer.b, grads.grad_b[li]), (layer.a, grads.grad_a[li])):
-                for i in range(mat.shape[0]):
-                    for j in range(mat.shape[1]):
-                        orig = mat[i, j]
-                        mat[i, j] = orig + eps
-                        _, up = forward(net, batch)
-                        mat[i, j] = orig - eps
-                        _, down = forward(net, batch)
-                        mat[i, j] = orig
-                        numeric = (up - down) / (2.0 * eps)
-                        denom = max(abs(numeric), abs(grad[i, j]), 1e-8)
-                        worst_rel = max(worst_rel, abs(numeric - grad[i, j]) / denom)
-            gw = grads.grad_w[li]
-            worst_chain = max(
-                worst_chain,
-                float(np.max(np.abs(grads.grad_b[li] - layer.scale * (gw @ layer.a.T)))),
-                float(np.max(np.abs(grads.grad_a[li] - layer.scale * (layer.b.T @ gw)))),
-            )
+    worst_rel, worst_chain = gradient_fidelity(make_rng(1002), n_nets)
     ok = worst_rel < 1e-4 and worst_chain <= 1e-10
     _report(
         "gradient-fidelity",
@@ -199,8 +77,8 @@ def test_full_gradient_reconstruction_identity():
         depth = int(rng.integers(1, 4))
         dims = [int(rng.integers(2, 9)) for _ in range(depth + 1)]
         rank = int(rng.integers(1, min(dims) + 1))
-        net = _random_net(rng, dims, rank, scale=float(rng.uniform(0.5, 2.0)))
-        batch = _random_batch(rng, net, k=5)
+        net = random_net(rng, dims, rank, scale=float(rng.uniform(0.5, 2.0)))
+        batch = random_batch(rng, net, k=5)
         grads = backward(net, batch, want_full=True)
         for li, layer in enumerate(net.layers):
             got = reconstruct_full_gradient(
@@ -215,8 +93,8 @@ def test_full_gradient_reconstruction_identity():
     n_square = 60
     for _ in range(n_square):
         d = int(rng.integers(2, 7))
-        net = _random_net(rng, [d, d], rank=d, scale=float(rng.uniform(0.5, 2.0)))
-        batch = _random_batch(rng, net, k=5)
+        net = random_net(rng, [d, d], rank=d, scale=float(rng.uniform(0.5, 2.0)))
+        batch = random_batch(rng, net, k=5)
         grads = backward(net, batch, want_full=True)
         got = reconstruct_full_gradient(
             grads.grad_b[0], grads.grad_a[0], net.layers[0].a, net.layers[0].b,
@@ -238,29 +116,7 @@ def test_zero_radius_degenerates_to_plain_training():
     cfg_base = ExperimentConfig(layer_dims=[6, 5, 3], rank=2, optimizer="lora",
                                 learning_rate=0.05, rho0=0.0, batch_size=8,
                                 n_batches=3, steps=30, seed=12)
-    task = generate_task(cfg_base)
-    worst = 0.0
-    for kind in ("lora-sam", "flat-lora", "eflat-lora"):
-        ref = _build_student(cfg_base, task)
-        net = _build_student(cfg_base, task)
-        opt = BaseUpdateConfig(learning_rate=0.05)
-        sgd_ref = init_sgd_state(ref)
-        sgd_net = init_sgd_state(net)
-        pstate = init_perturb_state(net, rho0=0.0, beta=0.9)
-        for t in range(1, 31):
-            b = task.train_batches[(t - 1) % len(task.train_batches)]
-            lora_step(ref, b, opt, sgd_ref)
-            if kind == "lora-sam":
-                lora_sam_step(net, b, 0.0, opt, sgd_net)
-            elif kind == "flat-lora":
-                flat_lora_step(net, b, 0.0, opt, sgd_net)
-            else:
-                eflat_lora_step(net, b, pstate, opt, sgd_net)
-        if kind == "eflat-lora":
-            pstate.remove(net)
-        for lr_, ln in zip(ref.layers, net.layers):
-            worst = max(worst, float(np.max(np.abs(lr_.b - ln.b))),
-                        float(np.max(np.abs(lr_.a - ln.a))))
+    worst = zero_radius_degeneration(cfg_base)
     ok = worst <= 1e-12
     _report("zero-radius-degeneration", ok,
             f"3 variants x 30 steps: worst diff={worst:.2e}<=1e-12")
@@ -272,32 +128,7 @@ def test_ema_perturbation_closed_form():
     cfg = ExperimentConfig(layer_dims=[6, 5, 3], rank=2, optimizer="eflat-lora",
                            learning_rate=0.05, rho0=0.08, beta=0.7,
                            batch_size=8, n_batches=3, steps=10, seed=5)
-    task = generate_task(cfg)
-    net = _build_student(cfg, task)
-    opt = BaseUpdateConfig(learning_rate=0.05)
-    sgd = init_sgd_state(net)
-    pstate = init_perturb_state(net, rho0=0.08, beta=0.7)
-    per_step = []
-    for t in range(1, 11):
-        b = task.train_batches[(t - 1) % len(task.train_batches)]
-        eflat_lora_step(net, b, pstate, opt, sgd)
-        per_step.append([e.copy() for e in pstate.last_e_b])
-    worst = 0.0
-    for li in range(len(net.layers)):
-        closed = np.zeros_like(pstate.ema_e_b[li])
-        for k, e_list in enumerate(per_step, start=1):
-            closed += 0.7 * (1.0 - 0.7) ** (10 - k) * e_list[li]
-        worst = max(worst, float(np.max(np.abs(closed - pstate.ema_e_b[li]))))
-
-    net2 = _build_student(cfg, task)
-    sgd2 = init_sgd_state(net2)
-    pstate2 = init_perturb_state(net2, rho0=0.08, beta=1.0)
-    worst_beta1 = 0.0
-    for t in range(1, 5):
-        b = task.train_batches[(t - 1) % len(task.train_batches)]
-        eflat_lora_step(net2, b, pstate2, opt, sgd2)
-        for ema, last in zip(pstate2.ema_e_b, pstate2.last_e_b):
-            worst_beta1 = max(worst_beta1, float(np.max(np.abs(ema - last))))
+    worst, worst_beta1 = ema_closed_form(cfg)
     ok = worst <= 1e-10 and worst_beta1 <= 1e-10
     _report("ema-closed-form", ok,
             f"10 steps: closed-form={worst:.2e}<=1e-10, beta=1 residual="
@@ -309,20 +140,7 @@ def test_balancedness_drift_bound_in_flow():
     drift never exceeds its theoretical ceiling times 1.1, across 5 seeds
     and 1000 steps each, in under 10 seconds."""
     t0 = time.perf_counter()
-    worst_excess = -math.inf
-    worst_ratio = 0.0
-    for seed in range(5):
-        rng = make_rng([97, seed])
-        target = np.outer(rng.standard_normal(6), rng.standard_normal(5))
-        trace = diagnostics.run_scale_invariant_flow(
-            target, rho=0.1, scale=1.0, eta=1e-4, steps=1000, seed=seed
-        )
-        excess = trace.drift_rate - 1.1 * trace.bound_rhs
-        worst_excess = max(worst_excess, float(np.max(excess)))
-        worst_ratio = max(
-            worst_ratio,
-            float(np.max(trace.drift_rate / np.maximum(trace.bound_rhs, 1e-300))),
-        )
+    worst_excess, worst_ratio = drift_bound(5, rho=0.1, scale=1.0, steps=1000)
     elapsed = time.perf_counter() - t0
     ok = worst_excess <= 0.0 and elapsed < 10.0
     _report(
@@ -391,19 +209,9 @@ def test_sharpness_reduction_at_matched_fit():
         for kind in kinds:
             cfg = dataclasses.replace(base, optimizer=kind)
             net = _build_student(cfg, task)
-            opt = BaseUpdateConfig(learning_rate=cfg.learning_rate)
-            sgd = init_sgd_state(net)
-            pstate = (init_perturb_state(net, rho0=rho_probe, beta=0.9)
-                      if kind == "eflat-lora" else None)
-            schedule = cfg.resolved_schedule()
+            step, pstate = make_step(cfg, net)
             for t in range(1, cfg.steps + 1):
-                b = task.train_batches[(t - 1) % len(task.train_batches)]
-                if kind == "lora":
-                    lora_step(net, b, opt, sgd)
-                elif kind == "flat-lora":
-                    flat_lora_step(net, b, rho_at(rho_probe, t, schedule), opt, sgd)
-                else:
-                    eflat_lora_step(net, b, pstate, opt, sgd, schedule=schedule)
+                step(task.train_batches[(t - 1) % len(task.train_batches)], t)
             if pstate is not None and pstate.applied:
                 pstate.remove(net)
             losses[kind].append(
@@ -476,7 +284,7 @@ def test_parameter_and_memory_accounting():
             f"{n_arch} architectures: trainable=sum(n*r+r*m), extras 0/1/1.5/2x")
 
 
-def test_determinism_and_self_check_contract(tmp_path, monkeypatch):
+def test_determinism_and_self_check_contract(monkeypatch):
     """The self-check suite exits 0 on the shipped code, any config+seed
     replays a byte-identical CSV, and a build whose perturbation revert is
     a silent no-op makes the suite exit nonzero."""
@@ -486,12 +294,7 @@ def test_determinism_and_self_check_contract(tmp_path, monkeypatch):
     cfg = ExperimentConfig(layer_dims=[6, 5, 3], rank=2, optimizer="eflat-lora",
                            learning_rate=0.05, rho0=0.05, batch_size=8,
                            n_batches=3, steps=30, eval_every=10, seed=9)
-    dir_a, dir_b = str(tmp_path / "a"), str(tmp_path / "b")
-    run_experiment(cfg, out_dir=dir_a)
-    run_experiment(cfg, out_dir=dir_b)
-    bytes_a = open(run_paths(cfg, dir_a)[0], "rb").read()
-    bytes_b = open(run_paths(cfg, dir_b)[0], "rb").read()
-    replay_ok = bytes_a == bytes_b and bytes_a.startswith(CSV_HEADER.encode())
+    replay_ok = csv_replays(cfg)
 
     with monkeypatch.context() as mp:
         mp.setattr(PerturbationHandle, "revert", lambda self: None)

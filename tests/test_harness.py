@@ -10,6 +10,8 @@ import os
 import numpy as np
 import pytest
 
+from flatlora import harness, model
+from flatlora.checks import verify
 from flatlora.cli import main
 from flatlora.harness import (
     CSV_HEADER,
@@ -26,7 +28,6 @@ from flatlora.harness import (
     run_experiment,
     run_paths,
     sweep,
-    verify,
 )
 from flatlora.model import PerturbationHandle, forward
 from flatlora.optimizers import (
@@ -100,6 +101,10 @@ def test_validate_collects_every_offender():
     with pytest.raises(ConfigError) as err:
         cfg.validate()
     assert {"optimizer", "rank", "beta"} <= set(err.value.fields)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(weight_decay=bad, noise_std=bad, seed=-1).validate()
+        assert err.value.fields == ["noise_std", "seed", "weight_decay"]
 
 
 def test_task_specific_validation():
@@ -366,15 +371,27 @@ def test_verify_all_checks_pass():
     assert len(names) == len(set(names))
 
 
-def test_verify_catches_skipped_revert(monkeypatch):
-    """A perturbation revert that silently does nothing must turn the
+@pytest.mark.parametrize(
+    "owner, name, fault, check",
+    [
+        (PerturbationHandle, "revert", lambda self: None, "apply_revert_bit_identical"),
+        (model, "_activation_grad", lambda y, kind: np.ones_like(y),
+         "gradient_finite_difference"),
+        (harness, "rho_at", lambda rho0, t, schedule, rho_at=harness.rho_at:
+         2.0 * rho_at(rho0, t, schedule), "step_composition_equivalence"),
+    ],
+    ids=["revert-noop", "activation-grad-ones", "rho-doubled"],
+)
+def test_verify_catches_skipped_revert(monkeypatch, owner, name, fault, check):
+    """A planted fault (a revert that silently does nothing, a wrong
+    activation derivative, a doubled radius) turns the named check of the
     self-check suite red."""
-    monkeypatch.setattr(PerturbationHandle, "revert", lambda self: None)
+    monkeypatch.setattr(owner, name, fault)
     report = verify()
     assert not report.all_passed
     assert report.exit_code() == 1
     failed = {c.name for c in report.checks if not c.passed}
-    assert "apply_revert_bit_identical" in failed
+    assert check in failed
 
 
 # ----------------------------------------------------------------------- CLI
@@ -412,8 +429,13 @@ def test_cli_invalid_config_exits_one(tmp_path, capsys):
 
 
 def test_cli_missing_config_exits_one(tmp_path, capsys):
-    assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
-    assert "cannot read" in capsys.readouterr().err
+    """A missing path, a directory and a non-UTF-8 file each end in one
+    message line and exit 1, not a traceback."""
+    (tmp_path / "latin1.cfg").write_bytes("optimizer = lora # caf\xe9\n".encode("latin-1"))
+    for name in ("nope.cfg", ".", "latin1.cfg"):
+        assert main(["run", "--config", str(tmp_path / name)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read") and err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -430,6 +452,8 @@ def test_cli_sweep(tmp_path, capsys):
     assert main(["sweep", "--config", cfg_path, "--seeds", "0,1", "--out", out]) == 0
     assert "2 runs" in capsys.readouterr().out
     assert main(["sweep", "--config", cfg_path, "--seeds", "zero", "--out", out]) == 1
+    assert main(["sweep", "--config", cfg_path, "--seeds=-1", "--out", out]) == 1
+    assert capsys.readouterr().err.endswith("config error: invalid config (seed: must be >= 0)\n")
 
 
 def test_cli_verify_exits_zero(capsys):
