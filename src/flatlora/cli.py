@@ -9,7 +9,6 @@ or a verify check fails, 2 when training aborts on non-finite numbers.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 

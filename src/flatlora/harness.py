@@ -510,7 +510,7 @@ def run_experiment(
         final_sharpness_ema=summary_source.sharpness_ema,
         final_gap=summary_source.gap,
         total_grad_evals=grad_evals,
-        total_wall_time_ms=wall_ms,
+        total_wall_time_ms=wall_ms if cfg.measure_time else 0.0,
         trainable_params=counts.trainable,
         extra_memory_elements=counts.extra,
     )

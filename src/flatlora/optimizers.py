@@ -15,6 +15,7 @@ evaluations and wall time without instrumenting the internals.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .linalg import (
     DEFAULT_TOL,
@@ -179,16 +181,37 @@ def full_to_lowrank_perturbation(
 class PerturbationPlan:
     """Per-layer perturbation of one sharpness-aware step.
 
-    e_w_bar: dense ascent directions (norm rho per layer, zeros where
-    degenerate).  e_b: their b-factor transfers.  degenerate_layers: indices
-    whose reconstructed gradient vanished.  grads: the gradient set the plan
-    was built from (carries the loss at the evaluation point).
+    e_b: the b-factor transfers the step applies.  degenerate_layers:
+    indices whose reconstructed gradient vanished (their e_b is zero).
+    grads: the gradient set the plan was built from (carries the loss at
+    the evaluation point).
+
+    e_w_bar, the dense n x m ascent directions (norm rho per layer, zeros
+    where degenerate), is not part of the step: it is rebuilt on first
+    access from grads and what each layer kept -- (c, a_pinv_t, b_pinv)
+    for the standard variant, where e_w_bar = c * (grad_b @ a_pinv_t +
+    b_pinv.T @ grad_a), the dense direction itself for the signed
+    variant, None for a degenerate layer.  Only diagnostics, self-checks
+    and tests read it.
     """
 
-    e_w_bar: list[Matrix]
     e_b: list[Matrix]
     degenerate_layers: tuple[int, ...]
     grads: GradientSet
+    _dense: list[tuple[float, Matrix, Matrix] | Matrix | None] = field(repr=False)
+
+    @functools.cached_property
+    def e_w_bar(self) -> list[Matrix]:
+        out: list[Matrix] = []
+        for gb, ga, kept in zip(self.grads.grad_b, self.grads.grad_a, self._dense):
+            if kept is None:
+                out.append(np.zeros((gb.shape[0], ga.shape[1])))
+            elif isinstance(kept, tuple):
+                c, a_pinv_t, b_pinv = kept
+                out.append(c * (gb @ a_pinv_t + b_pinv.T @ ga))
+            else:
+                out.append(kept)
+        return out
 
     def total_norm(self) -> float:
         return math.sqrt(sum(float(np.sum(e * e)) for e in self.e_b))
@@ -219,6 +242,52 @@ def _gram_solve_pinv_t(m: Matrix, tol: float) -> Matrix:
     return cho_solve(factor, m, check_finite=False)
 
 
+def _orthonormal_basis(m: Matrix) -> Matrix:
+    """k x r matrix q with orthonormal columns and q @ q.T @ m == m, for a
+    tall k x r m, from Householder reflections: no Gram matrix is formed,
+    so the condition number of m is not squared.  Calls LAPACK directly;
+    numpy.linalg.qr costs several times more at these sizes.
+    """
+    reflectors, tau, _, _ = dgeqrf(m)
+    return dorgqr(reflectors, tau, overwrite_a=1)[0]
+
+
+def _factored_transfer(
+    grad_b: Matrix, grad_a: Matrix, a_pinv_t: Matrix, b_pinv: Matrix
+) -> tuple[Matrix, float]:
+    """(F @ a_pinv_t.T, ||F||^2) for F = grad_b @ a_pinv_t + b_pinv.T @
+    grad_a, without forming the n x m matrix F.
+
+    With X1 = grad_b, Y1 = a_pinv_t, X2 = b_pinv.T and Y2 = grad_a, F is a
+    sum of two rank-r products.  Orthonormal bases Q1 of the columns of
+    Y1^T and Q2 of those of X2 give Y1 = R1^T Q1^T with R1^T = Y1 Q1 and
+    X2 = Q2 R2 with R2 = Q2^T X2.  With Z2 = R2 Y2, W = Z2 Q1 and
+    U = X1 R1^T + Q2 W,
+
+        F = U Q1^T + Q2 (Z2 - W Q1^T), two mutually orthogonal parts, so
+        ||F||^2 = ||U||^2 + ||Z2||^2 - ||W||^2   (||W|| <= ||Z2||)
+        F Y1^T = U R1
+
+    using only n x r, r x m and r x r arrays.  Inner products of Gram
+    blocks such as Y1 Y1^T would do too, but they square the condition
+    number of the pseudo-inverses: their ||F|| drifts from the dense one
+    by about eps * cond^2 (1e-5 relative at cond 1e6), the orthonormal
+    bases' by about eps * cond, as the dense product's does.
+    """
+    q1 = _orthonormal_basis(a_pinv_t.T)
+    r1_t = a_pinv_t @ q1
+    q2 = _orthonormal_basis(b_pinv.T)
+    z2 = (q2.T @ b_pinv.T) @ grad_a
+    w = z2 @ q1
+    sq = float(np.vdot(z2, z2)) - float(np.vdot(w, w))
+    # Drop each m- or n-long temporary once used: they set the plan's peak.
+    del q1, z2
+    u = grad_b @ r1_t
+    u += q2 @ w
+    del q2
+    return u @ r1_t.T, sq + float(np.vdot(u, u))
+
+
 def gram_pseudo_inverse(m: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
     """Moore-Penrose pseudo-inverse m^+ of a wide or tall matrix through
     the Gram route of _gram_solve_pinv_t.
@@ -240,42 +309,61 @@ def perturbation_from_gradients(
     variant: str = "standard",
     tol: float = DEFAULT_TOL,
 ) -> PerturbationPlan:
-    """Build the full-space perturbation and its low-rank transfer from
-    already-computed adapter gradients.
+    """Build the low-rank transfer of the normalised full-space ascent
+    direction from already-computed adapter gradients.
 
     Normalisation is per layer: each layer's reconstructed gradient is
     scaled to norm rho independently.  This is the one implementation the
     step functions use; it computes the same quantities as
     reconstruct_full_gradient followed by sam_direction and
     full_to_lowrank_perturbation, sharing each layer's factorisations.
+
+    The standard variant never forms the n x m reconstructed gradient
+    g_bar = h * F, h = 0.5 / scale, F = grad_b @ (a^+)^T + (b^+)^T @ grad_a:
+    _factored_transfer gives ||F|| and F @ a^+ from rank x rank blocks, so
+    a layer's plan takes O((n + m) * rank) memory, and
+
+        e_b = (1 / scale) * (rho / ||g_bar||) * g_bar @ a^+
+            = (c / scale) * F @ a^+,  c = rho * h / ||g_bar||.
+
+    The signed variant needs |g_bar| entry by entry and builds it densely.
     """
     if variant not in DIRECTION_VARIANTS:
         raise ValueError(f"unknown direction variant {variant!r}")
-    e_w_bar: list[Matrix] = []
     e_b: list[Matrix] = []
+    dense: list[tuple[float, Matrix, Matrix] | Matrix | None] = []
     degenerate: list[int] = []
     for i, layer in enumerate(net.layers):
         # a is rank x m (wide), b is n x rank (tall); rank <= min(n, m).
         a_pinv_t = _gram_solve_pinv_t(layer.a, tol)
         b_pinv = _gram_solve_pinv_t(layer.b.T, tol)
         half_inv_scale = 0.5 / layer.scale
-        g_bar = half_inv_scale * (
-            grads.grad_b[i] @ a_pinv_t + b_pinv.T @ grads.grad_a[i]
-        )
-        norm = float(np.linalg.norm(g_bar))
+        gb, ga = grads.grad_b[i], grads.grad_a[i]
+        if variant == "signed":
+            g_bar = half_inv_scale * (gb @ a_pinv_t + b_pinv.T @ ga)
+            norm = float(np.linalg.norm(g_bar))
+        else:
+            transfer, sq = _factored_transfer(gb, ga, a_pinv_t, b_pinv)
+            norm = half_inv_scale * math.sqrt(max(sq, 0.0))
         if norm <= ZERO_GRAD_EPS:
             degenerate.append(i)
-            e_w_bar.append(np.zeros_like(g_bar))
+            dense.append(None)
             e_b.append(np.zeros_like(layer.b))
             continue
-        direction = (rho / norm) * (np.abs(g_bar) if variant == "signed" else g_bar)
-        e_w_bar.append(direction)
-        e_b.append((1.0 / layer.scale) * (direction @ a_pinv_t.T))
+        if variant == "signed":
+            direction = (rho / norm) * np.abs(g_bar)
+            dense.append(direction)
+            e_b.append((1.0 / layer.scale) * (direction @ a_pinv_t.T))
+        else:
+            c = rho * half_inv_scale / norm
+            dense.append((c, a_pinv_t, b_pinv))
+            transfer *= c / layer.scale
+            e_b.append(transfer)
     return PerturbationPlan(
-        e_w_bar=e_w_bar,
         e_b=e_b,
         degenerate_layers=tuple(degenerate),
         grads=grads,
+        _dense=dense,
     )
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from flatlora.linalg import NumericalError, make_rng
-from flatlora.model import Batch, LoRALinear, Network, backward, build_network, forward
+from flatlora.model import Batch, LoRALinear, Network, backward, build_network
 from flatlora.diagnostics import (
     AssumptionConstants,
     balancedness,

@@ -244,9 +244,10 @@ def test_run_writes_replayable_csv(tmp_path):
     run_experiment(cfg, out_dir=dir_a)
     run_experiment(cfg, out_dir=dir_b)
     csv_a, sum_a = run_paths(cfg, dir_a)
-    csv_b, _ = run_paths(cfg, dir_b)
+    csv_b, sum_b = run_paths(cfg, dir_b)
     bytes_a = open(csv_a, "rb").read()
     assert bytes_a == open(csv_b, "rb").read()
+    assert open(sum_a, "rb").read() == open(sum_b, "rb").read()
     assert bytes_a.decode().splitlines()[0] == CSV_HEADER
     assert os.path.basename(csv_a) == f"{cfg.config_hash()}_{cfg.seed}.csv"
     summary = json.loads(open(sum_a).read())
@@ -255,10 +256,12 @@ def test_run_writes_replayable_csv(tmp_path):
 
 
 def test_wall_time_column_zero_unless_measured():
-    records, _ = run_experiment(tiny_config())
+    records, summary = run_experiment(tiny_config())
     assert all(r.wall_time_ms_cumulative == 0.0 for r in records)
-    records, _ = run_experiment(tiny_config(measure_time=True))
+    assert summary.total_wall_time_ms == 0.0
+    records, summary = run_experiment(tiny_config(measure_time=True))
     assert records[-1].wall_time_ms_cumulative > 0.0
+    assert summary.total_wall_time_ms == records[-1].wall_time_ms_cumulative
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,0 +1,46 @@
+"""Source hygiene of the package: every name a module imports is used."""
+
+import ast
+import pathlib
+
+import pytest
+
+import flatlora
+
+PACKAGE_DIR = pathlib.Path(flatlora.__file__).parent
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that nothing else in the module
+    reads (``from __future__`` imports excepted)."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_unused_import_scan_flags_only_unused_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\nimport numpy as np\n"
+        "from math import pi, tau\n"
+        "x = np.zeros(1) + pi\n"
+    )
+    assert unused_imports(source) == ["os (line 2)", "tau (line 4)"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_package_modules_import_nothing_unused(path):
+    """__init__.py is exempt: its imports are the package's re-exports."""
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
