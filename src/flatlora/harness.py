@@ -46,11 +46,6 @@ TASK_KINDS = ("teacher-student", "two-cluster", "matrix-factorization")
 
 OUT_DIR_ENV_VAR = "FLATLORA_OUT_DIR"
 
-CSV_HEADER = (
-    "step,train_loss,eval_loss,sharpness_sam,sharpness_ema,gap,"
-    "balancedness,grad_evals_cumulative,wall_time_ms_cumulative,perturb_norm"
-)
-
 
 class ConfigError(ValueError):
     """A config failed validation; .fields lists the offending keys."""
@@ -176,27 +171,17 @@ def _format_value(value) -> str:
     return str(value)
 
 
+# One value parser per field type of ExperimentConfig (its annotations are
+# strings under postponed evaluation), the inverse of _format_value.
+_TYPE_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": lambda s: {"true": True, "false": False}[s.lower()],
+    "list[int]": lambda s: [int(p) for p in s.split(",") if p.strip() != ""],
+}
 _CONFIG_PARSERS = {
-    "task": str,
-    "layer_dims": lambda s: [int(p) for p in s.split(",") if p.strip() != ""],
-    "rank": int,
-    "scale": float,
-    "optimizer": str,
-    "learning_rate": float,
-    "momentum": float,
-    "weight_decay": float,
-    "rho0": float,
-    "beta": float,
-    "rho_schedule": str,
-    "direction_variant": str,
-    "batch_size": int,
-    "n_batches": int,
-    "noise_std": float,
-    "steps": int,
-    "eval_every": int,
-    "seed": int,
-    "svd_tol": float,
-    "measure_time": lambda s: {"true": True, "false": False}[s.lower()],
+    f.name: _TYPE_PARSERS[f.type] for f in dataclasses.fields(ExperimentConfig)
 }
 
 
@@ -365,20 +350,11 @@ class MetricsRecord:
     perturb_norm: float
 
     def to_csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.step),
-                repr(self.train_loss),
-                repr(self.eval_loss),
-                repr(self.sharpness_sam),
-                repr(self.sharpness_ema),
-                repr(self.gap),
-                repr(self.balancedness),
-                str(self.grad_evals_cumulative),
-                repr(self.wall_time_ms_cumulative),
-                repr(self.perturb_norm),
-            ]
-        )
+        """Fields in declaration order, floats in round-trip form."""
+        return ",".join(repr(getattr(self, f.name)) for f in dataclasses.fields(self))
+
+
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(MetricsRecord))
 
 
 @dataclass
@@ -634,11 +610,13 @@ def bench(cfg: ExperimentConfig, repeats: int = 3) -> BenchReport:
     with diagnostics disabled (bare steps, no evaluation in the loop).
 
     Every optimizer runs the same schedule of batches from the same task
-    and its own freshly built student.  The optimizers are interleaved
-    across repeats (repeat 1 of each kind, then repeat 2, ...) so a drift
-    in machine speed cannot systematically favour one kind; the first
-    tenth of each run's steps (at least one) is discarded as warmup before
-    taking medians.  Too few repeats or steps raise ConfigError.
+    and its own freshly built student.  Each repeat builds all four
+    students, then the optimizers are interleaved step by step (step t of
+    each kind on the same batch, then step t + 1, ...), so a drift in
+    machine speed, even one shorter than a run, cannot systematically
+    favour one kind; the first tenth of each run's steps (at least one) is
+    discarded as warmup before taking medians.  Too few repeats or steps
+    raise ConfigError.
     """
     cfg.validate()
     if repeats < 1:
@@ -651,11 +629,14 @@ def bench(cfg: ExperimentConfig, repeats: int = 3) -> BenchReport:
     times: dict[str, list[float]] = {kind: [] for kind in OPTIMIZER_KINDS}
     eval_counts = dict.fromkeys(OPTIMIZER_KINDS, 0)
     for _ in range(repeats):
+        steps = {}
         for kind in OPTIMIZER_KINDS:
             run_cfg = dataclasses.replace(cfg, optimizer=kind)
-            step, _ = make_step(run_cfg, _build_student(run_cfg, task))
-            for t in range(1, cfg.steps + 1):
-                stats = step(pool[(t - 1) % len(pool)], t)
+            steps[kind] = make_step(run_cfg, _build_student(run_cfg, task))[0]
+        for t in range(1, cfg.steps + 1):
+            batch = pool[(t - 1) % len(pool)]
+            for kind, step in steps.items():
+                stats = step(batch, t)
                 eval_counts[kind] += stats.grad_evals
                 if t > warmup:
                     times[kind].append(stats.wall_time_ms)

@@ -230,16 +230,41 @@ def _check_batch(net: Network, batch: Batch) -> None:
         )
 
 
-def forward(net: Network, batch: Batch) -> tuple[Matrix, float]:
-    """Predictions and loss at the current parameters."""
+def _forward_cache(
+    net: Network, batch: Batch, offsets: list[Matrix | None]
+) -> list[tuple[Matrix, Matrix, Matrix]]:
+    """The one forward sweep: (input, a @ input, output) per layer.
+
+    Layer i computes w0 @ h + scale * (b @ (a @ h)), plus offsets[i] @ h
+    when that offset is not None, and applies the activation on every
+    layer but the last.  The batch is checked before the offsets.
+    """
     _check_batch(net, batch)
+    if len(offsets) != len(net.layers):
+        raise ShapeError(
+            f"got {len(offsets)} offsets for {len(net.layers)} layers"
+        )
     last = len(net.layers) - 1
     h = batch.inputs
-    for i, layer in enumerate(net.layers):
-        z = layer.w0 @ h + layer.scale * (layer.b @ (layer.a @ h))
-        h = _activate(z, net.activation) if i < last else z
-    loss, _ = _loss_and_grad(h, batch.targets, net.loss_kind)
-    return h, loss
+    cache = []
+    for i, (layer, off) in enumerate(zip(net.layers, offsets)):
+        ax = layer.a @ h
+        z = layer.w0 @ h + layer.scale * (layer.b @ ax)
+        if off is not None:
+            if off.shape != layer.w0.shape:
+                raise ShapeError(
+                    f"offset {i} must be {layer.w0.shape}, got {off.shape}"
+                )
+            z = z + off @ h
+        out = _activate(z, net.activation) if i < last else z
+        cache.append((h, ax, out))
+        h = out
+    return cache
+
+
+def forward(net: Network, batch: Batch) -> tuple[Matrix, float]:
+    """Predictions and loss at the current parameters."""
+    return forward_with_offsets(net, batch, [None] * len(net.layers))
 
 
 def forward_with_offsets(
@@ -251,60 +276,32 @@ def forward_with_offsets(
     the stored parameters are never touched.  This is how full-space
     perturbations are evaluated without materialising a perturbed network.
     """
-    _check_batch(net, batch)
-    if len(offsets) != len(net.layers):
-        raise ShapeError(
-            f"got {len(offsets)} offsets for {len(net.layers)} layers"
-        )
-    last = len(net.layers) - 1
-    h = batch.inputs
-    for i, layer in enumerate(net.layers):
-        z = layer.w0 @ h + layer.scale * (layer.b @ (layer.a @ h))
-        off = offsets[i]
-        if off is not None:
-            if off.shape != layer.w0.shape:
-                raise ShapeError(
-                    f"offset {i} must be {layer.w0.shape}, got {off.shape}"
-                )
-            z = z + off @ h
-        h = _activate(z, net.activation) if i < last else z
-    loss, _ = _loss_and_grad(h, batch.targets, net.loss_kind)
-    return h, loss
+    pred = _forward_cache(net, batch, offsets)[-1][2]
+    loss, _ = _loss_and_grad(pred, batch.targets, net.loss_kind)
+    return pred, loss
 
 
 def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet:
     """Adapter gradients (and optionally merged-weight gradients) by
-    reverse accumulation.
+    reverse accumulation over the forward sweep's cache.
 
     grad_b and grad_a come out of the factored chain rule directly, never
     through the merged-weight gradient, so the factored and merged routes
     stay independent checks of each other.
     """
-    _check_batch(net, batch)
+    cache = _forward_cache(net, batch, [None] * len(net.layers))
     last = len(net.layers) - 1
-    h = batch.inputs
-    inputs_cache: list[Matrix] = []
-    ax_cache: list[Matrix] = []
-    out_cache: list[Matrix] = []
-    for i, layer in enumerate(net.layers):
-        inputs_cache.append(h)
-        ax = layer.a @ h
-        ax_cache.append(ax)
-        z = layer.w0 @ h + layer.scale * (layer.b @ ax)
-        h = _activate(z, net.activation) if i < last else z
-        out_cache.append(h)
-
-    loss, g = _loss_and_grad(h, batch.targets, net.loss_kind)
+    loss, g = _loss_and_grad(cache[last][2], batch.targets, net.loss_kind)
     grad_b: list[Matrix | None] = [None] * len(net.layers)
     grad_a: list[Matrix | None] = [None] * len(net.layers)
     grad_w: list[Matrix | None] = [None] * len(net.layers) if want_full else None
     for i in range(last, -1, -1):
         layer = net.layers[i]
+        x_in, ax, out = cache[i]
         if i < last:
-            g = g * _activation_grad(out_cache[i], net.activation)
-        x_in = inputs_cache[i]
+            g = g * _activation_grad(out, net.activation)
         bt_g = layer.b.T @ g
-        grad_b[i] = layer.scale * (g @ ax_cache[i].T)
+        grad_b[i] = layer.scale * (g @ ax.T)
         grad_a[i] = layer.scale * (bt_g @ x_in.T)
         if want_full:
             grad_w[i] = g @ x_in.T

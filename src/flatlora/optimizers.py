@@ -37,6 +37,7 @@ from .model import (
     Batch,
     GradientSet,
     Network,
+    PerturbationHandle,
     apply_b_perturbation,
     apply_perturbation,
     backward,
@@ -156,7 +157,8 @@ def reconstruct_full_gradient(
     column space of b.
     """
     a_pinv = gram_pseudo_inverse(a, tol)
-    b_pinv = gram_pseudo_inverse(b, tol)
+    # b^+ as the transpose of (b^T)^+, the route the steps' plan takes.
+    b_pinv = gram_pseudo_inverse(b.T, tol).T
     inv_scale = 1.0 / scale
     return 0.5 * (
         inv_scale * (grad_b @ a_pinv.T) + inv_scale * (b_pinv.T @ grad_a)
@@ -392,12 +394,6 @@ def base_update(
     if len(grads.grad_b) != n_layers or len(grads.grad_a) != n_layers:
         raise ValueError("gradient set does not match the network's layer count")
     lr = cfg.learning_rate
-    if cfg.momentum == 0.0 and cfg.weight_decay == 0.0:
-        # Plain SGD; the velocity buffers would just mirror the gradients.
-        for layer, gb, ga in zip(net.layers, grads.grad_b, grads.grad_a):
-            layer.b -= lr * gb
-            layer.a -= lr * ga
-        return
     mom = cfg.momentum
     wd = cfg.weight_decay
     for i, layer in enumerate(net.layers):
@@ -506,9 +502,10 @@ class PerturbState:
     """Carry-over state of the single-pass EMA variant.
 
     ema_e_b holds the smoothed b-factor perturbation currently believed in;
-    applied says whether it is presently added into the network.  Between
-    steps the network is left perturbed, so evaluation code must remove()
-    first and reapply() after.
+    applied says whether it is presently added into the network, i.e.
+    whether the PerturbationHandle of that apply is held.  Between steps
+    the network is left perturbed, so evaluation code must remove() first
+    and apply() after.
     """
 
     rho0: float
@@ -516,8 +513,7 @@ class PerturbState:
     ema_e_b: list[Matrix]
     last_e_b: list[Matrix] | None = None
     step_index: int = 0
-    applied: bool = False
-    _saved_b: list[Matrix] | None = field(default=None, repr=False)
+    _handle: PerturbationHandle | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.beta <= 1.0):
@@ -525,23 +521,24 @@ class PerturbState:
         if self.rho0 < 0.0:
             raise ValueError(f"rho0 must be >= 0, got {self.rho0}")
 
+    @property
+    def applied(self) -> bool:
+        return self._handle is not None
+
     def apply(self, net: Network) -> None:
         """Add the EMA perturbation into the b factors."""
         if self.applied:
             raise OptimizerStateError("EMA perturbation is already applied")
-        self._saved_b = [layer.b for layer in net.layers]
-        for layer, e in zip(net.layers, self.ema_e_b):
-            layer.b = layer.b + e
-        self.applied = True
+        self._handle = apply_b_perturbation(net, self.ema_e_b)
 
     def remove(self, net: Network) -> None:
         """Restore the unperturbed b factors, bit for bit."""
         if not self.applied:
             raise OptimizerStateError("EMA perturbation is not applied")
-        for layer, saved in zip(net.layers, self._saved_b):
-            layer.b = saved
-        self._saved_b = None
-        self.applied = False
+        if self._handle.net is not net:
+            raise OptimizerStateError("EMA perturbation is applied to another network")
+        self._handle.revert()
+        self._handle = None
 
 
 def init_perturb_state(net: Network, rho0: float, beta: float) -> PerturbState:

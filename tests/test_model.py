@@ -264,6 +264,19 @@ def test_factor_gradients_satisfy_chain_identity():
         assert np.max(np.abs(ga - layer.scale * (layer.b.T @ gw))) < 1e-10
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+@pytest.mark.parametrize("loss", ["mse", "softmax-ce"])
+def test_forward_offsets_and_backward_share_one_sweep(activation, loss):
+    """forward, forward_with_offsets with no offsets and backward run the
+    same sweep, so predictions and losses agree bit for bit."""
+    net = small_net(seed=5, activation=activation, loss=loss)
+    batch = random_batch(net, seed=5)
+    pred, loss_plain = forward(net, batch)
+    pred_off, loss_off = forward_with_offsets(net, batch, [None] * len(net.layers))
+    assert np.array_equal(pred, pred_off)
+    assert loss_plain == loss_off == backward(net, batch).loss
+
+
 def test_backward_default_skips_full_gradients():
     net = small_net()
     assert backward(net, random_batch(net)).grad_w is None

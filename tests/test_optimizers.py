@@ -250,13 +250,7 @@ def test_factored_plan_matches_dense_oracle(case, variant, monkeypatch):
     if case == "wide":
         net = make_net(seed=21, dims=(256, 256, 64), rank=8, scale=1.5)
     elif case == "full-rank-square":
-        # b orthogonal: for a square b the oracle's gram_pseudo_inverse
-        # solves through b @ b.T and the plan through b.T @ b, which differ
-        # by about eps * cond(b)^2 whatever the plan does.
         net = make_net(seed=22, dims=(5, 5, 5), rank=5, scale=0.8)
-        rng = make_rng(22)
-        for layer in net.layers:
-            layer.b = 0.4 * np.linalg.qr(rng.standard_normal((5, 5)))[0]
     elif case == "zero-b":
         net = make_net(seed=23, dims=(9, 7, 4), rank=3, nonzero_b=False)
     elif case == "exact-minimum":
@@ -309,15 +303,18 @@ def test_factored_plan_stays_below_a_dense_layer_in_memory():
 # ------------------------------------------------------------------- updates
 
 def test_base_update_plain_sgd():
+    """Without momentum and weight decay, two updates on one SgdState are
+    param - lr * grad exactly: the velocity keeps nothing between steps."""
     net = make_net(seed=10)
-    batch = make_batch(net, seed=10)
-    grads = backward(net, batch)
-    expect_b = [l.b - 0.1 * gb for l, gb in zip(net.layers, grads.grad_b)]
-    expect_a = [l.a - 0.1 * ga for l, ga in zip(net.layers, grads.grad_a)]
-    base_update(net, grads, BaseUpdateConfig(learning_rate=0.1), init_sgd_state(net))
-    for layer, eb, ea in zip(net.layers, expect_b, expect_a):
-        assert np.max(np.abs(layer.b - eb)) < 1e-15
-        assert np.max(np.abs(layer.a - ea)) < 1e-15
+    state = init_sgd_state(net)
+    for seed in (10, 11):
+        grads = backward(net, make_batch(net, seed=seed))
+        expect_b = [l.b - 0.1 * gb for l, gb in zip(net.layers, grads.grad_b)]
+        expect_a = [l.a - 0.1 * ga for l, ga in zip(net.layers, grads.grad_a)]
+        base_update(net, grads, BaseUpdateConfig(learning_rate=0.1), state)
+        for layer, eb, ea in zip(net.layers, expect_b, expect_a):
+            assert np.array_equal(layer.b, eb)
+            assert np.array_equal(layer.a, ea)
 
 
 def test_base_update_momentum_and_weight_decay():
@@ -474,6 +471,20 @@ def test_eflat_leaves_network_perturbed_between_steps():
     pstate.apply(net)
 
 
+def test_perturb_state_remove_restores_original_objects():
+    net = make_net(seed=18)
+    pstate = init_perturb_state(net, rho0=0.1, beta=0.9)
+    for e in pstate.ema_e_b:
+        e += 0.25
+    originals = [layer.b for layer in net.layers]
+    pstate.apply(net)
+    assert pstate.applied
+    assert all(layer.b is not b for layer, b in zip(net.layers, originals))
+    pstate.remove(net)
+    assert not pstate.applied
+    assert all(layer.b is b for layer, b in zip(net.layers, originals))
+
+
 def test_perturb_state_misuse_errors():
     net = make_net(seed=18)
     pstate = init_perturb_state(net, rho0=0.1, beta=0.9)
@@ -482,6 +493,8 @@ def test_perturb_state_misuse_errors():
     pstate.apply(net)
     with pytest.raises(OptimizerStateError):
         pstate.apply(net)
+    with pytest.raises(OptimizerStateError):
+        pstate.remove(clone_network(net))
     pstate.remove(net)
 
     # A state claiming to be mid-run but unapplied is rejected by the step.
