@@ -3,8 +3,8 @@
 The package splits into six layers: linalg (the SVD pseudo-inverse,
 projectors, seeded randomness), model (adapted networks, one forward
 sweep shared by the forward and reverse passes, reversible
-perturbations), optimizers (the training steps, their shared
-perturbation pipeline, and the Gram pseudo-inverse it runs on),
+perturbations), optimizers (the training steps and their shared
+perturbation pipeline, one QR factorisation per adapter factor),
 diagnostics (sharpness probes, the EMA gap bound, balancedness dynamics),
 harness (configs, synthetic tasks, the config-to-step entry point
 make_step, the experiment loop, and benchmark), and checks (the identity

@@ -292,7 +292,7 @@ def verify() -> VerifyReport:
     penrose, projector, core_match = algebraic_core(rng, 30)
     add("pseudo_inverse_moore_penrose", penrose, 1e-9)
 
-    # The fast Gram route agrees with the SVD route everywhere.
+    # The Gram route agrees with the SVD route everywhere.
     worst = 0.0
     for trial in range(30):
         rows = int(rng.integers(1, 9))

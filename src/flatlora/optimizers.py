@@ -6,7 +6,10 @@ reconstruct the implied full-space gradient through pseudo-inverses of the
 factors, normalise it to a radius rho, and transfer it back onto the b
 factor so the merged weight moves along the full-space direction restricted
 to the row space of a.  The variants differ only in when gradients are
-evaluated and whether the perturbation persists across steps.
+evaluated and whether the perturbation persists across steps.  The steps
+take the pseudo-inverses from one Householder QR per factor and never
+form the dense reconstructed gradient; reconstruct_full_gradient and
+full_to_lowrank_perturbation are the dense SVD reference route.
 
 All steps mutate the network's adapter factors in place and leave w0
 untouched.  Each returns StepStats so callers can account for gradient
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dgeqrf, dorgqr
+from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
 
 from .linalg import (
     DEFAULT_TOL,
@@ -156,9 +159,8 @@ def reconstruct_full_gradient(
     exact -- the dense gradient seen through the row space of a and the
     column space of b.
     """
-    a_pinv = gram_pseudo_inverse(a, tol)
-    # b^+ as the transpose of (b^T)^+, the route the steps' plan takes.
-    b_pinv = gram_pseudo_inverse(b.T, tol).T
+    a_pinv = pseudo_inverse(a, tol)
+    b_pinv = pseudo_inverse(b, tol)
     inv_scale = 1.0 / scale
     return 0.5 * (
         inv_scale * (grad_b @ a_pinv.T) + inv_scale * (b_pinv.T @ grad_a)
@@ -176,7 +178,7 @@ def full_to_lowrank_perturbation(
     unrepresentable at fixed a and is silently dropped; callers who care
     measure it with diagnostics.loss_match_residual.
     """
-    return (1.0 / scale) * (e_w_bar @ gram_pseudo_inverse(a, tol))
+    return (1.0 / scale) * (e_w_bar @ pseudo_inverse(a, tol))
 
 
 @dataclass
@@ -190,11 +192,11 @@ class PerturbationPlan:
 
     e_w_bar, the dense n x m ascent directions (norm rho per layer, zeros
     where degenerate), is not part of the step: it is rebuilt on first
-    access from grads and what each layer kept -- (c, a_pinv_t, b_pinv)
-    for the standard variant, where e_w_bar = c * (grad_b @ a_pinv_t +
-    b_pinv.T @ grad_a), the dense direction itself for the signed
-    variant, None for a degenerate layer.  Only diagnostics, self-checks
-    and tests read it.
+    access from grads and what each layer kept -- (c, a_pinv, b_pinv_t),
+    a^+ and (b^+)^T, for the standard variant, where e_w_bar = c *
+    (grad_b @ a_pinv.T + b_pinv_t @ grad_a), the dense direction itself
+    for the signed variant, None for a degenerate layer.  Only
+    diagnostics, self-checks and tests read it.
     """
 
     e_b: list[Matrix]
@@ -209,8 +211,8 @@ class PerturbationPlan:
             if kept is None:
                 out.append(np.zeros((gb.shape[0], ga.shape[1])))
             elif isinstance(kept, tuple):
-                c, a_pinv_t, b_pinv = kept
-                out.append(c * (gb @ a_pinv_t + b_pinv.T @ ga))
+                c, a_pinv, b_pinv_t = kept
+                out.append(c * (gb @ a_pinv.T + b_pinv_t @ ga))
             else:
                 out.append(kept)
         return out
@@ -219,29 +221,36 @@ class PerturbationPlan:
         return math.sqrt(sum(float(np.sum(e * e)) for e in self.e_b))
 
 
-# Cholesky-diagonal ratio below which the Gram solve is not trusted and
-# the SVD pseudo-inverse takes over.
+# |diag R| ratio of a factor's QR (the Cholesky diagonal of its Gram
+# matrix) at or below which the triangular solve is not trusted and the
+# SVD pseudo-inverse takes over.
 _GRAM_GUARD = 3e-3
 
 
-def _gram_solve_pinv_t(m: Matrix, tol: float) -> Matrix:
-    """(m^+)^T for a wide matrix via the Gram normal equations.
+def gram_pseudo_inverse(m: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
+    """Moore-Penrose pseudo-inverse m^+ of a wide or tall matrix through
+    the Gram normal equations.
 
-    solve(m m^T, m) equals inv(m m^T) m = (m^+)^T when m has full row rank;
-    a failed or ill-conditioned Cholesky factorisation falls back to the
-    SVD pseudo-inverse (transposed), so rank deficiency is handled exactly.
-    This sits on the per-step hot path, hence the factor reuse and the
-    skipped finiteness checks.
+    A tall m is solved as its wide transpose, since (m^T)^+ = (m^+)^T.
+    For a wide m of full row rank, solve(m m^T, m) = (m^+)^T; a failed or
+    ill-conditioned Cholesky factorisation (the same _GRAM_GUARD test the
+    steps' QR plan makes) falls back to the SVD pseudo-inverse, so rank
+    deficiency is handled exactly.  Agrees with linalg.pseudo_inverse to
+    within eps * cond(m)^2; the steps do not use it.
     """
-    gram = m @ m.T
+    m = as_matrix(m)
+    _check_tol(tol)
+    tall = m.shape[1] < m.shape[0]
+    wide = m.T if tall else m
     try:
-        factor = cho_factor(gram, lower=True, check_finite=False)
+        factor = cho_factor(wide @ wide.T, lower=True, check_finite=False)
+        diag = factor[0].diagonal().tolist()
+        if min(diag) <= _GRAM_GUARD * max(diag):
+            raise LinAlgError("ill-conditioned Gram matrix")
+        pinv_t = cho_solve(factor, wide, check_finite=False)
     except LinAlgError:
-        return pseudo_inverse(m, tol).T
-    diag = factor[0].diagonal().tolist()
-    if min(diag) <= _GRAM_GUARD * max(diag):
-        return pseudo_inverse(m, tol).T
-    return cho_solve(factor, m, check_finite=False)
+        pinv_t = pseudo_inverse(wide, tol).T
+    return pinv_t if tall else pinv_t.T
 
 
 def _orthonormal_basis(m: Matrix) -> Matrix:
@@ -254,54 +263,30 @@ def _orthonormal_basis(m: Matrix) -> Matrix:
     return dorgqr(reflectors, tau, overwrite_a=1)[0]
 
 
-def _factored_transfer(
-    grad_b: Matrix, grad_a: Matrix, a_pinv_t: Matrix, b_pinv: Matrix
-) -> tuple[Matrix, float]:
-    """(F @ a_pinv_t.T, ||F||^2) for F = grad_b @ a_pinv_t + b_pinv.T @
-    grad_a, without forming the n x m matrix F.
+def _pinv_factors(m: Matrix, tol: float) -> tuple[Matrix, Matrix, Matrix]:
+    """(q, t, m^+) with m^+ == q @ t for a wide r x k factor m: q is k x r
+    with orthonormal columns, t is r x r.
 
-    With X1 = grad_b, Y1 = a_pinv_t, X2 = b_pinv.T and Y2 = grad_a, F is a
-    sum of two rank-r products.  Orthonormal bases Q1 of the columns of
-    Y1^T and Q2 of those of X2 give Y1 = R1^T Q1^T with R1^T = Y1 Q1 and
-    X2 = Q2 R2 with R2 = Q2^T X2.  With Z2 = R2 Y2, W = Z2 Q1 and
-    U = X1 R1^T + Q2 W,
-
-        F = U Q1^T + Q2 (Z2 - W Q1^T), two mutually orthogonal parts, so
-        ||F||^2 = ||U||^2 + ||Z2||^2 - ||W||^2   (||W|| <= ||Z2||)
-        F Y1^T = U R1
-
-    using only n x r, r x m and r x r arrays.  Inner products of Gram
-    blocks such as Y1 Y1^T would do too, but they square the condition
-    number of the pseudo-inverses: their ||F|| drifts from the dense one
-    by about eps * cond^2 (1e-5 relative at cond 1e6), the orthonormal
-    bases' by about eps * cond, as the dense product's does.
+    One Householder QR m^T = q R (LAPACK dgeqrf/dorgqr) and one triangular
+    solve R^T t = I (dtrtrs) give m^+ = q R^-T: no Gram matrix is formed,
+    so the error grows with cond(m), not its square.  |diag R| is the
+    Cholesky diagonal of m m^T, so the switch is gram_pseudo_inverse's:
+    when its smallest entry is at or below _GRAM_GUARD times its largest
+    (a zero b at init, a nearly rank-deficient a), the SVD pseudo-inverse
+    m^+ takes over, with q an orthonormal basis of its columns and
+    t = q^T m^+.  A non-finite factor stays on the QR route, so its NaNs
+    reach the step's loss, which the experiment loop checks.
     """
-    q1 = _orthonormal_basis(a_pinv_t.T)
-    r1_t = a_pinv_t @ q1
-    q2 = _orthonormal_basis(b_pinv.T)
-    z2 = (q2.T @ b_pinv.T) @ grad_a
-    w = z2 @ q1
-    sq = float(np.vdot(z2, z2)) - float(np.vdot(w, w))
-    # Drop each m- or n-long temporary once used: they set the plan's peak.
-    del q1, z2
-    u = grad_b @ r1_t
-    u += q2 @ w
-    del q2
-    return u @ r1_t.T, sq + float(np.vdot(u, u))
-
-
-def gram_pseudo_inverse(m: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
-    """Moore-Penrose pseudo-inverse m^+ of a wide or tall matrix through
-    the Gram route of _gram_solve_pinv_t.
-
-    A tall m is solved as its wide transpose, since (m^T)^+ = (m^+)^T.
-    Agrees with linalg.pseudo_inverse to within solve round-off.
-    """
-    m = as_matrix(m)
-    _check_tol(tol)
-    if m.shape[1] >= m.shape[0]:
-        return _gram_solve_pinv_t(m, tol).T
-    return _gram_solve_pinv_t(m.T, tol)
+    r = m.shape[0]
+    reflectors, tau, _, _ = dgeqrf(m.T)
+    diag = np.abs(reflectors.diagonal()).tolist()
+    if min(diag) <= _GRAM_GUARD * max(diag) and math.isfinite(sum(diag)):
+        pinv = pseudo_inverse(m, tol)
+        q = _orthonormal_basis(pinv)
+        return q, q.T @ pinv, pinv
+    t = dtrtrs(reflectors[:r], np.eye(r), trans=1)[0]
+    q = dorgqr(reflectors, tau, overwrite_a=1)[0]
+    return q, t, q @ t
 
 
 def perturbation_from_gradients(
@@ -318,17 +303,26 @@ def perturbation_from_gradients(
     scaled to norm rho independently.  This is the one implementation the
     step functions use; it computes the same quantities as
     reconstruct_full_gradient followed by sam_direction and
-    full_to_lowrank_perturbation, sharing each layer's factorisations.
+    full_to_lowrank_perturbation, from one QR factorisation per factor.
 
-    The standard variant never forms the n x m reconstructed gradient
-    g_bar = h * F, h = 0.5 / scale, F = grad_b @ (a^+)^T + (b^+)^T @ grad_a:
-    _factored_transfer gives ||F|| and F @ a^+ from rank x rank blocks, so
-    a layer's plan takes O((n + m) * rank) memory, and
+    With a^+ = Q1 T1 and (b^+)^T = Q2 T2 from _pinv_factors (Q1 m x r and
+    Q2 n x r with orthonormal columns, T1 and T2 r x r), the scaled
+    reconstructed gradient g_bar = h * F, h = 0.5 / scale, is
 
+        F = grad_b @ (a^+)^T + (b^+)^T @ grad_a = X1 Q1^T + Q2 Z2,
+        X1 = grad_b T1^T,  Z2 = T2 grad_a.
+
+    The standard variant never forms the n x m matrix F.  With W = Z2 Q1
+    and U = X1 + Q2 W, F = U Q1^T + Q2 (Z2 - W Q1^T), two parts with
+    orthogonal row spaces, so
+
+        ||F||^2 = ||U||^2 + ||Z2||^2 - ||W||^2,   F @ a^+ = U T1,
         e_b = (1 / scale) * (rho / ||g_bar||) * g_bar @ a^+
-            = (c / scale) * F @ a^+,  c = rho * h / ||g_bar||.
+            = (c / scale) * U T1,  c = rho * h / ||g_bar||,
 
-    The signed variant needs |g_bar| entry by entry and builds it densely.
+    from n x r, r x m and r x r arrays only, so a layer's plan takes
+    O((n + m) * rank) memory.  The signed variant needs |g_bar| entry by
+    entry and builds it densely.
     """
     if variant not in DIRECTION_VARIANTS:
         raise ValueError(f"unknown direction variant {variant!r}")
@@ -337,15 +331,26 @@ def perturbation_from_gradients(
     degenerate: list[int] = []
     for i, layer in enumerate(net.layers):
         # a is rank x m (wide), b is n x rank (tall); rank <= min(n, m).
-        a_pinv_t = _gram_solve_pinv_t(layer.a, tol)
-        b_pinv = _gram_solve_pinv_t(layer.b.T, tol)
+        # The plan keeps the two pseudo-inverses for e_w_bar: as many
+        # bytes as the factors, none more.
+        q1, t1, a_pinv = _pinv_factors(layer.a, tol)
+        q2, t2, b_pinv_t = _pinv_factors(layer.b.T, tol)
         half_inv_scale = 0.5 / layer.scale
         gb, ga = grads.grad_b[i], grads.grad_a[i]
         if variant == "signed":
-            g_bar = half_inv_scale * (gb @ a_pinv_t + b_pinv.T @ ga)
+            g_bar = half_inv_scale * (gb @ a_pinv.T + b_pinv_t @ ga)
             norm = float(np.linalg.norm(g_bar))
         else:
-            transfer, sq = _factored_transfer(gb, ga, a_pinv_t, b_pinv)
+            z2 = t2 @ ga
+            w = z2 @ q1
+            sq = float(np.vdot(z2, z2)) - float(np.vdot(w, w))
+            # Drop each m- or n-long temporary once used: they set the
+            # plan's peak.
+            del z2, q1
+            u = gb @ t1.T
+            u += q2 @ w
+            del q2
+            sq += float(np.vdot(u, u))
             norm = half_inv_scale * math.sqrt(max(sq, 0.0))
         if norm <= ZERO_GRAD_EPS:
             degenerate.append(i)
@@ -355,10 +360,12 @@ def perturbation_from_gradients(
         if variant == "signed":
             direction = (rho / norm) * np.abs(g_bar)
             dense.append(direction)
-            e_b.append((1.0 / layer.scale) * (direction @ a_pinv_t.T))
+            e_b.append((1.0 / layer.scale) * (direction @ a_pinv))
         else:
             c = rho * half_inv_scale / norm
-            dense.append((c, a_pinv_t, b_pinv))
+            dense.append((c, a_pinv, b_pinv_t))
+            transfer = u @ t1
+            del u
             transfer *= c / layer.scale
             e_b.append(transfer)
     return PerturbationPlan(

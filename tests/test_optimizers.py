@@ -212,7 +212,8 @@ def test_plan_handles_zero_b_factor_at_init():
 
 def _a_with_cholesky_diag_ratio(rng, r, m, ratio):
     """An r x m factor whose Gram a @ a.T has a Cholesky factor with
-    diagonal geomspace(1, ratio) and random entries below it."""
+    diagonal geomspace(1, ratio) and random entries below it, so the R of
+    a.T's QR has |diag R| = geomspace(1, ratio) too."""
     t = np.tril(rng.standard_normal((r, r)), -1) * 0.3
     t[np.diag_indices(r)] = np.geomspace(1.0, ratio, r)
     q, _ = np.linalg.qr(rng.standard_normal((m, r)))
@@ -234,15 +235,22 @@ def _oracle_plan(net, grads, rho, variant):
     return e_w_bar, e_b, tuple(degenerate)
 
 
+# a's |diag R| ratio as a multiple of _GRAM_GUARD, for the cases that sweep
+# the QR -> SVD switch from a quarter to four times the guard.
+_GUARD_FACTORS = {"a-below-guard": 0.5, "a-above-guard": 2.0}
+_GUARD_FACTORS.update(
+    {f"a-at-{f}x-guard": f for f in (0.25, 0.9, 0.999, 1.001, 1.1, 4.0)})
+
+
 @pytest.mark.parametrize("variant", ["standard", "signed"])
 @pytest.mark.parametrize("case", [
-    "wide", "full-rank-square", "zero-b", "a-above-guard", "a-below-guard",
-    "exact-minimum",
+    "wide", "full-rank-square", "zero-b", "exact-minimum", *_GUARD_FACTORS,
 ])
 def test_factored_plan_matches_dense_oracle(case, variant, monkeypatch):
     """The plan's e_b, its lazily built e_w_bar and its degenerate layers
-    agree with the dense reconstruct -> sam_direction -> transfer route,
-    on both sides of the Gram -> SVD switch for a."""
+    agree with the dense SVD reconstruct -> sam_direction -> transfer
+    route, on both sides of the QR -> SVD switch for a, which fires
+    exactly below the guard."""
     fallbacks = []
     original = optimizers.pseudo_inverse
     monkeypatch.setattr(optimizers, "pseudo_inverse",
@@ -257,7 +265,7 @@ def test_factored_plan_matches_dense_oracle(case, variant, monkeypatch):
         net = make_net(seed=23, dims=(9, 7, 4), rank=3)
     else:
         net = make_net(seed=24, dims=(9, 7, 4), rank=3, scale=1.7)
-        ratio = 2.0 * _GRAM_GUARD if case == "a-above-guard" else 0.5 * _GRAM_GUARD
+        ratio = _GUARD_FACTORS[case] * _GRAM_GUARD
         rng = make_rng(25)
         for layer in net.layers:
             layer.a = _a_with_cholesky_diag_ratio(rng, *layer.a.shape, ratio)
@@ -267,10 +275,11 @@ def test_factored_plan_matches_dense_oracle(case, variant, monkeypatch):
     grads = backward(net, batch)
     fallbacks.clear()
     plan = perturbation_from_gradients(net, grads, 0.3, variant)
-    want_fallbacks = {
-        "zero-b": [layer.b.T.shape for layer in net.layers],
-        "a-below-guard": [layer.a.shape for layer in net.layers],
-    }.get(case, [])
+    want_fallbacks = []
+    if case == "zero-b":
+        want_fallbacks = [layer.b.T.shape for layer in net.layers]
+    elif _GUARD_FACTORS.get(case, 1.0) < 1.0:
+        want_fallbacks = [layer.a.shape for layer in net.layers]
     assert fallbacks == want_fallbacks
     e_w_bar, e_b, degenerate = _oracle_plan(net, grads, 0.3, variant)
     assert plan.degenerate_layers == degenerate

@@ -1,6 +1,8 @@
-"""Source hygiene of the package: every name a module imports is used."""
+"""Source hygiene of the package: every name a module imports is used, and
+every name the benchmark's tracer wraps is bound where it looks it up."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import flatlora
 
 PACKAGE_DIR = pathlib.Path(flatlora.__file__).parent
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,3 +47,16 @@ def test_unused_import_scan_flags_only_unused_names():
 def test_package_modules_import_nothing_unused(path):
     """__init__.py is exempt: its imports are the package's re-exports."""
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_tracer_patch_targets_are_bound():
+    """perfbench/tracer.py looks each wrapped name up with
+    vars(owner)[attr]; a name it wraps that a module no longer binds (say
+    optimizers.cho_factor) would crash a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unbound = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _ in tracer.patch_targets(flatlora)
+               if not callable(vars(owner).get(attr))]
+    assert unbound == []
