@@ -185,36 +185,45 @@ def clone_network(net: Network) -> Network:
 
 
 def _activate(z: Matrix, kind: str) -> Matrix:
+    # In place: the sweep owns z.
     if kind == "tanh":
-        return np.tanh(z)
-    if kind == "relu":
-        return np.maximum(z, 0.0)
+        np.tanh(z, out=z)
+    elif kind == "relu":
+        np.maximum(z, 0.0, out=z)
     return z
 
 
 def _activation_grad(y: Matrix, kind: str) -> Matrix:
-    # Written in terms of the activation output, which backward caches.
+    # Written in terms of the activation output, which backward caches; it
+    # overwrites y, which backward has finished reading.
     if kind == "tanh":
-        return 1.0 - y * y
-    if kind == "relu":
-        return (y > 0.0).astype(np.float64)
-    return np.ones_like(y)
+        np.multiply(y, y, out=y)
+        np.subtract(1.0, y, out=y)
+    elif kind == "relu":
+        np.greater(y, 0.0, out=y)
+    else:
+        y.fill(1.0)
+    return y
 
 
 def _loss_and_grad(pred: Matrix, targets: Matrix, kind: str):
-    """Loss value and its gradient with respect to pred."""
+    """Loss value and its gradient with respect to pred (a fresh array)."""
     k = pred.shape[1]
     if kind == "mse":
         resid = pred - targets
         loss = 0.5 * float(np.sum(resid * resid)) / k
-        return loss, resid / k
+        resid /= k
+        return loss, resid
     # softmax-ce: column-wise softmax, targets are probability columns.
     shifted = pred - pred.max(axis=0, keepdims=True)
     exp = np.exp(shifted)
     z = exp.sum(axis=0, keepdims=True)
-    log_probs = shifted - np.log(z)
-    loss = -float(np.sum(targets * log_probs)) / k
-    return loss, (exp / z - targets) / k
+    shifted -= np.log(z)
+    loss = -float(np.sum(targets * shifted)) / k
+    exp /= z
+    exp -= targets
+    exp /= k
+    return loss, exp
 
 
 def _check_batch(net: Network, batch: Batch) -> None:
@@ -237,7 +246,11 @@ def _forward_cache(
 
     Layer i computes w0 @ h + scale * (b @ (a @ h)), plus offsets[i] @ h
     when that offset is not None, and applies the activation on every
-    layer but the last.  The batch is checked before the offsets.
+    layer but the last.  The batch is checked before the offsets.  Each
+    layer's output is built in place in one fresh array, so the last
+    output, which forward returns, is an array nothing else holds; backward
+    uses up the cache entries (it overwrites the hidden outputs), so a
+    cache serves one pass.
     """
     _check_batch(net, batch)
     if len(offsets) != len(net.layers):
@@ -249,16 +262,21 @@ def _forward_cache(
     cache = []
     for i, (layer, off) in enumerate(zip(net.layers, offsets)):
         ax = layer.a @ h
-        z = layer.w0 @ h + layer.scale * (layer.b @ ax)
+        z = layer.w0 @ h
+        t = layer.b @ ax
+        t *= layer.scale
+        z += t
+        del t
         if off is not None:
             if off.shape != layer.w0.shape:
                 raise ShapeError(
                     f"offset {i} must be {layer.w0.shape}, got {off.shape}"
                 )
-            z = z + off @ h
-        out = _activate(z, net.activation) if i < last else z
-        cache.append((h, ax, out))
-        h = out
+            z += off @ h
+        if i < last:
+            _activate(z, net.activation)
+        cache.append((h, ax, z))
+        h = z
     return cache
 
 
@@ -287,7 +305,10 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
 
     grad_b and grad_a come out of the factored chain rule directly, never
     through the merged-weight gradient, so the factored and merged routes
-    stay independent checks of each other.
+    stay independent checks of each other.  The sweep's cache is used up
+    as the reverse pass goes: each entry is dropped once read, and each
+    hidden output is overwritten with its activation derivative.  The
+    batch is never written.
     """
     cache = _forward_cache(net, batch, [None] * len(net.layers))
     last = len(net.layers) - 1
@@ -298,15 +319,27 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
     for i in range(last, -1, -1):
         layer = net.layers[i]
         x_in, ax, out = cache[i]
+        cache[i] = None
         if i < last:
-            g = g * _activation_grad(out, net.activation)
-        bt_g = layer.b.T @ g
+            # Layer i + 1 has read out as its input: out becomes the
+            # activation derivative.
+            g *= _activation_grad(out, net.activation)
+        del out
         grad_b[i] = layer.scale * (g @ ax.T)
+        del ax
+        bt_g = layer.b.T @ g
         grad_a[i] = layer.scale * (bt_g @ x_in.T)
         if want_full:
             grad_w[i] = g @ x_in.T
         if i > 0:
-            g = layer.w0.T @ g + layer.scale * (layer.a.T @ bt_g)
+            g_next = layer.w0.T @ g
+            del g
+            t = layer.a.T @ bt_g
+            del bt_g
+            t *= layer.scale
+            g_next += t
+            del t
+            g = g_next
     return GradientSet(grad_b=grad_b, grad_a=grad_a, loss=loss, grad_w=grad_w)
 
 

@@ -448,30 +448,42 @@ def lora_sam_step(
     per factor).  Because the factors multiply each other, the induced
     merged-weight perturbation is quadratic in rho and need not track the
     full-space ascent direction; this step exists as the baseline the
-    transfer-based steps improve on.
+    transfer-based steps improve on.  Only the first-pass loss outlives
+    the shift: the first-pass gradients and the directions are released
+    before the second backward.
     """
     t0 = time.perf_counter()
     grads0 = backward(net, batch)
-    e_b: list[Matrix] = []
-    e_a: list[Matrix] = []
-    sq = 0.0
-    for gb, ga in zip(grads0.grad_b, grads0.grad_a):
-        db, _ = sam_direction(gb, rho, variant)
-        da, _ = sam_direction(ga, rho, variant)
-        e_b.append(db)
-        e_a.append(da)
-        sq += float(np.sum(db * db)) + float(np.sum(da * da))
+    loss0 = grads0.loss
+    e_b, e_a, norm = _sam_perturbation(grads0, rho, variant)
     handle = apply_perturbation(net, e_b=e_b, e_a=e_a)
+    del grads0, e_b, e_a
     grads1 = backward(net, batch)
     handle.revert()
     base_update(net, grads1, cfg, state)
     return StepStats(
         grad_evals=2,
-        loss_original=grads0.loss,
+        loss_original=loss0,
         loss_perturbed=grads1.loss,
-        perturb_norm=math.sqrt(sq),
+        perturb_norm=norm,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
+
+
+def _sam_perturbation(
+    grads: GradientSet, rho: float, variant: str
+) -> tuple[list[Matrix], list[Matrix], float]:
+    """lora-sam's per-factor directions and the norm of the whole shift."""
+    e_b: list[Matrix] = []
+    e_a: list[Matrix] = []
+    sq = 0.0
+    for gb, ga in zip(grads.grad_b, grads.grad_a):
+        db, _ = sam_direction(gb, rho, variant)
+        da, _ = sam_direction(ga, rho, variant)
+        e_b.append(db)
+        e_a.append(da)
+        sq += float(np.sum(db * db)) + float(np.sum(da * da))
+    return e_b, e_a, math.sqrt(sq)
 
 
 def flat_lora_step(
@@ -488,18 +500,23 @@ def flat_lora_step(
     Gradient at the current point, reconstruct and normalise the dense
     ascent direction, shift b so the merged weight moves along it, take
     the gradient there, revert, update with the perturbed-point gradient.
+    The plan (first-pass gradients, pseudo-inverses, e_b) is released
+    once b is shifted; only its loss and norm outlive it.
     """
     t0 = time.perf_counter()
     plan = perturbation_from_rho(net, batch, rho, variant, tol)
+    loss0 = plan.grads.loss
+    norm = plan.total_norm()
     handle = apply_b_perturbation(net, plan.e_b)
+    del plan
     grads1 = backward(net, batch)
     handle.revert()
     base_update(net, grads1, cfg, state)
     return StepStats(
         grad_evals=2,
-        loss_original=plan.grads.loss,
+        loss_original=loss0,
         loss_perturbed=grads1.loss,
-        perturb_norm=plan.total_norm(),
+        perturb_norm=norm,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
 

@@ -2,6 +2,8 @@
 equivalence, finite-difference gradient checks, and the perturbation
 apply/revert lifecycle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,127 @@ def test_forward_offsets_and_backward_share_one_sweep(activation, loss):
     pred_off, loss_off = forward_with_offsets(net, batch, [None] * len(net.layers))
     assert np.array_equal(pred, pred_off)
     assert loss_plain == loss_off == backward(net, batch).loss
+
+
+def _oracle_sweep(net, batch, offsets):
+    """The sweep written out of place, one fresh array per operation."""
+    last = len(net.layers) - 1
+    h = batch.inputs
+    cache = []
+    for i, (layer, off) in enumerate(zip(net.layers, offsets)):
+        ax = layer.a @ h
+        z = layer.w0 @ h + layer.scale * (layer.b @ ax)
+        if off is not None:
+            z = z + off @ h
+        if i < last:
+            if net.activation == "tanh":
+                z = np.tanh(z)
+            elif net.activation == "relu":
+                z = np.maximum(z, 0.0)
+        cache.append((h, ax, z))
+        h = z
+    return cache
+
+
+def _oracle_loss_and_grad(pred, targets, kind):
+    k = pred.shape[1]
+    if kind == "mse":
+        resid = pred - targets
+        return 0.5 * float(np.sum(resid * resid)) / k, resid / k
+    shifted = pred - pred.max(axis=0, keepdims=True)
+    exp = np.exp(shifted)
+    z = exp.sum(axis=0, keepdims=True)
+    log_probs = shifted - np.log(z)
+    return -float(np.sum(targets * log_probs)) / k, (exp / z - targets) / k
+
+
+def _oracle_backward(net, batch):
+    cache = _oracle_sweep(net, batch, [None] * len(net.layers))
+    last = len(net.layers) - 1
+    loss, g = _oracle_loss_and_grad(cache[last][2], batch.targets, net.loss_kind)
+    grad_b, grad_a, grad_w = [], [], []
+    for i in range(last, -1, -1):
+        layer = net.layers[i]
+        x_in, ax, out = cache[i]
+        if i < last:
+            if net.activation == "tanh":
+                g = g * (1.0 - out * out)
+            elif net.activation == "relu":
+                g = g * (out > 0.0).astype(np.float64)
+            else:
+                g = g * np.ones_like(out)
+        bt_g = layer.b.T @ g
+        grad_b.insert(0, layer.scale * (g @ ax.T))
+        grad_a.insert(0, layer.scale * (bt_g @ x_in.T))
+        grad_w.insert(0, g @ x_in.T)
+        if i > 0:
+            g = layer.w0.T @ g + layer.scale * (layer.a.T @ bt_g)
+    return loss, grad_b, grad_a, grad_w
+
+
+def _same_bytes(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+@pytest.mark.parametrize("loss", ["mse", "softmax-ce"])
+def test_in_place_sweep_is_bit_identical_to_out_of_place_formulas(activation, loss):
+    """forward, forward_with_offsets and backward(want_full=True) write the
+    same bytes as the sweep computed one fresh array per operation, on a
+    three-layer net; backward leaves batch.inputs alone, and a prediction
+    held from forward survives a later backward unchanged."""
+    net = small_net(seed=9, dims=(5, 6, 4, 3), activation=activation,
+                    loss=loss, scale=0.7)
+    batch = random_batch(net, seed=9)
+    inputs_before = batch.inputs.copy()
+    rng = make_rng(9)
+    offsets = [rng.standard_normal(net.layers[0].w0.shape) * 0.2, None,
+               rng.standard_normal(net.layers[2].w0.shape) * 0.2]
+    for offs in ([None] * 3, offsets):
+        want_pred = _oracle_sweep(net, batch, offs)[-1][2]
+        want_loss, _ = _oracle_loss_and_grad(want_pred, batch.targets, loss)
+        pred, got_loss = forward_with_offsets(net, batch, offs)
+        assert _same_bytes(pred, want_pred) and got_loss == want_loss
+    held, held_loss = forward(net, batch)
+    held_bytes = held.tobytes()
+    assert _same_bytes(held, _oracle_sweep(net, batch, [None] * 3)[-1][2])
+    want_loss, want_b, want_a, want_w = _oracle_backward(net, batch)
+    assert held_loss == want_loss
+    grads = backward(net, batch, want_full=True)
+    assert grads.loss == want_loss
+    for got, want in zip(grads.grad_b + grads.grad_a + grads.grad_w,
+                         want_b + want_a + want_w):
+        assert _same_bytes(got, want)
+    assert _same_bytes(batch.inputs, inputs_before)
+    assert held.tobytes() == held_bytes
+
+
+def _traced_peak(fn):
+    """Peak traced bytes of one call above the traced size at its start,
+    after an untraced warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dims, rank, k", [((16, 16, 4), 4, 3072),
+                                           ((256, 256, 64), 8, 64)],
+                         ids=["default-dims", "wide-dims"])
+def test_sweep_peak_memory_stays_within_a_few_activations(dims, rank, k):
+    """The sweep reuses the arrays it owns: backward peaks at no more than
+    4 and forward at no more than 2.5 of the largest n x k float64
+    activation.  One fresh array per elementwise operation reads about 5
+    and 3."""
+    net = small_net(seed=13, dims=dims, rank=rank, scale=0.5)
+    batch = random_batch(net, seed=13, k=k)
+    activation_bytes = max(dims) * k * 8
+    assert _traced_peak(lambda: backward(net, batch)) <= 4.0 * activation_bytes
+    assert _traced_peak(lambda: forward(net, batch)) <= 2.5 * activation_bytes
 
 
 def test_backward_default_skips_full_gradients():
