@@ -313,7 +313,7 @@ def test_flat_lora_step_releases_its_plan_before_the_second_pass():
     """At 256-wide dims, rank 8, batch 64, a flat-lora step peaks within
     1.1x of a lora step: the first-pass gradients, pseudo-inverses and e_b
     are gone before the second backward.  Keeping the plan reads 1.24x."""
-    net = make_net(seed=28, dims=(256, 256, 64), rank=8, nonzero_b=True)
+    net = make_net(seed=28, dims=(256, 256, 64), rank=8)
     batch = make_batch(net, seed=28, k=64)
     cfg = BaseUpdateConfig(learning_rate=1e-3)
     state = init_sgd_state(net)
