@@ -103,9 +103,17 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seeds", required=True, help="comma-separated seeds, e.g. 1,2,3")
     p.add_argument("--seconds", type=float, default=30.0)
     args = p.parse_args(argv)
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        p.error(f"--seeds needs comma-separated integers, got {args.seeds!r}")
+    workloads = args.workloads.split(",")
+    unknown = sorted(set(workloads) - set(workload_names()))
+    if unknown:
+        p.error(f"unknown workloads {unknown}; choose from {workload_names()}")
     status = 0
-    for seed in (int(s) for s in args.seeds.split(",")):
-        for workload in args.workloads.split(","):
+    for seed in seeds:
+        for workload in workloads:
             try:
                 rec = record(args.checkout.resolve(), workload, seed, args.seconds)
             except (RuntimeError, ValueError) as exc:

@@ -62,18 +62,20 @@ class BalancednessTrace:
     final_balancedness: float
 
 
-def sharpness_sam(
+def sam_probe(
     net: Network,
     batch: Batch,
     rho: float,
     variant: str = "standard",
-) -> float:
-    """Loss increase along the per-layer normalised ascent direction.
+) -> tuple[float, float]:
+    """The ascent-direction sharpness probe: (loss, increase).
 
-    Each layer's merged-weight gradient is scaled to norm rho and added as
-    a dense offset; the return value is the perturbed loss minus the loss
-    at the current parameters.  Layers with vanishing gradient contribute
-    a zero offset.
+    One backward sweep at the current parameters gives the loss and each
+    layer's merged-weight gradient; each gradient is scaled to norm rho
+    and added as a dense offset, and one forward sweep with those offsets
+    gives the perturbed loss.  Returns the loss at the current parameters
+    (the bits forward would return there) and the perturbed loss minus
+    it.  Layers with vanishing gradient contribute a zero offset.
     """
     grads = backward(net, batch, want_full=True)
     offsets: list[Matrix | None] = []
@@ -81,14 +83,26 @@ def sharpness_sam(
         direction, degenerate = sam_direction(gw, rho, variant)
         offsets.append(None if degenerate else direction)
     _, loss_perturbed = forward_with_offsets(net, batch, offsets)
-    return loss_perturbed - grads.loss
+    return grads.loss, loss_perturbed - grads.loss
+
+
+def sharpness_sam(
+    net: Network,
+    batch: Batch,
+    rho: float,
+    variant: str = "standard",
+) -> float:
+    """Loss increase along the per-layer normalised ascent direction: the
+    increase of sam_probe, for callers that do not need the loss."""
+    return sam_probe(net, batch, rho, variant)[1]
 
 
 def sharpness_ema(net: Network, batch: Batch, pstate: PerturbState) -> float:
     """Loss increase produced by the EMA perturbation currently tracked.
 
     Works whether or not the perturbation is applied at call time, and
-    leaves the network in the state it found it.
+    leaves the network in the state it found it.  Both ways evaluate the
+    same b + e and subtract the same two losses, so they agree bit for bit.
     """
     if pstate.applied:
         _, loss_perturbed = forward(net, batch)

@@ -506,24 +506,36 @@ def _evaluate(
     wall_ms: float,
     perturb_norm: float,
 ) -> MetricsRecord:
-    """Measure everything at the unperturbed parameters, then put the
-    network back exactly as found."""
+    """Measure at the unperturbed parameters, then put the network back
+    exactly as found.
+
+    One sweep per distinct parameter point.  While eflat-lora's EMA shift
+    is still applied, one forward gives the loss at the EMA point, and the
+    shift comes off.  The sharpness probe's backward at the unperturbed
+    point gives eval_loss, and its one offset forward the SAM point; the
+    EMA sharpness is then the EMA-point loss minus eval_loss, the same
+    subtraction of the same floats as diagnostics.sharpness_ema.  So an
+    evaluation costs two sweeps, three with the EMA shift applied; an
+    EMA state that was never applied (steps = 0) is measured by
+    sharpness_ema, which applies and reverts the shift itself.
+    """
     was_applied = pstate.applied if pstate is not None else False
     if was_applied:
+        _, loss_at_ema = forward(net, task.eval_batch)
         pstate.remove(net)
-    _, eval_loss = forward(net, task.eval_batch)
-    if not math.isfinite(eval_loss):
-        raise ExperimentAbort(step, f"eval loss is {eval_loss}")
     rho_now = rho_at(cfg.rho0, max(step, 1), cfg.resolved_schedule())
-    s_sam = diagnostics.sharpness_sam(
+    eval_loss, s_sam = diagnostics.sam_probe(
         net, task.eval_batch, rho_now, cfg.direction_variant
     )
-    if pstate is not None:
+    if not math.isfinite(eval_loss):
+        raise ExperimentAbort(step, f"eval loss is {eval_loss}")
+    if was_applied:
+        s_ema = loss_at_ema - eval_loss
+    elif pstate is not None:
         s_ema = diagnostics.sharpness_ema(net, task.eval_batch, pstate)
-        gap = abs(s_ema - s_sam)
     else:
         s_ema = math.nan
-        gap = math.nan
+    gap = abs(s_ema - s_sam) if pstate is not None else math.nan
     bal = diagnostics.network_balancedness(net)
     if was_applied:
         pstate.apply(net)

@@ -33,11 +33,16 @@ def test_bench_file_records_the_gated_metrics(path):
         assert all(isinstance(v, (int, float)) for v in rec["metrics"].values())
 
 
-def test_recorder_parses_a_report():
+def load_recorder():
     spec = importlib.util.spec_from_file_location(
         "bench_record", ROOT / "scripts" / "bench_record.py")
     recorder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(recorder)
+    return recorder
+
+
+def test_recorder_parses_a_report():
+    recorder = load_recorder()
     stdout = (
         "workload wide-steps seed 1 seconds 2  OPENBLAS_NUM_THREADS=1 "
         "malloc=fixed nproc=2\n"
@@ -49,3 +54,22 @@ def test_recorder_parses_a_report():
     result, slowdown, malloc = recorder.parse_report(stdout)
     assert (slowdown, malloc) == (1.0033, "fixed")
     assert result["metrics"]["run_s"]["value"] == 0.5
+
+
+@pytest.mark.parametrize("args", [
+    ["--seeds", "1,x"],
+    ["--seeds", ""],
+    ["--seeds", "1,,2"],
+    ["--seeds", "1", "--workloads", "eval-run,no-such-workload"],
+])
+def test_recorder_rejects_a_bad_list_before_running(args, monkeypatch, capsys):
+    recorder = load_recorder()
+
+    def no_run(*_):
+        raise AssertionError("perfbench ran before the arguments were checked")
+
+    monkeypatch.setattr(recorder, "record", no_run)
+    with pytest.raises(SystemExit) as exc:
+        recorder.main(args)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from flatlora.linalg import NumericalError, make_rng
-from flatlora.model import Batch, LoRALinear, Network, backward, build_network
+from flatlora.model import (
+    Batch,
+    LoRALinear,
+    Network,
+    backward,
+    build_network,
+    forward,
+)
 from flatlora.diagnostics import (
     AssumptionConstants,
     balancedness,
@@ -18,6 +25,7 @@ from flatlora.diagnostics import (
     neighborhood_max_oracle,
     network_balancedness,
     run_scale_invariant_flow,
+    sam_probe,
     sharpness_ema,
     sharpness_sam,
 )
@@ -77,6 +85,16 @@ def test_sharpness_sam_leaves_parameters_untouched():
         assert np.array_equal(layer.a, a)
 
 
+@pytest.mark.parametrize("variant", ["standard", "signed"])
+def test_sam_probe_loss_is_forward_loss_and_increase_is_sharpness_sam(variant):
+    for seed in range(4):
+        net = generic_net(seed=seed)
+        batch = generic_batch(net, seed=seed)
+        loss, increase = sam_probe(net, batch, 0.15, variant)
+        assert loss.hex() == forward(net, batch)[1].hex()
+        assert increase.hex() == sharpness_sam(net, batch, 0.15, variant).hex()
+
+
 def test_sharpness_sam_zero_rho_is_zero():
     net = generic_net(seed=3)
     assert sharpness_sam(net, generic_batch(net, seed=3), rho=0.0) == 0.0
@@ -103,7 +121,8 @@ def test_sharpness_ema_applied_and_unapplied_agree():
     for layer, saved in zip(net.layers, params_before):
         assert np.array_equal(layer.b, saved)
 
-    assert abs(applied - unapplied) < 1e-14
+    # Both paths evaluate the same b + e and subtract the same two losses.
+    assert applied == unapplied
 
 
 def test_neighborhood_oracle_dominates_ascent_probe():

@@ -2,6 +2,7 @@
 generation, run determinism and file outputs, the bench report, the
 self-check suite, and CLI exit codes."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -10,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from flatlora import harness, model
+from flatlora import diagnostics, harness, model
 from flatlora.checks import verify
 from flatlora.cli import main
 from flatlora.harness import (
@@ -236,6 +237,87 @@ def test_run_sharpness_columns_by_optimizer():
     records, _ = run_experiment(tiny_config(optimizer="eflat-lora", steps=10))
     assert all(math.isfinite(r.sharpness_ema) for r in records)
     assert all(r.gap >= 0.0 for r in records)
+
+
+def _stepped(cfg, steps):
+    """Task, student and EMA state after `steps` steps of cfg's optimizer."""
+    task = generate_task(cfg)
+    net = _build_student(cfg, task)
+    step, pstate = make_step(cfg, net)
+    for t in range(1, steps + 1):
+        step(task.train_batches[(t - 1) % len(task.train_batches)], t)
+    return task, net, pstate
+
+
+def _evaluate_at(cfg, task, net, pstate, step):
+    return harness._evaluate(cfg, net, task, pstate, step, 0.0, 0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("kind, steps, sweeps", [
+    ("lora", 3, 2),
+    ("lora-sam", 3, 2),
+    ("flat-lora", 3, 2),
+    ("eflat-lora", 3, 3),
+    ("eflat-lora", 0, 4),
+])
+def test_evaluate_runs_one_sweep_per_parameter_point(kind, steps, sweeps, monkeypatch):
+    """Unperturbed point (the probe's backward) and SAM point always; the
+    EMA point too for eflat-lora, read while its shift is still applied.
+    An EMA state that was never applied is measured by sharpness_ema,
+    which sweeps the unperturbed point once more."""
+    cfg = tiny_config(optimizer=kind)
+    task, net, pstate = _stepped(cfg, steps)
+    sweep_fn = model._forward_cache
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sweep_fn(*args)
+
+    monkeypatch.setattr(model, "_forward_cache", counted)
+    _evaluate_at(cfg, task, net, pstate, steps)
+    assert len(calls) == sweeps
+
+
+@pytest.mark.parametrize("kind, steps, variant", [
+    ("lora", 7, "standard"),
+    ("lora-sam", 7, "standard"),
+    ("flat-lora", 7, "standard"),
+    ("eflat-lora", 7, "standard"),
+    ("eflat-lora", 0, "standard"),
+    ("eflat-lora", 7, "signed"),
+])
+def test_evaluate_matches_separate_measurements_bit_for_bit(kind, steps, variant):
+    """The record's eval columns against the measurements taken one by one
+    on a clone: remove the EMA shift, forward, sharpness_sam,
+    sharpness_ema, reapply.  The network comes back bit for bit."""
+    cfg = tiny_config(optimizer=kind, direction_variant=variant)
+    task, net, pstate = _stepped(cfg, steps)
+    clone, clone_pstate = copy.deepcopy((net, pstate))
+    batch = task.eval_batch
+
+    was_applied = clone_pstate is not None and clone_pstate.applied
+    if was_applied:
+        clone_pstate.remove(clone)
+    _, eval_loss = forward(clone, batch)
+    rho = rho_at(cfg.rho0, max(steps, 1), cfg.resolved_schedule())
+    s_sam = diagnostics.sharpness_sam(clone, batch, rho, variant)
+    if clone_pstate is not None:
+        s_ema = diagnostics.sharpness_ema(clone, batch, clone_pstate)
+        gap = abs(s_ema - s_sam)
+    else:
+        s_ema = gap = math.nan
+    if was_applied:
+        clone_pstate.apply(clone)
+
+    before = [(layer.b.tobytes(), layer.a.tobytes()) for layer in net.layers]
+    rec = _evaluate_at(cfg, task, net, pstate, steps)
+    got = [rec.eval_loss, rec.sharpness_sam, rec.sharpness_ema, rec.gap]
+    want = [eval_loss, s_sam, s_ema, gap]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert [(layer.b.tobytes(), layer.a.tobytes()) for layer in net.layers] == before
+    if pstate is not None:
+        assert pstate.applied == was_applied
 
 
 def test_run_writes_replayable_csv(tmp_path):
