@@ -10,8 +10,10 @@ appends one record per run:
     {"commit", "workload", "seed", "seconds", "trace", "slowdown",
      "malloc", "metrics": {name: value}}
 
-`commit` is `git describe --always --dirty` of the checkout.  A run with a
-failed operation is reported and not recorded.  Run from anywhere:
+`commit` is `git describe --always --dirty` of the checkout, taken once
+before anything runs; a checkout git cannot describe is a usage error.  A
+run with a failed operation is reported and not recorded.  Run from
+anywhere:
 
     python3 scripts/bench_record.py --seeds 1,2,3 --seconds 30
     python3 scripts/bench_record.py --checkout ../parent --seeds 1,2,3 --seconds 30
@@ -64,7 +66,8 @@ def parse_report(stdout: str) -> tuple[dict, float, str]:
     return result, slowdown, malloc
 
 
-def record(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def record(checkout: Path, commit: str, workload: str, seed: int,
+           seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"],
@@ -76,7 +79,7 @@ def record(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if result["failed"]:
         raise RuntimeError(f"{result['failed']} of {result['attempted']} operations failed")
     return {
-        "commit": describe(checkout),
+        "commit": commit,
         "workload": workload,
         "seed": seed,
         "seconds": seconds,
@@ -111,11 +114,18 @@ def main(argv: list[str] | None = None) -> int:
     unknown = sorted(set(workloads) - set(workload_names()))
     if unknown:
         p.error(f"unknown workloads {unknown}; choose from {workload_names()}")
+    checkout = args.checkout.resolve()
+    try:
+        commit = describe(checkout)
+    except subprocess.CalledProcessError as exc:
+        p.error(f"cannot describe --checkout {checkout}: {exc.stderr.strip()}")
+    except OSError as exc:
+        p.error(f"cannot describe --checkout {checkout}: {exc}")
     status = 0
     for seed in seeds:
         for workload in workloads:
             try:
-                rec = record(args.checkout.resolve(), workload, seed, args.seconds)
+                rec = record(checkout, commit, workload, seed, args.seconds)
             except (RuntimeError, ValueError) as exc:
                 print(f"{workload} seed {seed}: not recorded: {exc}", file=sys.stderr)
                 status = 1

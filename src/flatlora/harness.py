@@ -438,7 +438,10 @@ def run_experiment(
 
     Returns the metrics records and the summary; when out_dir is given the
     CSV and summary JSON are also written there.  Raises ExperimentAbort
-    (with the offending step) if any loss turns non-finite.
+    (with the offending step) if any loss turns non-finite.  Training and
+    evaluation run under np.errstate raising on overflow, invalid and
+    divide, so divergence stops at the first such numpy operation, with
+    no warnings, and is reported as an abort at that step.
     """
     cfg.validate()
     if task is None:
@@ -451,28 +454,31 @@ def run_experiment(
     wall_ms = 0.0
     last_train_loss = math.nan
     pool = task.train_batches
-    for t in range(1, cfg.steps + 1):
-        stats = step(pool[(t - 1) % len(pool)], t)
-        grad_evals += stats.grad_evals
-        wall_ms += stats.wall_time_ms
-        last_train_loss = (
-            stats.loss_original
-            if math.isfinite(stats.loss_original)
-            else stats.loss_perturbed
-        )
-        if not math.isfinite(last_train_loss):
-            raise ExperimentAbort(t, f"training loss is {last_train_loss}")
-        if t % cfg.eval_every == 0 or t == cfg.steps:
-            records.append(
-                _evaluate(cfg, net, task, pstate, t, last_train_loss, grad_evals,
-                          wall_ms, stats.perturb_norm)
-            )
+    t = 0
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for t in range(1, cfg.steps + 1):
+                stats = step(pool[(t - 1) % len(pool)], t)
+                grad_evals += stats.grad_evals
+                wall_ms += stats.wall_time_ms
+                last_train_loss = (
+                    stats.loss_original
+                    if math.isfinite(stats.loss_original)
+                    else stats.loss_perturbed
+                )
+                if not math.isfinite(last_train_loss):
+                    raise ExperimentAbort(t, f"training loss is {last_train_loss}")
+                if t % cfg.eval_every == 0 or t == cfg.steps:
+                    records.append(
+                        _evaluate(cfg, net, task, pstate, t, last_train_loss,
+                                  grad_evals, wall_ms, stats.perturb_norm)
+                    )
+            if cfg.steps == 0:
+                final = _evaluate(cfg, net, task, pstate, 0, math.nan, 0, 0.0, 0.0)
+    except FloatingPointError as exc:
+        raise ExperimentAbort(t, str(exc)) from exc
 
-    if cfg.steps == 0:
-        final = _evaluate(cfg, net, task, pstate, 0, math.nan, 0, 0.0, 0.0)
-        summary_source = final
-    else:
-        summary_source = records[-1]
+    summary_source = final if cfg.steps == 0 else records[-1]
     counts = param_and_memory_counts(net, cfg.optimizer)
     summary = RunSummary(
         config_hash=cfg.config_hash(),

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .linalg import Matrix, Rng, ShapeError, as_matrix
 
@@ -21,6 +22,10 @@ LOSS_KINDS = ("mse", "softmax-ce")
 
 class PerturbationStateError(RuntimeError):
     """A perturbation handle was used outside its apply/revert lifecycle."""
+
+
+class AccumulationError(RuntimeError):
+    """BLAS returned a copy instead of adding a product into the given array."""
 
 
 @dataclass
@@ -239,6 +244,39 @@ def _check_batch(net: Network, batch: Batch) -> None:
         )
 
 
+def _add_product(x: Matrix, y: Matrix, out: Matrix) -> Matrix:
+    """out += x @ y in place, with no array for x @ y.
+
+    One dgemm with beta = 1 on out.T: column-major BLAS computes
+    out.T += y.T @ x.T, the call numpy's row-major matmul makes for x @ y,
+    and an operand in F order (such as w0.T) goes in untransposed with the
+    trans flag, as numpy passes it, so nothing is copied.  BLAS holds each
+    dot product in a register and adds it to out once, and that register
+    holds the double x @ y would store, so out gets the bits of
+    out + x @ y.  This holds while the inner dimension fits one BLAS panel
+    (384 with OpenBLAS's Haswell kernels); past it each panel's partial
+    sum is added to out in turn, which rounds differently.  numpy takes
+    a matrix-vector route when x has one row or y one column; there the
+    product is built and added, to keep numpy's roundings.
+
+    Raises AccumulationError when BLAS hands back a copy, which it does
+    unless out is a C-ordered float64 array; the sum is never dropped.
+    """
+    if x.shape[0] == 1 or y.shape[1] == 1:
+        out += x @ y
+        return out
+    a, trans_a = (y, 1) if y.flags.f_contiguous else (y.T, 0)
+    b, trans_b = (x, 1) if x.flags.f_contiguous else (x.T, 0)
+    got = dgemm(1.0, a, b, beta=1.0, c=out.T, trans_a=trans_a,
+                trans_b=trans_b, overwrite_c=1)
+    if not np.shares_memory(got, out):
+        raise AccumulationError(
+            f"cannot add a product into a {out.dtype} array that is not "
+            "C-ordered"
+        )
+    return out
+
+
 def _forward_cache(
     net: Network, batch: Batch, offsets: list[Matrix | None]
 ) -> list[tuple[Matrix, Matrix, Matrix]]:
@@ -247,10 +285,13 @@ def _forward_cache(
     Layer i computes w0 @ h + scale * (b @ (a @ h)), plus offsets[i] @ h
     when that offset is not None, and applies the activation on every
     layer but the last.  The batch is checked before the offsets.  Each
-    layer's output is built in place in one fresh array, so the last
-    output, which forward returns, is an array nothing else holds; backward
-    uses up the cache entries (it overwrites the hidden outputs), so a
-    cache serves one pass.
+    layer's output is built in one fresh array: the low-rank product,
+    scaled in place, then w0 @ h and offsets[i] @ h added into it by BLAS
+    (_add_product), so no other n x k array is made, with the roundings
+    of the sum written out (_add_product says when).  The last output, which forward
+    returns, is an array nothing else holds; backward uses up the cache
+    entries (it overwrites the hidden outputs), so a cache serves one
+    pass.
     """
     _check_batch(net, batch)
     if len(offsets) != len(net.layers):
@@ -262,17 +303,15 @@ def _forward_cache(
     cache = []
     for i, (layer, off) in enumerate(zip(net.layers, offsets)):
         ax = layer.a @ h
-        z = layer.w0 @ h
-        t = layer.b @ ax
-        t *= layer.scale
-        z += t
-        del t
+        z = layer.b @ ax
+        z *= layer.scale
+        _add_product(layer.w0, h, z)
         if off is not None:
             if off.shape != layer.w0.shape:
                 raise ShapeError(
                     f"offset {i} must be {layer.w0.shape}, got {off.shape}"
                 )
-            z += off @ h
+            _add_product(off, h, z)
         if i < last:
             _activate(z, net.activation)
         cache.append((h, ax, z))
@@ -308,7 +347,9 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
     stay independent checks of each other.  The sweep's cache is used up
     as the reverse pass goes: each entry is dropped once read, and each
     hidden output is overwritten with its activation derivative.  The
-    batch is never written.
+    gradient passed down is built in one array: scale * (a.T @ (b.T @ g)),
+    then w0.T @ g added into it by BLAS (_add_product), with the same
+    roundings.  The batch is never written.
     """
     cache = _forward_cache(net, batch, [None] * len(net.layers))
     last = len(net.layers) - 1
@@ -332,14 +373,10 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
         if want_full:
             grad_w[i] = g @ x_in.T
         if i > 0:
-            g_next = layer.w0.T @ g
-            del g
-            t = layer.a.T @ bt_g
+            g_next = layer.a.T @ bt_g
             del bt_g
-            t *= layer.scale
-            g_next += t
-            del t
-            g = g_next
+            g_next *= layer.scale
+            g = _add_product(layer.w0.T, g, g_next)
     return GradientSet(grad_b=grad_b, grad_a=grad_a, loss=loss, grad_w=grad_w)
 
 

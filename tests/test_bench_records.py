@@ -73,3 +73,22 @@ def test_recorder_rejects_a_bad_list_before_running(args, monkeypatch, capsys):
         recorder.main(args)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["not-a-repository", "missing"])
+def test_recorder_rejects_a_checkout_git_cannot_describe(where, tmp_path,
+                                                         monkeypatch, capsys):
+    recorder = load_recorder()
+
+    def no_run(*_):
+        raise AssertionError("perfbench ran before the checkout was described")
+
+    monkeypatch.setattr(recorder, "record", no_run)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    checkout = tmp_path / where
+    if where == "not-a-repository":
+        checkout.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        recorder.main(["--seeds", "1", "--checkout", str(checkout)])
+    assert exc.value.code == 2
+    assert f"error: cannot describe --checkout {checkout}" in capsys.readouterr().err

@@ -346,7 +346,7 @@ def test_wall_time_column_zero_unless_measured():
     assert summary.total_wall_time_ms == records[-1].wall_time_ms_cumulative
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_aborts_on_divergence_with_step():
     cfg = tiny_config(optimizer="lora", learning_rate=1e6, steps=200,
                       eval_every=1000)
@@ -354,6 +354,21 @@ def test_run_aborts_on_divergence_with_step():
         run_experiment(cfg)
     assert 1 <= err.value.step <= 200
     assert "aborted at step" in str(err.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_divergence_stops_at_the_first_floating_point_error(kind):
+    """A diverging run raises no warning: the first overflow, invalid or
+    divide in a numpy operation ends it as an abort at that step, with
+    numpy's error as the cause."""
+    cfg = tiny_config(optimizer=kind, learning_rate=50.0, steps=200,
+                      eval_every=1000)
+    with pytest.raises(ExperimentAbort) as err:
+        run_experiment(cfg)
+    assert isinstance(err.value.__cause__, FloatingPointError)
+    assert str(err.value) == (
+        f"aborted at step {err.value.step}: {err.value.__cause__}")
 
 
 def test_sweep_writes_one_file_pair_per_seed(tmp_path):
@@ -523,7 +538,7 @@ def test_cli_missing_config_exits_one(tmp_path, capsys):
         assert err.startswith("cannot read") and err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_divergence_exits_two(tmp_path, capsys):
     cfg_path, _ = write_cfg(tmp_path, optimizer="lora", learning_rate=1e6,
                             steps=200, eval_every=1000)
