@@ -254,7 +254,7 @@ def _add_product(x: Matrix, y: Matrix, out: Matrix) -> Matrix:
     dot product in a register and adds it to out once, and that register
     holds the double x @ y would store, so out gets the bits of
     out + x @ y.  This holds while the inner dimension fits one BLAS panel
-    (384 with OpenBLAS's Haswell kernels); past it each panel's partial
+    (384 with OpenBLAS's SkylakeX kernels); past it each panel's partial
     sum is added to out in turn, which rounds differently.  numpy takes
     a matrix-vector route when x has one row or y one column; there the
     product is built and added, to keep numpy's roundings.

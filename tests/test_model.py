@@ -23,8 +23,8 @@ from flatlora.model import (
     forward,
     forward_with_offsets,
     make_lora_layer,
+    _add_product,
 )
-from flatlora.model import _add_product
 
 FD_STEP = 1e-6
 FD_TOL = 1e-4
