@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import subprocess
 import sys
@@ -106,6 +107,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seeds", required=True, help="comma-separated seeds, e.g. 1,2,3")
     p.add_argument("--seconds", type=float, default=30.0)
     args = p.parse_args(argv)
+    if not (args.seconds > 0 and math.isfinite(args.seconds)):
+        p.error(f"--seconds must be positive and finite, got {args.seconds!r}")
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:

@@ -23,7 +23,8 @@ from .linalg import Rng, col_space_projector, make_rng, pseudo_inverse, row_spac
 from .model import (Batch, LoRALinear, Network, apply_b_perturbation, backward, build_network,
                     clone_network, forward)
 from .optimizers import (BaseUpdateConfig, base_update, full_to_lowrank_perturbation,
-                         gram_pseudo_inverse, init_sgd_state, perturbation_from_gradients)
+                         gram_pseudo_inverse, init_sgd_state, perturbation_from_gradients,
+                         reconstruct_full_gradient, rho_at, sam_direction)
 
 
 def _worst_abs(*diffs: np.ndarray) -> float:
@@ -162,21 +163,34 @@ def zero_radius_degeneration(cfg: ExperimentConfig) -> float:
     return worst
 
 
+def _shift_then_step(cfg: ExperimentConfig, net: Network, step, batch: Batch,
+                     t: int) -> list[np.ndarray]:
+    """eflat-lora's per-step shift e_t, built the step's way from the
+    live (EMA-shifted) network just before step(batch, t) runs; both
+    calls only read the network."""
+    rho_t = rho_at(cfg.rho0, t, cfg.resolved_schedule())
+    e_t = perturbation_from_gradients(net, backward(net, batch), rho_t,
+                                      cfg.direction_variant, cfg.svd_tol).e_b
+    step(batch, t)
+    return e_t
+
+
 def ema_closed_form(cfg: ExperimentConfig) -> tuple[float, float]:
     """Worst (closed-form, beta-one) residuals of eflat-lora's EMA.
 
     After cfg.steps steps the running EMA must equal the geometric sum
     over k of beta (1 - beta)^(T - k) e_k of the per-step shifts; with
     beta = 1 the EMA must equal the newest shift after each of 4 steps.
+    Each e_k comes from backward and perturbation_from_gradients on the
+    live network just before step k, at that step's radius.
     """
     cfg = dataclasses.replace(cfg, optimizer="eflat-lora")
     task = generate_task(cfg)
+    pool = task.train_batches
     net = _build_student(cfg, task)
     step, pstate = make_step(cfg, net)
-    per_step = []
-    for t in range(1, cfg.steps + 1):
-        step(task.train_batches[(t - 1) % len(task.train_batches)], t)
-        per_step.append([e.copy() for e in pstate.last_e_b])
+    per_step = [_shift_then_step(cfg, net, step, pool[(t - 1) % len(pool)], t)
+                for t in range(1, cfg.steps + 1)]
     closed = 0.0
     for li, ema in enumerate(pstate.ema_e_b):
         want = np.zeros_like(ema)
@@ -184,13 +198,14 @@ def ema_closed_form(cfg: ExperimentConfig) -> tuple[float, float]:
             want += cfg.beta * (1.0 - cfg.beta) ** (cfg.steps - k) * e_list[li]
         closed = max(closed, _worst_abs(want - ema))
 
-    net1 = _build_student(cfg, task)
-    step1, pstate1 = make_step(dataclasses.replace(cfg, beta=1.0), net1)
+    cfg1 = dataclasses.replace(cfg, beta=1.0)
+    net1 = _build_student(cfg1, task)
+    step1, pstate1 = make_step(cfg1, net1)
     beta_one = 0.0
     for t in range(1, 5):
-        step1(task.train_batches[(t - 1) % len(task.train_batches)], t)
-        for ema, last in zip(pstate1.ema_e_b, pstate1.last_e_b):
-            beta_one = max(beta_one, _worst_abs(ema - last))
+        last = _shift_then_step(cfg1, net1, step1, pool[(t - 1) % len(pool)], t)
+        for ema, e in zip(pstate1.ema_e_b, last):
+            beta_one = max(beta_one, _worst_abs(ema - e))
     return closed, beta_one
 
 
@@ -318,10 +333,14 @@ def verify() -> VerifyReport:
     for _ in range(5):
         net_t = random_net(rng, (6, 5, 3), rank=2, scale=2.0)
         batch_t = random_batch(rng, net_t)
-        plan = perturbation_from_gradients(net_t, backward(net_t, batch_t), rho=0.1)
-        for li in range(len(net_t.layers)):
+        grads_t = backward(net_t, batch_t)
+        plan = perturbation_from_gradients(net_t, grads_t, rho=0.1)
+        for li, layer in enumerate(net_t.layers):
+            e_w_bar, _ = sam_direction(reconstruct_full_gradient(
+                grads_t.grad_b[li], grads_t.grad_a[li], layer.a, layer.b, layer.scale
+            ), 0.1)
             diff, unproj = diagnostics.loss_match_residual(
-                net_t, batch_t, li, plan.e_w_bar[li], plan.e_b[li]
+                net_t, batch_t, li, e_w_bar, plan.e_b[li]
             )
             worst = max(worst, diff)
             residual_info = max(residual_info, unproj)

@@ -86,12 +86,9 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+        seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
         print(f"cannot parse seed list {args.seeds!r}", file=sys.stderr)
-        return EXIT_INVALID
-    if not seeds:
-        print("seed list is empty", file=sys.stderr)
         return EXIT_INVALID
     out_dir = args.out if args.out is not None else _default_out_dir()
     summaries = sweep(cfg, seeds, out_dir=out_dir)

@@ -178,7 +178,7 @@ _TYPE_PARSERS = {
     "int": int,
     "float": float,
     "bool": lambda s: {"true": True, "false": False}[s.lower()],
-    "list[int]": lambda s: [int(p) for p in s.split(",") if p.strip() != ""],
+    "list[int]": lambda s: [int(p) for p in s.split(",")],
 }
 _CONFIG_PARSERS = {
     f.name: _TYPE_PARSERS[f.type] for f in dataclasses.fields(ExperimentConfig)

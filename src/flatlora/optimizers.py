@@ -18,7 +18,6 @@ evaluations and wall time without instrumenting the internals.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -183,39 +182,18 @@ def full_to_lowrank_perturbation(
 
 @dataclass
 class PerturbationPlan:
-    """Per-layer perturbation of one sharpness-aware step.
+    """Per-layer perturbation of one sharpness-aware step: only what the
+    step applies.
 
     e_b: the b-factor transfers the step applies.  degenerate_layers:
     indices whose reconstructed gradient vanished (their e_b is zero).
-    grads: the gradient set the plan was built from (carries the loss at
-    the evaluation point).
-
-    e_w_bar, the dense n x m ascent directions (norm rho per layer, zeros
-    where degenerate), is not part of the step: it is rebuilt on first
-    access from grads and what each layer kept -- (c, a_pinv, b_pinv_t),
-    a^+ and (b^+)^T, for the standard variant, where e_w_bar = c *
-    (grad_b @ a_pinv.T + b_pinv_t @ grad_a), the dense direction itself
-    for the signed variant, None for a degenerate layer.  Only
-    diagnostics, self-checks and tests read it.
+    The dense n x m ascent direction is not kept; callers that want it
+    take the reference route, reconstruct_full_gradient then
+    sam_direction.
     """
 
     e_b: list[Matrix]
     degenerate_layers: tuple[int, ...]
-    grads: GradientSet
-    _dense: list[tuple[float, Matrix, Matrix] | Matrix | None] = field(repr=False)
-
-    @functools.cached_property
-    def e_w_bar(self) -> list[Matrix]:
-        out: list[Matrix] = []
-        for gb, ga, kept in zip(self.grads.grad_b, self.grads.grad_a, self._dense):
-            if kept is None:
-                out.append(np.zeros((gb.shape[0], ga.shape[1])))
-            elif isinstance(kept, tuple):
-                c, a_pinv, b_pinv_t = kept
-                out.append(c * (gb @ a_pinv.T + b_pinv_t @ ga))
-            else:
-                out.append(kept)
-        return out
 
     def total_norm(self) -> float:
         return math.sqrt(sum(float(np.sum(e * e)) for e in self.e_b))
@@ -322,17 +300,16 @@ def perturbation_from_gradients(
 
     from n x r, r x m and r x r arrays only, so a layer's plan takes
     O((n + m) * rank) memory.  The signed variant needs |g_bar| entry by
-    entry and builds it densely.
+    entry and builds it densely.  The returned plan holds e_b and
+    nothing else per layer: the pseudo-inverses, the dense direction and
+    the gradients are not kept.
     """
     if variant not in DIRECTION_VARIANTS:
         raise ValueError(f"unknown direction variant {variant!r}")
     e_b: list[Matrix] = []
-    dense: list[tuple[float, Matrix, Matrix] | Matrix | None] = []
     degenerate: list[int] = []
     for i, layer in enumerate(net.layers):
         # a is rank x m (wide), b is n x rank (tall); rank <= min(n, m).
-        # The plan keeps the two pseudo-inverses for e_w_bar: as many
-        # bytes as the factors, none more.
         q1, t1, a_pinv = _pinv_factors(layer.a, tol)
         q2, t2, b_pinv_t = _pinv_factors(layer.b.T, tol)
         half_inv_scale = 0.5 / layer.scale
@@ -354,39 +331,18 @@ def perturbation_from_gradients(
             norm = half_inv_scale * math.sqrt(max(sq, 0.0))
         if norm <= ZERO_GRAD_EPS:
             degenerate.append(i)
-            dense.append(None)
             e_b.append(np.zeros_like(layer.b))
             continue
         if variant == "signed":
             direction = (rho / norm) * np.abs(g_bar)
-            dense.append(direction)
             e_b.append((1.0 / layer.scale) * (direction @ a_pinv))
         else:
             c = rho * half_inv_scale / norm
-            dense.append((c, a_pinv, b_pinv_t))
             transfer = u @ t1
             del u
             transfer *= c / layer.scale
             e_b.append(transfer)
-    return PerturbationPlan(
-        e_b=e_b,
-        degenerate_layers=tuple(degenerate),
-        grads=grads,
-        _dense=dense,
-    )
-
-
-def perturbation_from_rho(
-    net: Network,
-    batch: Batch,
-    rho: float,
-    variant: str = "standard",
-    tol: float = DEFAULT_TOL,
-) -> PerturbationPlan:
-    """One gradient evaluation at the current parameters, then the
-    perturbation built from it."""
-    grads = backward(net, batch)
-    return perturbation_from_gradients(net, grads, rho, variant, tol)
+    return PerturbationPlan(e_b=e_b, degenerate_layers=tuple(degenerate))
 
 
 def base_update(
@@ -500,15 +456,16 @@ def flat_lora_step(
     Gradient at the current point, reconstruct and normalise the dense
     ascent direction, shift b so the merged weight moves along it, take
     the gradient there, revert, update with the perturbed-point gradient.
-    The plan (first-pass gradients, pseudo-inverses, e_b) is released
-    once b is shifted; only its loss and norm outlive it.
+    The first-pass gradients and the plan (its e_b) are released once b
+    is shifted; only their loss and norm outlive them.
     """
     t0 = time.perf_counter()
-    plan = perturbation_from_rho(net, batch, rho, variant, tol)
-    loss0 = plan.grads.loss
+    grads0 = backward(net, batch)
+    plan = perturbation_from_gradients(net, grads0, rho, variant, tol)
+    loss0 = grads0.loss
     norm = plan.total_norm()
     handle = apply_b_perturbation(net, plan.e_b)
-    del plan
+    del grads0, plan
     grads1 = backward(net, batch)
     handle.revert()
     base_update(net, grads1, cfg, state)
@@ -529,13 +486,15 @@ class PerturbState:
     applied says whether it is presently added into the network, i.e.
     whether the PerturbationHandle of that apply is held.  Between steps
     the network is left perturbed, so evaluation code must remove() first
-    and apply() after.
+    and apply() after.  The per-step shift e_t is folded into ema_e_b and
+    not kept: a caller that wants it builds it with backward and
+    perturbation_from_gradients on the live network before the step, as
+    the step itself does.
     """
 
     rho0: float
     beta: float
     ema_e_b: list[Matrix]
-    last_e_b: list[Matrix] | None = None
     step_index: int = 0
     _handle: PerturbationHandle | None = field(default=None, init=False, repr=False)
 
@@ -614,7 +573,6 @@ def eflat_lora_step(
     for ema, e in zip(pstate.ema_e_b, plan.e_b):
         ema *= 1.0 - beta
         ema += beta * e
-    pstate.last_e_b = plan.e_b
     pstate.apply(net)
     pstate.step_index = t
     loss = grads.loss

@@ -61,6 +61,7 @@ def test_recorder_parses_a_report():
     ["--seeds", ""],
     ["--seeds", "1,,2"],
     ["--seeds", "1", "--workloads", "eval-run,no-such-workload"],
+    *(["--seeds", "1", "--seconds", s] for s in ("nan", "inf", "0", "-1")),
 ])
 def test_recorder_rejects_a_bad_list_before_running(args, monkeypatch, capsys):
     recorder = load_recorder()

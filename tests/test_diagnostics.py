@@ -29,7 +29,12 @@ from flatlora.diagnostics import (
     sharpness_ema,
     sharpness_sam,
 )
-from flatlora.optimizers import init_perturb_state, perturbation_from_rho
+from flatlora.optimizers import (
+    init_perturb_state,
+    perturbation_from_gradients,
+    reconstruct_full_gradient,
+    sam_direction,
+)
 
 
 def quadratic_net_and_batch(seed=0, dim=4):
@@ -265,15 +270,28 @@ def test_flow_validation_and_collapse():
 
 # ---------------------------------------------------------------- loss match
 
+def plan_and_directions(net, batch, rho):
+    """The steps' plan at rho and, per layer, the dense direction it
+    transfers, taken by the reference route (reconstruct, normalise)."""
+    grads = backward(net, batch)
+    plan = perturbation_from_gradients(net, grads, rho)
+    e_w_bar = [
+        sam_direction(reconstruct_full_gradient(gb, ga, layer.a, layer.b, layer.scale),
+                      rho)[0]
+        for gb, ga, layer in zip(grads.grad_b, grads.grad_a, net.layers)
+    ]
+    return plan, e_w_bar
+
+
 def test_loss_match_projected_difference_vanishes():
     """The low-rank shift reproduces the projected dense perturbation's
     loss exactly; the unprojected component is reported, not asserted."""
     net = generic_net(seed=14)
     batch = generic_batch(net, seed=14)
-    plan = perturbation_from_rho(net, batch, rho=0.3)
+    plan, e_w_bar = plan_and_directions(net, batch, rho=0.3)
     for idx in range(len(net.layers)):
         diff, unrepresented = loss_match_residual(
-            net, batch, idx, plan.e_w_bar[idx], plan.e_b[idx])
+            net, batch, idx, e_w_bar[idx], plan.e_b[idx])
         assert diff < 1e-10
         assert unrepresented >= 0.0
 
@@ -285,9 +303,9 @@ def test_loss_match_full_row_rank_represents_everything():
     net = build_network([4, 4], rank=4, scale=1.0, rng=rng)
     net.layers[0].b = rng.standard_normal((4, 4)) * 0.3
     batch = generic_batch(net, seed=15)
-    plan = perturbation_from_rho(net, batch, rho=0.2)
+    plan, e_w_bar = plan_and_directions(net, batch, rho=0.2)
     diff, unrepresented = loss_match_residual(
-        net, batch, 0, plan.e_w_bar[0], plan.e_b[0])
+        net, batch, 0, e_w_bar[0], plan.e_b[0])
     assert diff < 1e-10
     assert unrepresented < 1e-10
 
@@ -295,13 +313,13 @@ def test_loss_match_full_row_rank_represents_everything():
 def test_loss_match_restores_network_and_validates_index():
     net = generic_net(seed=16)
     batch = generic_batch(net, seed=16)
-    plan = perturbation_from_rho(net, batch, rho=0.1)
+    plan, e_w_bar = plan_and_directions(net, batch, rho=0.1)
     before = [l.b.copy() for l in net.layers]
-    loss_match_residual(net, batch, 0, plan.e_w_bar[0], plan.e_b[0])
+    loss_match_residual(net, batch, 0, e_w_bar[0], plan.e_b[0])
     for layer, saved in zip(net.layers, before):
         assert np.array_equal(layer.b, saved)
     with pytest.raises(IndexError):
-        loss_match_residual(net, batch, len(net.layers), plan.e_w_bar[0],
+        loss_match_residual(net, batch, len(net.layers), e_w_bar[0],
                             plan.e_b[0])
     with pytest.raises(IndexError):
-        loss_match_residual(net, batch, -1, plan.e_w_bar[0], plan.e_b[0])
+        loss_match_residual(net, batch, -1, e_w_bar[0], plan.e_b[0])

@@ -90,11 +90,17 @@ def test_parse_collects_every_offender():
             "coffee = strong\n"
             "learning_rate = fast\n"
             "not a key value line\n"
+            "layer_dims = 16,,4\n"
         )
     fields = err.value.fields
     assert "coffee" in fields
     assert "learning_rate" in fields
+    assert "layer_dims" in fields
     assert any(f.startswith("line") for f in fields)
+    for dims in ("16,4,", ",16,4", ""):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"layer_dims = {dims}\n")
+        assert err.value.fields == ["layer_dims"]
 
 
 def test_validate_collects_every_offender():
@@ -551,7 +557,9 @@ def test_cli_sweep(tmp_path, capsys):
     out = str(tmp_path / "sweep")
     assert main(["sweep", "--config", cfg_path, "--seeds", "0,1", "--out", out]) == 0
     assert "2 runs" in capsys.readouterr().out
-    assert main(["sweep", "--config", cfg_path, "--seeds", "zero", "--out", out]) == 1
+    for seeds in ("zero", "0,,1", "0,1,", ""):
+        assert main(["sweep", "--config", cfg_path, "--seeds", seeds, "--out", out]) == 1
+        assert capsys.readouterr().err == f"cannot parse seed list {seeds!r}\n"
     assert main(["sweep", "--config", cfg_path, "--seeds=-1", "--out", out]) == 1
     assert capsys.readouterr().err.endswith("config error: invalid config (seed: must be >= 0)\n")
 

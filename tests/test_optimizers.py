@@ -26,7 +26,6 @@ from flatlora.optimizers import (
     lora_step,
     param_and_memory_counts,
     perturbation_from_gradients,
-    perturbation_from_rho,
     reconstruct_full_gradient,
     rho_at,
     sam_direction,
@@ -168,56 +167,8 @@ def test_plan_matches_composed_reference_route():
         direction, degenerate = sam_direction(g_bar, rho)
         assert not degenerate
         e_b = full_to_lowrank_perturbation(direction, layer.a, layer.scale)
-        assert np.max(np.abs(plan.e_w_bar[i] - direction)) < 1e-12
         assert np.max(np.abs(plan.e_b[i] - e_b)) < 1e-12
     assert plan.degenerate_layers == ()
-
-
-def test_plan_normalizes_each_layer_to_rho():
-    net = make_net(seed=6, dims=(7, 6, 5, 2), rank=2)
-    batch = make_batch(net, seed=6)
-    rho = 0.37
-    plan = perturbation_from_rho(net, batch, rho)
-    for e in plan.e_w_bar:
-        assert abs(np.linalg.norm(e) - rho) < 1e-10
-
-
-def test_plan_flags_degenerate_layers_at_exact_minimum():
-    """Targets equal to predictions zero the loss gradient, so every
-    layer's reconstructed direction degenerates to zero."""
-    net = make_net(seed=7)
-    rng = make_rng(8)
-    inputs = rng.standard_normal((net.in_dim, 5))
-    preds, _ = forward(net, Batch(inputs=inputs, targets=np.zeros((net.out_dim, 5))))
-    batch = Batch(inputs=inputs, targets=preds)
-    plan = perturbation_from_rho(net, batch, rho=0.5)
-    assert plan.degenerate_layers == tuple(range(len(net.layers)))
-    for e_w, e_b in zip(plan.e_w_bar, plan.e_b):
-        assert np.array_equal(e_w, np.zeros_like(e_w))
-        assert np.array_equal(e_b, np.zeros_like(e_b))
-    assert plan.total_norm() == 0.0
-
-
-def test_plan_handles_zero_b_factor_at_init():
-    """Fresh networks have b = 0; the rank-deficient side must fall back
-    cleanly instead of blowing up."""
-    net = make_net(seed=9, nonzero_b=False)
-    batch = make_batch(net, seed=9)
-    plan = perturbation_from_rho(net, batch, rho=0.1)
-    for e_w, e_b in zip(plan.e_w_bar, plan.e_b):
-        assert np.all(np.isfinite(e_w))
-        assert np.all(np.isfinite(e_b))
-        assert abs(np.linalg.norm(e_w) - 0.1) < 1e-10
-
-
-def _a_with_cholesky_diag_ratio(rng, r, m, ratio):
-    """An r x m factor whose Gram a @ a.T has a Cholesky factor with
-    diagonal geomspace(1, ratio) and random entries below it, so the R of
-    a.T's QR has |diag R| = geomspace(1, ratio) too."""
-    t = np.tril(rng.standard_normal((r, r)), -1) * 0.3
-    t[np.diag_indices(r)] = np.geomspace(1.0, ratio, r)
-    q, _ = np.linalg.qr(rng.standard_normal((m, r)))
-    return t @ q.T
 
 
 def _oracle_plan(net, grads, rho, variant):
@@ -235,6 +186,62 @@ def _oracle_plan(net, grads, rho, variant):
     return e_w_bar, e_b, tuple(degenerate)
 
 
+def test_plan_normalizes_each_layer_to_rho():
+    """Each layer's e_b is the transfer of a direction of norm rho."""
+    net = make_net(seed=6, dims=(7, 6, 5, 2), rank=2)
+    batch = make_batch(net, seed=6)
+    rho = 0.37
+    grads = backward(net, batch)
+    plan = perturbation_from_gradients(net, grads, rho)
+    e_w_bar, e_b, _ = _oracle_plan(net, grads, rho, "standard")
+    for e in e_w_bar:
+        assert abs(np.linalg.norm(e) - rho) < 1e-10
+    for got, want in zip(plan.e_b, e_b):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_plan_flags_degenerate_layers_at_exact_minimum():
+    """Targets equal to predictions zero the loss gradient, so every
+    layer's reconstructed direction degenerates to zero."""
+    net = make_net(seed=7)
+    rng = make_rng(8)
+    inputs = rng.standard_normal((net.in_dim, 5))
+    preds, _ = forward(net, Batch(inputs=inputs, targets=np.zeros((net.out_dim, 5))))
+    batch = Batch(inputs=inputs, targets=preds)
+    grads = backward(net, batch)
+    plan = perturbation_from_gradients(net, grads, rho=0.5)
+    e_w_bar, _, _ = _oracle_plan(net, grads, 0.5, "standard")
+    assert plan.degenerate_layers == tuple(range(len(net.layers)))
+    for e_w, e_b in zip(e_w_bar, plan.e_b):
+        assert np.array_equal(e_w, np.zeros_like(e_w))
+        assert np.array_equal(e_b, np.zeros_like(e_b))
+    assert plan.total_norm() == 0.0
+
+
+def test_plan_handles_zero_b_factor_at_init():
+    """Fresh networks have b = 0; the rank-deficient side must fall back
+    cleanly instead of blowing up."""
+    net = make_net(seed=9, nonzero_b=False)
+    batch = make_batch(net, seed=9)
+    grads = backward(net, batch)
+    plan = perturbation_from_gradients(net, grads, rho=0.1)
+    e_w_bar, _, _ = _oracle_plan(net, grads, 0.1, "standard")
+    for e_w, e_b in zip(e_w_bar, plan.e_b):
+        assert np.all(np.isfinite(e_w))
+        assert np.all(np.isfinite(e_b))
+        assert abs(np.linalg.norm(e_w) - 0.1) < 1e-10
+
+
+def _a_with_cholesky_diag_ratio(rng, r, m, ratio):
+    """An r x m factor whose Gram a @ a.T has a Cholesky factor with
+    diagonal geomspace(1, ratio) and random entries below it, so the R of
+    a.T's QR has |diag R| = geomspace(1, ratio) too."""
+    t = np.tril(rng.standard_normal((r, r)), -1) * 0.3
+    t[np.diag_indices(r)] = np.geomspace(1.0, ratio, r)
+    q, _ = np.linalg.qr(rng.standard_normal((m, r)))
+    return t @ q.T
+
+
 # a's |diag R| ratio as a multiple of _GRAM_GUARD, for the cases that sweep
 # the QR -> SVD switch from a quarter to four times the guard.
 _GUARD_FACTORS = {"a-below-guard": 0.5, "a-above-guard": 2.0}
@@ -247,8 +254,7 @@ _GUARD_FACTORS.update(
     "wide", "full-rank-square", "zero-b", "exact-minimum", *_GUARD_FACTORS,
 ])
 def test_factored_plan_matches_dense_oracle(case, variant, monkeypatch):
-    """The plan's e_b, its lazily built e_w_bar and its degenerate layers
-    agree with the dense SVD reconstruct -> sam_direction -> transfer
+    """The plan's e_b and its degenerate layers agree with the dense SVD reconstruct -> sam_direction -> transfer
     route, on both sides of the QR -> SVD switch for a, which fires
     exactly below the guard."""
     fallbacks = []
@@ -281,11 +287,11 @@ def test_factored_plan_matches_dense_oracle(case, variant, monkeypatch):
     elif _GUARD_FACTORS.get(case, 1.0) < 1.0:
         want_fallbacks = [layer.a.shape for layer in net.layers]
     assert fallbacks == want_fallbacks
-    e_w_bar, e_b, degenerate = _oracle_plan(net, grads, 0.3, variant)
+    _, e_b, degenerate = _oracle_plan(net, grads, 0.3, variant)
     assert plan.degenerate_layers == degenerate
     assert degenerate == (
         tuple(range(len(net.layers))) if case == "exact-minimum" else ())
-    for got, want in zip(plan.e_b + plan.e_w_bar, e_b + e_w_bar):
+    for got, want in zip(plan.e_b, e_b):
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -307,6 +313,24 @@ def test_factored_plan_stays_below_a_dense_layer_in_memory():
         tracemalloc.stop()
     assert plan.degenerate_layers == ()
     assert peak < n * m * 8 / 4
+
+
+def test_plan_keeps_only_its_transfer():
+    """At 256-wide dims, rank 8, batch 64, what a plan still holds once
+    built is its e_b, within 2 KB: neither the gradients nor the
+    pseudo-inverses nor a dense direction.  Keeping the two
+    pseudo-inverses reads 74,904 bytes against e_b's 20,480."""
+    net = make_net(seed=29, dims=(256, 256, 64), rank=8)
+    grads = backward(net, make_batch(net, seed=29, k=64))
+    perturbation_from_gradients(net, grads, 0.1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        plan = perturbation_from_gradients(net, grads, 0.1)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert abs(held - sum(e.nbytes for e in plan.e_b)) <= 2048
 
 
 def test_flat_lora_step_releases_its_plan_before_the_second_pass():
@@ -428,7 +452,7 @@ def test_two_pass_steps_revert_perturbation_before_update():
     assert math.isfinite(stats.loss_original) and math.isfinite(stats.loss_perturbed)
 
     from flatlora.model import apply_b_perturbation
-    plan = perturbation_from_rho(twin, batch, 0.1)
+    plan = perturbation_from_gradients(twin, backward(twin, batch), 0.1)
     handle = apply_b_perturbation(twin, plan.e_b)
     perturbed_grads = backward(twin, batch)
     handle.revert()
@@ -546,6 +570,15 @@ def test_perturb_state_validation():
         init_perturb_state(net, rho0=-0.1, beta=0.9)
 
 
+def _shift_then_eflat_step(net, batch, pstate, cfg, state):
+    """The step's e_t, built its way on the live network just before an
+    eflat_lora_step with the default variant and schedule runs."""
+    rho_t = rho_at(pstate.rho0, pstate.step_index + 1, "inverse-sqrt")
+    e_t = perturbation_from_gradients(net, backward(net, batch), rho_t).e_b
+    eflat_lora_step(net, batch, pstate, cfg, state)
+    return e_t
+
+
 def test_ema_matches_closed_form_sum():
     """After T steps the EMA equals sum_k beta * (1-beta)^(T-k) * e_k with
     e_k the recorded per-step perturbations."""
@@ -557,8 +590,8 @@ def test_ema_matches_closed_form_sum():
     recorded = []
     T = 6
     for s in range(T):
-        eflat_lora_step(net, make_batch(net, seed=s), pstate, cfg, state)
-        recorded.append([e.copy() for e in pstate.last_e_b])
+        recorded.append(_shift_then_eflat_step(net, make_batch(net, seed=s), pstate,
+                                               cfg, state))
     for i in range(len(net.layers)):
         closed = np.zeros_like(pstate.ema_e_b[i])
         for k, e_list in enumerate(recorded, start=1):
@@ -572,8 +605,8 @@ def test_ema_beta_one_keeps_only_latest():
     state = init_sgd_state(net)
     pstate = init_perturb_state(net, rho0=0.15, beta=1.0)
     for s in range(4):
-        eflat_lora_step(net, make_batch(net, seed=s), pstate, cfg, state)
-    for ema, last in zip(pstate.ema_e_b, pstate.last_e_b):
+        last = _shift_then_eflat_step(net, make_batch(net, seed=s), pstate, cfg, state)
+    for ema, last in zip(pstate.ema_e_b, last):
         assert np.max(np.abs(ema - last)) < 1e-15
 
 

@@ -1,5 +1,6 @@
-"""Source hygiene of the package: every name a module imports is used, and
-every name the benchmark's tracer wraps is bound where it looks it up."""
+"""Source hygiene: every name a module of the package, the tests, the
+scripts or the demos imports is used, and every name the benchmark's
+tracer wraps is bound where it looks it up."""
 
 import ast
 import importlib.util
@@ -10,7 +11,8 @@ import pytest
 import flatlora
 
 PACKAGE_DIR = pathlib.Path(flatlora.__file__).parent
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+REPO_DIR = pathlib.Path(__file__).resolve().parents[1]
+TRACER = REPO_DIR / "perfbench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,6 +48,15 @@ def test_unused_import_scan_flags_only_unused_names():
 )
 def test_package_modules_import_nothing_unused(path):
     """__init__.py is exempt: its imports are the package's re-exports."""
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for d in ("tests", "scripts", "demos") for p in (REPO_DIR / d).glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_tests_scripts_and_demos_import_nothing_unused(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
