@@ -17,6 +17,17 @@ anywhere:
 
     python3 scripts/bench_record.py --seeds 1,2,3 --seconds 30
     python3 scripts/bench_record.py --checkout ../parent --seeds 1,2,3 --seconds 30
+
+`--compare PARENT CHANGE` runs nothing: it reads the recorded runs of two
+commits, pairs them by seed, and prints for each workload and each
+end-to-end metric of BENCHMARK.json the two medians, the parent's
+quartile spread (upper minus lower quartile) and how many pairs the
+change won (strictly better, by the metric's `better`).  perfbench
+divides every time by the machine slowdown it measured in that run; a
+time metric gets a second row with the undivided value, value x slowdown,
+since the division alone can tilt a comparison:
+
+    python3 scripts/bench_record.py --compare 2b7ec40 8241fa9
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ import argparse
 import json
 import math
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -34,10 +46,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SLOWDOWN = re.compile(r"= ([0-9.]+) x the reference")
 MALLOC = re.compile(r"malloc=(\S+)")
 
+# Units of the end-to-end metrics perfbench divides by the machine slowdown.
+TIME_UNITS = ("s", "ms")
+
+
+def benchmark_spec() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
 
 def workload_names() -> list[str]:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return [w["name"] for w in spec["workloads"]]
+    return [w["name"] for w in benchmark_spec()["workloads"]]
 
 
 def bench_path(workload: str) -> Path:
@@ -98,25 +116,94 @@ def append(rec: dict) -> None:
     path.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
 
 
+def matched_pairs(records: list[dict], parent: str, change: str) -> list[tuple[dict, dict]]:
+    """(parent record, change record) at each seed both commits ran, in
+    seed order.  Two records of one commit at one seed are an error."""
+    runs: dict[str, dict[int, dict]] = {parent: {}, change: {}}
+    for rec in records:
+        by_seed = runs.get(rec["commit"])
+        if by_seed is None:
+            continue
+        if rec["seed"] in by_seed:
+            raise ValueError(f"{rec['commit']} has two records at seed {rec['seed']}")
+        by_seed[rec["seed"]] = rec
+    seeds = sorted(runs[parent].keys() & runs[change].keys())
+    return [(runs[parent][s], runs[change][s]) for s in seeds]
+
+
+def quartile_spread(values: list[float]) -> float:
+    """Upper minus lower quartile, linearly interpolated between order
+    statistics (numpy's default); 0 for fewer than two values."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def _values(records: list[dict], name: str, undivided: bool) -> list[float]:
+    return [r["metrics"][name] * (r["slowdown"] if undivided else 1.0) for r in records]
+
+
+def compare_rows(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[tuple]:
+    """(label, parent median, change median, parent quartile spread, pairs
+    won) per end-to-end metric, plus an undivided row for a time metric."""
+    rows = []
+    for metric in metrics:
+        name = metric["name"]
+        for undivided in (False, True) if metric["unit"] in TIME_UNITS else (False,):
+            before = _values([p for p, _ in pairs], name, undivided)
+            after = _values([c for _, c in pairs], name, undivided)
+            if metric["better"] == "lower":
+                won = sum(a < b for b, a in zip(before, after))
+            else:
+                won = sum(a > b for b, a in zip(before, after))
+            label = f"{name} x slowdown" if undivided else name
+            rows.append((label, statistics.median(before), statistics.median(after),
+                         quartile_spread(before), won))
+    return rows
+
+
+def print_comparison(workload: str, parent: str, change: str,
+                     pairs: list[tuple[dict, dict]], metrics: list[dict]) -> None:
+    seeds = ",".join(str(p["seed"]) for p, _ in pairs)
+    print(f"{workload}: {parent} -> {change}, {len(pairs)} pairs at seeds {seeds}")
+    print(f"  {'metric':<28}{'parent':>13}{'change':>13}{'change %':>10}"
+          f"{'parent IQR':>13}{'won':>8}")
+    for label, before, after, spread, won in compare_rows(pairs, metrics):
+        pct = f"{100.0 * (after / before - 1.0):+.2f}" if before else "-"
+        print(f"  {label:<28}{_number(before):>13}{_number(after):>13}{pct:>10}"
+              f"{_number(spread):>13}{f'{won}/{len(pairs)}':>8}")
+
+
+def _number(value: float) -> str:
+    """Whole numbers (byte counts) in full, others to 6 significant digits."""
+    return f"{value:.0f}" if float(value).is_integer() else f"{value:.6g}"
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--checkout", type=Path, default=ROOT,
                    help="checkout whose perfbench/ and src/ run (default: this one)")
     p.add_argument("--workloads", default=",".join(workload_names()),
                    help="comma-separated workload names (default: all)")
-    p.add_argument("--seeds", required=True, help="comma-separated seeds, e.g. 1,2,3")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--seeds", help="comma-separated seeds to run, e.g. 1,2,3")
+    mode.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
+                      help="compare the recorded runs of two commits; runs nothing")
     p.add_argument("--seconds", type=float, default=30.0)
     args = p.parse_args(argv)
+    workloads = args.workloads.split(",")
+    unknown = sorted(set(workloads) - set(workload_names()))
+    if unknown:
+        p.error(f"unknown workloads {unknown}; choose from {workload_names()}")
+    if args.compare:
+        return compare(p, workloads, *args.compare)
     if not (args.seconds > 0 and math.isfinite(args.seconds)):
         p.error(f"--seconds must be positive and finite, got {args.seconds!r}")
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
         p.error(f"--seeds needs comma-separated integers, got {args.seeds!r}")
-    workloads = args.workloads.split(",")
-    unknown = sorted(set(workloads) - set(workload_names()))
-    if unknown:
-        p.error(f"unknown workloads {unknown}; choose from {workload_names()}")
     checkout = args.checkout.resolve()
     try:
         commit = describe(checkout)
@@ -137,6 +224,26 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{rec['commit']} {workload} seed {seed}: slowdown "
                   f"{rec['slowdown']:.4f} malloc={rec['malloc']}")
     return status
+
+
+def compare(p: argparse.ArgumentParser, workloads: list[str], parent: str,
+            change: str) -> int:
+    if parent == change:
+        p.error(f"--compare needs two different commits, got {parent} twice")
+    metrics = benchmark_spec()["end_to_end"]
+    matched = {}
+    for workload in workloads:
+        path = bench_path(workload)
+        records = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+        try:
+            matched[workload] = matched_pairs(records, parent, change)
+        except ValueError as exc:
+            p.error(f"{workload}: {exc}")
+        if not matched[workload]:
+            p.error(f"{workload}: no seed has records of both {parent} and {change}")
+    for workload, pairs in matched.items():
+        print_comparison(workload, parent, change, pairs, metrics)
+    return 0
 
 
 if __name__ == "__main__":

@@ -19,12 +19,14 @@ import numpy as np
 from . import diagnostics
 from .harness import (CSV_HEADER, ExperimentConfig, _build_student, generate_task, make_step,
                       run_experiment, run_paths)
-from .linalg import Rng, col_space_projector, make_rng, pseudo_inverse, row_space_projector
+from .linalg import (DEFAULT_TOL, Rng, col_space_projector, make_rng, pseudo_inverse,
+                     row_space_projector)
 from .model import (Batch, LoRALinear, Network, apply_b_perturbation, backward, build_network,
                     clone_network, forward)
-from .optimizers import (BaseUpdateConfig, base_update, full_to_lowrank_perturbation,
-                         gram_pseudo_inverse, init_sgd_state, perturbation_from_gradients,
-                         reconstruct_full_gradient, rho_at, sam_direction)
+from .optimizers import (BaseUpdateConfig, _pinv_factors, base_update,
+                         full_to_lowrank_perturbation, init_sgd_state,
+                         perturbation_from_gradients, reconstruct_full_gradient, rho_at,
+                         sam_direction)
 
 
 def _worst_abs(*diffs: np.ndarray) -> float:
@@ -307,7 +309,8 @@ def verify() -> VerifyReport:
     penrose, projector, core_match = algebraic_core(rng, 30)
     add("pseudo_inverse_moore_penrose", penrose, 1e-9)
 
-    # The Gram route agrees with the SVD route everywhere.
+    # The QR route the steps run agrees with the SVD route everywhere; it
+    # takes a wide factor, so a tall matrix goes in as its transpose.
     worst = 0.0
     for trial in range(30):
         rows = int(rng.integers(1, 9))
@@ -317,8 +320,11 @@ def verify() -> VerifyReport:
             m[0, :] = 0.0
         if trial == 0:
             m = np.zeros((rows, cols))
-        worst = max(worst, _worst_abs(gram_pseudo_inverse(m) - pseudo_inverse(m)))
-    add("gram_pseudo_inverse_agreement", worst, 1e-9)
+        tall = rows > cols
+        q, t, _ = _pinv_factors(m.T if tall else m, DEFAULT_TOL)
+        p = q @ t
+        worst = max(worst, _worst_abs((p.T if tall else p) - pseudo_inverse(m)))
+    add("pinv_factors_agreement", worst, 1e-9)
     add("row_projector_properties", projector, 1e-10)
 
     fd_rel, chain = gradient_fidelity(rng, 3)

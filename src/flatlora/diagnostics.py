@@ -3,7 +3,7 @@ its theoretical ceiling, balancedness dynamics under perturbed gradient
 flow, and the projected loss-match identity check.
 
 Nothing in here changes training behaviour; every function restores any
-parameter perturbation it applies before returning.
+parameter perturbation it applies, by holding its handle in a with block.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .model import (
     Batch,
     Network,
     apply_b_perturbation,
+    apply_perturbation,
     backward,
-    clone_network,
     forward,
     forward_with_offsets,
 )
@@ -111,9 +111,8 @@ def sharpness_ema(net: Network, batch: Batch, pstate: PerturbState) -> float:
         pstate.apply(net)
     else:
         _, loss_plain = forward(net, batch)
-        handle = apply_b_perturbation(net, pstate.ema_e_b)
-        _, loss_perturbed = forward(net, batch)
-        handle.revert()
+        with apply_b_perturbation(net, pstate.ema_e_b):
+            _, loss_perturbed = forward(net, batch)
     return loss_perturbed - loss_plain
 
 
@@ -154,10 +153,11 @@ def estimate_assumption_constants(
     """Estimate the constants the gap bound needs, at the current point.
 
     tau_hat: largest gradient-difference-over-distance slope between the
-    current parameters and nearby randomly perturbed copies, measured in
-    merged-weight space on the pooled data.  grad_bound_hat: largest
-    minibatch gradient norm.  noise_var_hat: mean squared deviation of
-    minibatch gradients from the pooled gradient.
+    current parameters and random shifts of both factors (applied to net
+    and reverted, one at a time), measured in merged-weight space on the
+    pooled data.  grad_bound_hat: largest minibatch gradient norm.
+    noise_var_hat: mean squared deviation of minibatch gradients from the
+    pooled gradient.
 
     These are optimistic (finitely sampled) stand-ins, good enough to give
     the bound a concrete value at desk scale.
@@ -184,12 +184,14 @@ def estimate_assumption_constants(
     w_base = _flat_merged_weights(net)
     tau = 0.0
     for _ in range(n_probes):
-        probe = clone_network(net)
-        for layer in probe.layers:
-            layer.b = layer.b + probe_scale * rng.standard_normal(layer.b.shape)
-            layer.a = layer.a + probe_scale * rng.standard_normal(layer.a.shape)
-        g_probe = _flat_merged_gradient(probe, pooled)
-        w_probe = _flat_merged_weights(probe)
+        e_b: list[Matrix] = []
+        e_a: list[Matrix] = []
+        for layer in net.layers:
+            e_b.append(probe_scale * rng.standard_normal(layer.b.shape))
+            e_a.append(probe_scale * rng.standard_normal(layer.a.shape))
+        with apply_perturbation(net, e_b=e_b, e_a=e_a):
+            g_probe = _flat_merged_gradient(net, pooled)
+            w_probe = _flat_merged_weights(net)
         dist = float(np.linalg.norm(w_probe - w_base))
         if dist <= ZERO_GRAD_EPS:
             continue
@@ -208,28 +210,22 @@ def neighborhood_max_oracle(
 ) -> float:
     """Brute-force estimate of the worst loss increase at radius rho.
 
-    Evaluates the loss under the normalised ascent direction plus
-    n_samples random dense directions of norm rho per layer, and returns
-    the largest increase seen.  By construction it is at least the
-    single-direction sharpness probe.
+    Starts from sam_probe's increase along the normalised ascent
+    direction, then evaluates n_samples random dense directions, each
+    Gaussian draw scaled to norm rho per layer by sam_direction, and
+    returns the largest increase seen.  By construction it is at least
+    the single-direction sharpness probe.
     """
     rng = make_rng(seed)
-    grads = backward(net, batch, want_full=True)
-    loss0 = grads.loss
-    sam_offsets: list[Matrix | None] = []
-    for gw in grads.grad_w:
-        direction, degenerate = sam_direction(gw, rho)
-        sam_offsets.append(None if degenerate else direction)
-    _, best = forward_with_offsets(net, batch, sam_offsets)
+    loss0, best = sam_probe(net, batch, rho)
     for _ in range(n_samples):
-        offsets = []
+        offsets: list[Matrix | None] = []
         for layer in net.layers:
-            u = rng.standard_normal(layer.w0.shape)
-            norm = float(np.linalg.norm(u))
-            offsets.append((rho / norm) * u if norm > ZERO_GRAD_EPS else None)
+            direction, degenerate = sam_direction(rng.standard_normal(layer.w0.shape), rho)
+            offsets.append(None if degenerate else direction)
         _, loss_p = forward_with_offsets(net, batch, offsets)
-        best = max(best, loss_p)
-    return best - loss0
+        best = max(best, loss_p - loss0)
+    return best
 
 
 def balancedness(x: np.ndarray, y: np.ndarray) -> float:
@@ -341,9 +337,8 @@ def loss_match_residual(
         raise IndexError(f"layer_index {layer_index} out of range for {n_layers} layers")
     shifts: list[Matrix | None] = [None] * n_layers
     shifts[layer_index] = e_b
-    handle = apply_b_perturbation(net, shifts)
-    _, loss_lowrank = forward(net, batch)
-    handle.revert()
+    with apply_b_perturbation(net, shifts):
+        _, loss_lowrank = forward(net, batch)
 
     projector = row_space_projector(net.layers[layer_index].a, tol)
     projected = e_w_bar @ projector

@@ -7,19 +7,19 @@ factors, normalise it to a radius rho, and transfer it back onto the b
 factor so the merged weight moves along the full-space direction restricted
 to the row space of a.  The variants differ only in when gradients are
 evaluated and whether the perturbation persists across steps.  The steps
-take the pseudo-inverses from one Householder QR per factor and never
-form the dense reconstructed gradient; reconstruct_full_gradient and
+take the pseudo-inverses from one Householder QR per factor; only the
+signed variant forms the dense reconstructed gradient, and sam_direction
+normalises every dense direction.  reconstruct_full_gradient and
 full_to_lowrank_perturbation are the dense SVD reference route.
 
 All steps mutate the network's adapter factors in place and leave w0
 untouched.  Each returns StepStats so callers can account for gradient
-evaluations and wall time without instrumenting the internals.
+evaluations without instrumenting the internals; callers time the call.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,7 +89,7 @@ def init_sgd_state(net: Network) -> SgdState:
 
 @dataclass
 class StepStats:
-    """What one optimizer step cost and saw.
+    """What one optimizer step cost in gradient evaluations and saw.
 
     loss_original is the loss at the unperturbed parameters when the step
     evaluated it, NaN otherwise; loss_perturbed likewise for the perturbed
@@ -101,7 +101,6 @@ class StepStats:
     loss_original: float
     loss_perturbed: float
     perturb_norm: float
-    wall_time_ms: float
 
 
 def rho_at(rho0: float, t: int, schedule: str = "constant") -> float:
@@ -231,16 +230,6 @@ def gram_pseudo_inverse(m: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
     return pinv_t if tall else pinv_t.T
 
 
-def _orthonormal_basis(m: Matrix) -> Matrix:
-    """k x r matrix q with orthonormal columns and q @ q.T @ m == m, for a
-    tall k x r m, from Householder reflections: no Gram matrix is formed,
-    so the condition number of m is not squared.  Calls LAPACK directly;
-    numpy.linalg.qr costs several times more at these sizes.
-    """
-    reflectors, tau, _, _ = dgeqrf(m)
-    return dorgqr(reflectors, tau, overwrite_a=1)[0]
-
-
 def _pinv_factors(m: Matrix, tol: float) -> tuple[Matrix, Matrix, Matrix]:
     """(q, t, m^+) with m^+ == q @ t for a wide r x k factor m: q is k x r
     with orthonormal columns, t is r x r.
@@ -251,20 +240,23 @@ def _pinv_factors(m: Matrix, tol: float) -> tuple[Matrix, Matrix, Matrix]:
     Cholesky diagonal of m m^T, so the switch is gram_pseudo_inverse's:
     when its smallest entry is at or below _GRAM_GUARD times its largest
     (a zero b at init, a nearly rank-deficient a), the SVD pseudo-inverse
-    m^+ takes over, with q an orthonormal basis of its columns and
-    t = q^T m^+.  A non-finite factor stays on the QR route, so its NaNs
-    reach the step's loss, which the experiment loop checks.
+    m^+ takes over and is returned as is, with q from the same QR of m^+
+    and t = q^T m^+.  A non-finite factor stays on the QR route, so its
+    NaNs reach the step's loss, which the experiment loop checks.
     """
     r = m.shape[0]
     reflectors, tau, _, _ = dgeqrf(m.T)
     diag = np.abs(reflectors.diagonal()).tolist()
+    pinv = None
     if min(diag) <= _GRAM_GUARD * max(diag) and math.isfinite(sum(diag)):
         pinv = pseudo_inverse(m, tol)
-        q = _orthonormal_basis(pinv)
-        return q, q.T @ pinv, pinv
-    t = dtrtrs(reflectors[:r], np.eye(r), trans=1)[0]
+        reflectors, tau, _, _ = dgeqrf(pinv)
+    else:
+        t = dtrtrs(reflectors[:r], np.eye(r), trans=1)[0]
     q = dorgqr(reflectors, tau, overwrite_a=1)[0]
-    return q, t, q @ t
+    if pinv is None:
+        return q, t, q @ t
+    return q, q.T @ pinv, pinv
 
 
 def perturbation_from_gradients(
@@ -300,12 +292,13 @@ def perturbation_from_gradients(
 
     from n x r, r x m and r x r arrays only, so a layer's plan takes
     O((n + m) * rank) memory.  The signed variant needs |g_bar| entry by
-    entry and builds it densely.  The returned plan holds e_b and
-    nothing else per layer: the pseudo-inverses, the dense direction and
-    the gradients are not kept.
+    entry, so it builds g_bar and hands it to sam_direction.  The plan
+    holds e_b and nothing else per layer: the pseudo-inverses, the dense
+    direction and the gradients are not kept.
     """
     if variant not in DIRECTION_VARIANTS:
         raise ValueError(f"unknown direction variant {variant!r}")
+    _check_tol(tol)
     e_b: list[Matrix] = []
     degenerate: list[int] = []
     for i, layer in enumerate(net.layers):
@@ -316,7 +309,7 @@ def perturbation_from_gradients(
         gb, ga = grads.grad_b[i], grads.grad_a[i]
         if variant == "signed":
             g_bar = half_inv_scale * (gb @ a_pinv.T + b_pinv_t @ ga)
-            norm = float(np.linalg.norm(g_bar))
+            direction, flat = sam_direction(g_bar, rho, variant)
         else:
             z2 = t2 @ ga
             w = z2 @ q1
@@ -329,12 +322,11 @@ def perturbation_from_gradients(
             del q2
             sq += float(np.vdot(u, u))
             norm = half_inv_scale * math.sqrt(max(sq, 0.0))
-        if norm <= ZERO_GRAD_EPS:
+            flat = norm <= ZERO_GRAD_EPS
+        if flat:
             degenerate.append(i)
             e_b.append(np.zeros_like(layer.b))
-            continue
-        if variant == "signed":
-            direction = (rho / norm) * np.abs(g_bar)
+        elif variant == "signed":
             e_b.append((1.0 / layer.scale) * (direction @ a_pinv))
         else:
             c = rho * half_inv_scale / norm
@@ -378,7 +370,6 @@ def lora_step(
     net: Network, batch: Batch, cfg: BaseUpdateConfig, state: SgdState
 ) -> StepStats:
     """One plain training step: gradient at the current point, update."""
-    t0 = time.perf_counter()
     grads = backward(net, batch)
     base_update(net, grads, cfg, state)
     return StepStats(
@@ -386,7 +377,6 @@ def lora_step(
         loss_original=grads.loss,
         loss_perturbed=math.nan,
         perturb_norm=0.0,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
@@ -406,23 +396,21 @@ def lora_sam_step(
     full-space ascent direction; this step exists as the baseline the
     transfer-based steps improve on.  Only the first-pass loss outlives
     the shift: the first-pass gradients and the directions are released
-    before the second backward.
+    before the second backward.  The factors are reverted even if that
+    backward raises.
     """
-    t0 = time.perf_counter()
     grads0 = backward(net, batch)
     loss0 = grads0.loss
     e_b, e_a, norm = _sam_perturbation(grads0, rho, variant)
-    handle = apply_perturbation(net, e_b=e_b, e_a=e_a)
-    del grads0, e_b, e_a
-    grads1 = backward(net, batch)
-    handle.revert()
+    with apply_perturbation(net, e_b=e_b, e_a=e_a):
+        del grads0, e_b, e_a
+        grads1 = backward(net, batch)
     base_update(net, grads1, cfg, state)
     return StepStats(
         grad_evals=2,
         loss_original=loss0,
         loss_perturbed=grads1.loss,
         perturb_norm=norm,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
@@ -457,24 +445,22 @@ def flat_lora_step(
     ascent direction, shift b so the merged weight moves along it, take
     the gradient there, revert, update with the perturbed-point gradient.
     The first-pass gradients and the plan (its e_b) are released once b
-    is shifted; only their loss and norm outlive them.
+    is shifted; only their loss and norm outlive them.  b is reverted
+    even if the second backward raises.
     """
-    t0 = time.perf_counter()
     grads0 = backward(net, batch)
     plan = perturbation_from_gradients(net, grads0, rho, variant, tol)
     loss0 = grads0.loss
     norm = plan.total_norm()
-    handle = apply_b_perturbation(net, plan.e_b)
-    del grads0, plan
-    grads1 = backward(net, batch)
-    handle.revert()
+    with apply_b_perturbation(net, plan.e_b):
+        del grads0, plan
+        grads1 = backward(net, batch)
     base_update(net, grads1, cfg, state)
     return StepStats(
         grad_evals=2,
         loss_original=loss0,
         loss_perturbed=grads1.loss,
         perturb_norm=norm,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
@@ -560,7 +546,6 @@ def eflat_lora_step(
             f"EMA state inconsistent: step_index={pstate.step_index} but "
             f"applied={pstate.applied}"
         )
-    t0 = time.perf_counter()
     t = pstate.step_index + 1
     was_applied = pstate.applied
     grads = backward(net, batch)
@@ -581,7 +566,6 @@ def eflat_lora_step(
         loss_original=loss if not was_applied else math.nan,
         loss_perturbed=loss if was_applied else math.nan,
         perturb_norm=plan.total_norm(),
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 

@@ -93,3 +93,63 @@ def test_recorder_rejects_a_checkout_git_cannot_describe(where, tmp_path,
         recorder.main(["--seeds", "1", "--checkout", str(checkout)])
     assert exc.value.code == 2
     assert f"error: cannot describe --checkout {checkout}" in capsys.readouterr().err
+
+
+def synthetic(commit, seed, step_ms, slowdown, peak=1000):
+    """A record of every gated metric: lora.step_ms and run_s read step_ms,
+    every other metric 1.0 (times) or peak (bytes)."""
+    metrics = {}
+    for m in SPEC["end_to_end"]:
+        if m["name"] in ("lora.step_ms", "run_s"):
+            metrics[m["name"]] = step_ms
+        else:
+            metrics[m["name"]] = peak if m["unit"] == "bytes" else 1.0
+    return {"commit": commit, "workload": "eval-run", "seed": seed, "seconds": 2.0,
+            "trace": 0, "slowdown": slowdown, "malloc": "fixed", "metrics": metrics}
+
+
+def test_compare_pairs_by_seed_and_reports_both_time_readings():
+    """Medians, the parent's quartile spread and pairs won, matched by
+    seed; the divided and undivided readings of a time can disagree."""
+    recorder = load_recorder()
+    records = [
+        synthetic("p", 1, 1.0, 1.0), synthetic("p", 2, 2.0, 1.0),
+        synthetic("p", 3, 3.0, 1.0), synthetic("p", 4, 4.0, 1.0),
+        synthetic("p", 9, 0.1, 1.0),  # no change run at seed 9
+        # The change's times read lower only because its slowdown is higher.
+        synthetic("c", 1, 0.9, 1.2), synthetic("c", 2, 1.8, 1.2),
+        synthetic("c", 3, 3.5, 1.2), synthetic("c", 4, 3.6, 1.2, peak=999),
+        synthetic("other", 1, 5.0, 1.0),
+    ]
+    pairs = recorder.matched_pairs(records, "p", "c")
+    assert [(p["seed"], c["seed"]) for p, c in pairs] == [(1, 1), (2, 2), (3, 3), (4, 4)]
+    rows = {row[0]: row[1:] for row in recorder.compare_rows(pairs, SPEC["end_to_end"])}
+    times = {m["name"] for m in SPEC["end_to_end"] if m["unit"] in ("s", "ms")}
+    assert set(rows) == END_TO_END | {f"{n} x slowdown" for n in times}
+    # Parent 1, 2, 3, 4: median 2.5, quartiles 1.75 and 3.25.
+    assert rows["lora.step_ms"] == pytest.approx((2.5, 2.65, 1.5, 3))
+    # Undivided, the change reads 1.08, 2.16, 4.2, 4.32: it wins no pair.
+    assert rows["lora.step_ms x slowdown"] == pytest.approx((2.5, 3.18, 1.5, 0))
+    assert rows["run_s"][3] == 3
+    assert rows["lora.peak_bytes"] == (1000, 1000, 0.0, 1)
+
+
+def test_compare_prints_every_workload_and_rejects_unmatched_commits(
+        tmp_path, monkeypatch, capsys):
+    recorder = load_recorder()
+    path = tmp_path / "BENCH_eval-run.json"
+    path.write_text(json.dumps([synthetic("p", 1, 1.0, 1.0), synthetic("c", 1, 0.5, 1.0),
+                                synthetic("c", 1, 0.6, 1.0)]))
+    monkeypatch.setattr(recorder, "bench_path", lambda workload: path)
+    for commits, message in ((["p", "q"], "no seed has records of both p and q"),
+                             (["p", "c"], "c has two records at seed 1"),
+                             (["p", "p"], "two different commits")):
+        with pytest.raises(SystemExit) as exc:
+            recorder.main(["--compare", *commits, "--workloads", "eval-run"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    path.write_text(json.dumps([synthetic("p", 1, 1.0, 1.0), synthetic("c", 1, 0.5, 1.0)]))
+    assert recorder.main(["--compare", "p", "c", "--workloads", "eval-run"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("eval-run: p -> c, 1 pairs at seeds 1\n")
+    assert "lora.step_ms x slowdown" in out and "1/1" in out

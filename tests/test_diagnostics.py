@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from flatlora.linalg import NumericalError, make_rng
+from flatlora.linalg import NumericalError, ShapeError, make_rng
 from flatlora.model import (
     Batch,
     LoRALinear,
@@ -315,9 +315,16 @@ def test_loss_match_restores_network_and_validates_index():
     batch = generic_batch(net, seed=16)
     plan, e_w_bar = plan_and_directions(net, batch, rho=0.1)
     before = [l.b.copy() for l in net.layers]
+    originals = [l.b for l in net.layers]
     loss_match_residual(net, batch, 0, e_w_bar[0], plan.e_b[0])
     for layer, saved in zip(net.layers, before):
         assert np.array_equal(layer.b, saved)
+    wrong_dim = Batch(inputs=batch.inputs,
+                      targets=np.zeros((net.out_dim + 1, batch.inputs.shape[1])))
+    with pytest.raises(ShapeError):
+        loss_match_residual(net, wrong_dim, 0, e_w_bar[0], plan.e_b[0])
+    for layer, original in zip(net.layers, originals):
+        assert layer.b is original
     with pytest.raises(IndexError):
         loss_match_residual(net, batch, len(net.layers), e_w_bar[0],
                             plan.e_b[0])

@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from flatlora import diagnostics, harness, model
+from flatlora import checks, diagnostics, harness, model, optimizers
 from flatlora.checks import verify
 from flatlora.cli import main
 from flatlora.harness import (
@@ -477,6 +477,13 @@ def test_verify_all_checks_pass():
     assert len(names) == len(set(names))
 
 
+def _pinv_factors_untransposed(m, tol, pinv_factors=optimizers._pinv_factors):
+    """_pinv_factors with t = R^-1 in place of R^-T: the triangular solve
+    without its transpose."""
+    q, t, pinv = pinv_factors(m, tol)
+    return q, t.T, pinv
+
+
 @pytest.mark.parametrize(
     "owner, name, fault, check",
     [
@@ -485,12 +492,14 @@ def test_verify_all_checks_pass():
          "gradient_finite_difference"),
         (harness, "rho_at", lambda rho0, t, schedule, rho_at=harness.rho_at:
          2.0 * rho_at(rho0, t, schedule), "step_composition_equivalence"),
+        (checks, "_pinv_factors", _pinv_factors_untransposed, "pinv_factors_agreement"),
     ],
-    ids=["revert-noop", "activation-grad-ones", "rho-doubled"],
+    ids=["revert-noop", "activation-grad-ones", "rho-doubled", "pinv-untransposed"],
 )
 def test_verify_catches_skipped_revert(monkeypatch, owner, name, fault, check):
     """A planted fault (a revert that silently does nothing, a wrong
-    activation derivative, a doubled radius) turns the named check of the
+    activation derivative, a doubled radius, an untransposed triangular
+    solve in the QR pseudo-inverse) turns the named check of the
     self-check suite red."""
     monkeypatch.setattr(owner, name, fault)
     report = verify()

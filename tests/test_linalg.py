@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from flatlora.linalg import (
+    DEFAULT_TOL,
     NumericalError,
     ShapeError,
     col_space_projector,
@@ -16,7 +17,7 @@ from flatlora.linalg import (
     svd,
     vectorize,
 )
-from flatlora.optimizers import gram_pseudo_inverse
+from flatlora.optimizers import _pinv_factors, gram_pseudo_inverse
 
 MP_TOL = 1e-9
 PROJ_TOL = 1e-10
@@ -125,23 +126,38 @@ def test_pseudo_inverse_involution():
         assert np.max(np.abs(pseudo_inverse(pseudo_inverse(m)) - m)) < 1e-9
 
 
-def test_gram_pseudo_inverse_agrees_with_svd_route():
+def qr_pseudo_inverse(m, tol=DEFAULT_TOL):
+    """m^+ as q @ t from the steps' QR route, which takes a wide factor: a
+    tall m goes in as its transpose."""
+    tall = m.shape[0] > m.shape[1]
+    q, t, _ = _pinv_factors(m.T if tall else m, tol)
+    p = q @ t
+    return p.T if tall else p
+
+
+PINV_ROUTES = pytest.mark.parametrize(
+    "route", [gram_pseudo_inverse, qr_pseudo_inverse], ids=["gram", "qr"])
+
+
+@PINV_ROUTES
+def test_gram_pseudo_inverse_agrees_with_svd_route(route):
     rng = make_rng(6)
     worst = 0.0
     for m in random_cases(rng, 60):
-        worst = max(worst, np.max(np.abs(gram_pseudo_inverse(m) - pseudo_inverse(m))))
+        worst = max(worst, np.max(np.abs(route(m) - pseudo_inverse(m))))
     assert worst < MP_TOL
 
 
-def test_gram_pseudo_inverse_fallback_paths():
-    # Exact zero (Cholesky fails outright).
+@PINV_ROUTES
+def test_gram_pseudo_inverse_fallback_paths(route):
+    # Exact zero (Cholesky fails outright; QR's |diag R| is all zero).
     z = np.zeros((4, 2))
-    assert np.array_equal(gram_pseudo_inverse(z), np.zeros((2, 4)))
+    assert np.array_equal(route(z), np.zeros((2, 4)))
     # Nearly dependent rows (factorisation succeeds but is not trusted).
     rng = make_rng(7)
     base = rng.standard_normal(6)
     m = np.stack([base, base + 1e-13 * rng.standard_normal(6)])
-    p = gram_pseudo_inverse(m)
+    p = route(m)
     assert np.max(np.abs(m @ p @ m - m)) < 1e-6  # rank-1 treatment, not a blow-up
     assert np.max(np.abs(p)) < 1e3
 

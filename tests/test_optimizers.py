@@ -218,6 +218,17 @@ def test_plan_flags_degenerate_layers_at_exact_minimum():
     assert plan.total_norm() == 0.0
 
 
+def test_plan_rejects_a_bad_variant_or_tol():
+    """tol is checked up front, also when no factor falls back to SVD."""
+    net = make_net(seed=10)
+    grads = backward(net, make_batch(net, seed=10))
+    with pytest.raises(ValueError):
+        perturbation_from_gradients(net, grads, 0.1, variant="sideways")
+    for bad in (5.0, -1.0, 0.0):
+        with pytest.raises(ValueError):
+            perturbation_from_gradients(net, grads, 0.1, tol=bad)
+
+
 def test_plan_handles_zero_b_factor_at_init():
     """Fresh networks have b = 0; the rank-deficient side must fall back
     cleanly instead of blowing up."""
@@ -463,6 +474,30 @@ def test_two_pass_steps_revert_perturbation_before_update():
     for got, want in zip(net.layers, twin.layers):
         assert np.max(np.abs(got.b - want.b)) == 0.0
         assert np.max(np.abs(got.a - want.a)) == 0.0
+
+
+@pytest.mark.parametrize("step", [lora_sam_step, flat_lora_step],
+                         ids=["lora-sam", "flat-lora"])
+def test_two_pass_steps_revert_when_the_perturbed_pass_raises(step, monkeypatch):
+    """A second backward that raises leaves every factor the very object it
+    was before the step: the shift is reverted on the way out."""
+    net = make_net(seed=31)
+    batch = make_batch(net, seed=31)
+    originals = [(layer.b, layer.a) for layer in net.layers]
+    calls = []
+
+    def second_call_raises(net_, batch_, backward=optimizers.backward):
+        calls.append(None)
+        if len(calls) == 2:
+            raise FloatingPointError("overflow in the perturbed pass")
+        return backward(net_, batch_)
+
+    monkeypatch.setattr(optimizers, "backward", second_call_raises)
+    with pytest.raises(FloatingPointError):
+        step(net, batch, 0.1, BaseUpdateConfig(learning_rate=0.05), init_sgd_state(net))
+    assert len(calls) == 2
+    for layer, (b, a) in zip(net.layers, originals):
+        assert layer.b is b and layer.a is a
 
 
 def test_zero_rho_two_pass_steps_match_plain_lora():
