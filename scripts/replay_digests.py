@@ -1,0 +1,88 @@
+"""Print the sha256 of the CSV and summary JSON of the 12 replay runs.
+
+Each of the four optimizer kinds runs at three configs: the default, the
+signed direction variant, and a wide network ([256,256,64], rank 8,
+batch 64), all at seed 0 for 2000 steps.  Every run is `flatlora run` in
+its own child process with OPENBLAS_NUM_THREADS=1, since a wide lora-sam
+run's bytes depend on the BLAS thread count.  The output is one line per
+file, 24 in all:
+
+    <sha256>  <kind>.<config>.csv
+    <sha256>  <kind>.<config>.summary.json
+
+Run it on two checkouts and diff the outputs to check that a change keeps
+every run byte-identical:
+
+    python3 scripts/replay_digests.py > change.txt
+    python3 scripts/replay_digests.py --checkout ../parent > parent.txt
+    diff parent.txt change.txt
+
+Two children run at a time; the lines keep their order.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+KINDS = ("lora", "lora-sam", "flat-lora", "eflat-lora")
+CONFIGS = {
+    "default": {},
+    "signed": {"direction_variant": "signed"},
+    "wide": {"layer_dims": "256,256,64", "rank": 8, "batch_size": 64},
+}
+SEED = 0
+STEPS = 2000
+JOBS = 2
+
+
+def config_text(kind: str, overrides: dict) -> str:
+    values = {"optimizer": kind, "seed": SEED, "steps": STEPS, **overrides}
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+def run_digests(checkout: Path, kind: str, config: str) -> list[tuple[str, str]]:
+    """(sha256, name) of the CSV and summary JSON of one run."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(checkout / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "run.cfg"
+        cfg_path.write_text(config_text(kind, CONFIGS[config]), encoding="utf-8")
+        out = Path(tmp) / "out"
+        subprocess.run(
+            [sys.executable, "-m", "flatlora.cli", "run",
+             "--config", str(cfg_path), "--out", str(out)],
+            env=env, check=True, stdout=subprocess.DEVNULL,
+        )
+        digests = []
+        for suffix in (".csv", ".summary.json"):
+            (path,) = out.glob(f"*{suffix}")
+            digests.append((hashlib.sha256(path.read_bytes()).hexdigest(),
+                            f"{kind}.{config}{suffix}"))
+        return digests
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--checkout", type=Path, default=ROOT,
+                   help="checkout whose src/ runs (default: this repository)")
+    args = p.parse_args(argv)
+    checkout = args.checkout.resolve()
+    runs = [(kind, config) for kind in KINDS for config in CONFIGS]
+    with ThreadPoolExecutor(JOBS) as pool:
+        for digests in pool.map(lambda run: run_digests(checkout, *run), runs):
+            for digest, name in digests:
+                print(f"{digest}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -30,10 +30,6 @@ EXIT_INVALID = 1
 EXIT_NUMERICAL = 2
 
 
-def _default_out_dir() -> str:
-    return os.environ.get(OUT_DIR_ENV_VAR, os.getcwd())
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flatlora",
@@ -41,37 +37,37 @@ def _build_parser() -> argparse.ArgumentParser:
         "and inspect the results.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one experiment from a config file")
-    p_run.add_argument("--config", required=True, help="path to a key = value config")
-    p_run.add_argument(
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument(
         "--out",
         default=None,
         help=f"output directory (default: ${OUT_DIR_ENV_VAR} or the working directory)",
     )
 
-    p_sweep = sub.add_parser("sweep", help="run one config across several seeds")
+    p_run = sub.add_parser("run", parents=[out], help="run one experiment from a config file")
+    p_run.add_argument("--config", required=True, help="path to a key = value config")
+
+    p_sweep = sub.add_parser("sweep", parents=[out], help="run one config across several seeds")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument(
         "--seeds", required=True, help="comma-separated seed list, e.g. 0,1,2"
     )
-    p_sweep.add_argument("--out", default=None)
 
     sub.add_parser("verify", help="run the self-check suite")
 
-    p_bench = sub.add_parser("bench", help="compare per-step wall time across optimizers")
+    p_bench = sub.add_parser(
+        "bench", parents=[out], help="compare per-step wall time across optimizers"
+    )
     p_bench.add_argument("--config", required=True)
     p_bench.add_argument("--repeats", type=int, default=3)
-    p_bench.add_argument("--out", default=None)
 
     return parser
 
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    out_dir = args.out if args.out is not None else _default_out_dir()
-    records, summary = run_experiment(cfg, out_dir=out_dir)
-    csv_path, summary_path = run_paths(cfg, out_dir)
+    records, summary = run_experiment(cfg, out_dir=args.out)
+    csv_path, summary_path = run_paths(cfg, args.out)
     print(f"wrote {csv_path} ({len(records)} evaluation rows)")
     print(f"wrote {summary_path}")
     print(
@@ -90,14 +86,13 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         print(f"cannot parse seed list {args.seeds!r}", file=sys.stderr)
         return EXIT_INVALID
-    out_dir = args.out if args.out is not None else _default_out_dir()
-    summaries = sweep(cfg, seeds, out_dir=out_dir)
+    summaries = sweep(cfg, seeds, out_dir=args.out)
     for s in summaries:
         print(
             f"seed {s.seed}: train_loss={s.final_train_loss:.6g} "
             f"eval_loss={s.final_eval_loss:.6g} sharpness={s.final_sharpness_sam:.6g}"
         )
-    print(f"{len(summaries)} runs written to {out_dir}")
+    print(f"{len(summaries)} runs written to {args.out}")
     return EXIT_OK
 
 
@@ -111,9 +106,8 @@ def _cmd_verify() -> int:
 def _cmd_bench(args) -> int:
     cfg = load_config(args.config)
     report = bench(cfg, repeats=args.repeats)
-    out_dir = args.out if args.out is not None else _default_out_dir()
-    os.makedirs(out_dir, exist_ok=True)
-    out_path = os.path.join(out_dir, f"{report.config_hash}.bench.json")
+    os.makedirs(args.out, exist_ok=True)
+    out_path = os.path.join(args.out, f"{report.config_hash}.bench.json")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
     print(
@@ -132,6 +126,8 @@ def _cmd_bench(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "out", "") is None:  # run, sweep or bench without --out
+        args.out = os.environ.get(OUT_DIR_ENV_VAR, os.getcwd())
     try:
         if args.command == "run":
             return _cmd_run(args)
@@ -151,10 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnicodeDecodeError as exc:
         print(f"cannot read {args.config}: not UTF-8 ({exc.reason})", file=sys.stderr)
         return EXIT_INVALID
-    except ExperimentAbort as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except NumericalError as exc:
+    except (ExperimentAbort, NumericalError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -9,7 +9,7 @@ the batch) or softmax cross-entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgemm
@@ -389,7 +389,6 @@ def effective_full_perturbation(e_b: Matrix, a: Matrix, scale: float) -> Matrix:
     return scale * (e_b @ a)
 
 
-@dataclass
 class PerturbationHandle:
     """Undo token for an in-place adapter perturbation.
 
@@ -399,26 +398,29 @@ class PerturbationHandle:
     manager; revert is one-shot.
     """
 
-    net: Network
-    saved_b: list[Matrix | None]
-    saved_a: list[Matrix | None]
-    reverted: bool = field(default=False)
+    __slots__ = ("_net", "_saved", "_reverted")
+
+    def __init__(self, net: Network, saved: list[tuple[LoRALinear, str, Matrix]]):
+        self._net = net
+        self._saved = saved  # (layer, factor name, original array)
+        self._reverted = False
+
+    @property
+    def net(self) -> Network:
+        return self._net
 
     def revert(self) -> None:
-        if self.reverted:
+        if self._reverted:
             raise PerturbationStateError("perturbation already reverted")
-        for i, layer in enumerate(self.net.layers):
-            if self.saved_b[i] is not None:
-                layer.b = self.saved_b[i]
-            if self.saved_a[i] is not None:
-                layer.a = self.saved_a[i]
-        self.reverted = True
+        for layer, name, original in self._saved:
+            setattr(layer, name, original)
+        self._reverted = True
 
     def __enter__(self) -> "PerturbationHandle":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if not self.reverted:
+        if not self._reverted:
             self.revert()
 
 
@@ -430,32 +432,27 @@ def apply_perturbation(
     """Shift adapter factors in place: b += e_b[i], a += e_a[i] per layer.
 
     Either list may be None (or hold None entries) to leave factors alone.
+    Every entry is checked and every shifted array built before any factor
+    is replaced, so a call that raises leaves the network as it was.
     Returns the handle that restores the pre-perturbation arrays.
     """
     n_layers = len(net.layers)
-    for name, lst in (("e_b", e_b), ("e_a", e_a)):
-        if lst is not None and len(lst) != n_layers:
-            raise ShapeError(f"{name} has {len(lst)} entries for {n_layers} layers")
-    saved_b: list[Matrix | None] = [None] * n_layers
-    saved_a: list[Matrix | None] = [None] * n_layers
-    for i, layer in enumerate(net.layers):
-        shift_b = e_b[i] if e_b is not None else None
-        shift_a = e_a[i] if e_a is not None else None
-        if shift_b is not None:
-            if shift_b.shape != layer.b.shape:
-                raise ShapeError(
-                    f"e_b[{i}] must be {layer.b.shape}, got {shift_b.shape}"
-                )
-            saved_b[i] = layer.b
-            layer.b = layer.b + shift_b
-        if shift_a is not None:
-            if shift_a.shape != layer.a.shape:
-                raise ShapeError(
-                    f"e_a[{i}] must be {layer.a.shape}, got {shift_a.shape}"
-                )
-            saved_a[i] = layer.a
-            layer.a = layer.a + shift_a
-    return PerturbationHandle(net=net, saved_b=saved_b, saved_a=saved_a)
+    moves = []
+    for name, shifts in (("b", e_b), ("a", e_a)):
+        if shifts is None:
+            continue
+        if len(shifts) != n_layers:
+            raise ShapeError(f"e_{name} has {len(shifts)} entries for {n_layers} layers")
+        for i, (layer, shift) in enumerate(zip(net.layers, shifts)):
+            if shift is None:
+                continue
+            factor = getattr(layer, name)
+            if shift.shape != factor.shape:
+                raise ShapeError(f"e_{name}[{i}] must be {factor.shape}, got {shift.shape}")
+            moves.append((layer, name, factor, factor + shift))
+    for layer, name, _, shifted in moves:
+        setattr(layer, name, shifted)
+    return PerturbationHandle(net, [move[:3] for move in moves])
 
 
 def apply_b_perturbation(net: Network, e_b: list[Matrix | None]) -> PerturbationHandle:

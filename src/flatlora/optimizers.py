@@ -20,6 +20,7 @@ evaluations without instrumenting the internals; callers time the call.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -310,6 +311,8 @@ def perturbation_from_gradients(
         if variant == "signed":
             g_bar = half_inv_scale * (gb @ a_pinv.T + b_pinv_t @ ga)
             direction, flat = sam_direction(g_bar, rho, variant)
+            if not flat:
+                e_b.append((1.0 / layer.scale) * (direction @ a_pinv))
         else:
             z2 = t2 @ ga
             w = z2 @ q1
@@ -323,17 +326,15 @@ def perturbation_from_gradients(
             sq += float(np.vdot(u, u))
             norm = half_inv_scale * math.sqrt(max(sq, 0.0))
             flat = norm <= ZERO_GRAD_EPS
+            if not flat:
+                c = rho * half_inv_scale / norm
+                transfer = u @ t1
+                del u
+                transfer *= c / layer.scale
+                e_b.append(transfer)
         if flat:
             degenerate.append(i)
             e_b.append(np.zeros_like(layer.b))
-        elif variant == "signed":
-            e_b.append((1.0 / layer.scale) * (direction @ a_pinv))
-        else:
-            c = rho * half_inv_scale / norm
-            transfer = u @ t1
-            del u
-            transfer *= c / layer.scale
-            e_b.append(transfer)
     return PerturbationPlan(e_b=e_b, degenerate_layers=tuple(degenerate))
 
 
@@ -352,18 +353,13 @@ def base_update(
     mom = cfg.momentum
     wd = cfg.weight_decay
     for i, layer in enumerate(net.layers):
-        vb = state.velocity_b[i]
-        vb *= mom
-        vb += grads.grad_b[i]
-        if wd != 0.0:
-            vb += wd * layer.b
-        layer.b -= lr * vb
-        va = state.velocity_a[i]
-        va *= mom
-        va += grads.grad_a[i]
-        if wd != 0.0:
-            va += wd * layer.a
-        layer.a -= lr * va
+        for param, v, g in ((layer.b, state.velocity_b[i], grads.grad_b[i]),
+                            (layer.a, state.velocity_a[i], grads.grad_a[i])):
+            v *= mom
+            v += g
+            if wd != 0.0:
+                v += wd * param
+            param -= lr * v
 
 
 def lora_step(
@@ -377,6 +373,37 @@ def lora_step(
         loss_original=grads.loss,
         loss_perturbed=math.nan,
         perturb_norm=0.0,
+    )
+
+
+def _two_pass_step(
+    net: Network,
+    batch: Batch,
+    cfg: BaseUpdateConfig,
+    state: SgdState,
+    shift: Callable[[GradientSet], tuple[list[Matrix], list[Matrix] | None, float]],
+) -> StepStats:
+    """The body both two-pass steps share: gradient at the current point,
+    shift(grads) -> (e_b, e_a, norm), gradient at the shifted point,
+    revert, update with the shifted-point gradient.
+
+    Only the first-pass loss and the shift's norm outlive the shift: the
+    first-pass gradients and the shift's arrays are released before the
+    second backward.  The factors are reverted even if that backward
+    raises.
+    """
+    grads = backward(net, batch)
+    loss0 = grads.loss
+    e_b, e_a, norm = shift(grads)
+    with apply_perturbation(net, e_b=e_b, e_a=e_a):
+        del grads, e_b, e_a
+        grads = backward(net, batch)
+    base_update(net, grads, cfg, state)
+    return StepStats(
+        grad_evals=2,
+        loss_original=loss0,
+        loss_perturbed=grads.loss,
+        perturb_norm=norm,
     )
 
 
@@ -394,40 +421,22 @@ def lora_sam_step(
     per factor).  Because the factors multiply each other, the induced
     merged-weight perturbation is quadratic in rho and need not track the
     full-space ascent direction; this step exists as the baseline the
-    transfer-based steps improve on.  Only the first-pass loss outlives
-    the shift: the first-pass gradients and the directions are released
-    before the second backward.  The factors are reverted even if that
-    backward raises.
+    transfer-based steps improve on.
     """
-    grads0 = backward(net, batch)
-    loss0 = grads0.loss
-    e_b, e_a, norm = _sam_perturbation(grads0, rho, variant)
-    with apply_perturbation(net, e_b=e_b, e_a=e_a):
-        del grads0, e_b, e_a
-        grads1 = backward(net, batch)
-    base_update(net, grads1, cfg, state)
-    return StepStats(
-        grad_evals=2,
-        loss_original=loss0,
-        loss_perturbed=grads1.loss,
-        perturb_norm=norm,
-    )
 
+    def shift(grads: GradientSet) -> tuple[list[Matrix], list[Matrix], float]:
+        e_b: list[Matrix] = []
+        e_a: list[Matrix] = []
+        sq = 0.0
+        for gb, ga in zip(grads.grad_b, grads.grad_a):
+            db, _ = sam_direction(gb, rho, variant)
+            da, _ = sam_direction(ga, rho, variant)
+            e_b.append(db)
+            e_a.append(da)
+            sq += float(np.sum(db * db)) + float(np.sum(da * da))
+        return e_b, e_a, math.sqrt(sq)
 
-def _sam_perturbation(
-    grads: GradientSet, rho: float, variant: str
-) -> tuple[list[Matrix], list[Matrix], float]:
-    """lora-sam's per-factor directions and the norm of the whole shift."""
-    e_b: list[Matrix] = []
-    e_a: list[Matrix] = []
-    sq = 0.0
-    for gb, ga in zip(grads.grad_b, grads.grad_a):
-        db, _ = sam_direction(gb, rho, variant)
-        da, _ = sam_direction(ga, rho, variant)
-        e_b.append(db)
-        e_a.append(da)
-        sq += float(np.sum(db * db)) + float(np.sum(da * da))
-    return e_b, e_a, math.sqrt(sq)
+    return _two_pass_step(net, batch, cfg, state, shift)
 
 
 def flat_lora_step(
@@ -444,24 +453,13 @@ def flat_lora_step(
     Gradient at the current point, reconstruct and normalise the dense
     ascent direction, shift b so the merged weight moves along it, take
     the gradient there, revert, update with the perturbed-point gradient.
-    The first-pass gradients and the plan (its e_b) are released once b
-    is shifted; only their loss and norm outlive them.  b is reverted
-    even if the second backward raises.
     """
-    grads0 = backward(net, batch)
-    plan = perturbation_from_gradients(net, grads0, rho, variant, tol)
-    loss0 = grads0.loss
-    norm = plan.total_norm()
-    with apply_b_perturbation(net, plan.e_b):
-        del grads0, plan
-        grads1 = backward(net, batch)
-    base_update(net, grads1, cfg, state)
-    return StepStats(
-        grad_evals=2,
-        loss_original=loss0,
-        loss_perturbed=grads1.loss,
-        perturb_norm=norm,
-    )
+
+    def shift(grads: GradientSet) -> tuple[list[Matrix], None, float]:
+        plan = perturbation_from_gradients(net, grads, rho, variant, tol)
+        return plan.e_b, None, plan.total_norm()
+
+    return _two_pass_step(net, batch, cfg, state, shift)
 
 
 @dataclass

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from flatlora.checks import random_net
 from flatlora.linalg import ShapeError, make_rng
 from flatlora.model import (
     AccumulationError,
@@ -532,6 +533,25 @@ def test_apply_perturbation_validation():
     bad = [np.zeros((1, 1))] + [None] * (len(net.layers) - 1)
     with pytest.raises(ShapeError):
         apply_perturbation(net, e_b=bad)
+
+
+@pytest.mark.parametrize("bad", ["e_b", "e_a"])
+def test_apply_perturbation_is_all_or_nothing(bad):
+    """A wrong-shaped later entry raises before any factor moves: every
+    layer keeps its original b and a objects, also when the bad entry is
+    in e_a and all of e_b is well formed."""
+    net = random_net(make_rng(1), (6, 5, 3), rank=2)
+    originals = [(layer.b, layer.a) for layer in net.layers]
+    layer0 = net.layers[0]
+    if bad == "e_b":
+        shifts = {"e_b": [np.ones_like(layer0.b), np.ones((9, 9))]}
+    else:
+        shifts = {"e_b": [np.ones_like(layer.b) for layer in net.layers],
+                  "e_a": [np.ones_like(layer0.a), np.ones((9, 9))]}
+    with pytest.raises(ShapeError):
+        apply_perturbation(net, **shifts)
+    for layer, (b, a) in zip(net.layers, originals):
+        assert layer.b is b and layer.a is a
 
 
 def test_clone_network_is_independent():

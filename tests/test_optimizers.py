@@ -366,6 +366,31 @@ def test_flat_lora_step_releases_its_plan_before_the_second_pass():
     assert peaks["flat"] <= 1.1 * peaks["lora"]
 
 
+def test_lora_sam_step_releases_its_gradients_before_the_second_pass():
+    """At 256-wide dims, rank 8, batch 64, a lora-sam step peaks at most
+    one copy of the adapter factors (the shifted factors) plus 2 KB above
+    a lora step: the first-pass gradients and the directions are gone
+    before the second backward.  Keeping either adds another 53,248
+    bytes, the size of all factors."""
+    net = make_net(seed=28, dims=(256, 256, 64), rank=8)
+    batch = make_batch(net, seed=28, k=64)
+    cfg = BaseUpdateConfig(learning_rate=1e-3)
+    state = init_sgd_state(net)
+    factor_bytes = sum(layer.b.nbytes + layer.a.nbytes for layer in net.layers)
+    peaks = {}
+    for name, step in (("lora", lambda: lora_step(net, batch, cfg, state)),
+                       ("sam", lambda: lora_sam_step(net, batch, 0.05, cfg, state))):
+        step()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            step()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert peaks["sam"] <= peaks["lora"] + factor_bytes + 2048
+
+
 # ------------------------------------------------------------------- updates
 
 def test_base_update_plain_sgd():
