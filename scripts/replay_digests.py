@@ -1,14 +1,17 @@
-"""Print the sha256 of the CSV and summary JSON of the 12 replay runs.
+"""Print the sha256 of the CSV and summary JSON of the 12 replay runs, and
+of the stdout of `flatlora verify` and of each demo.
 
 Each of the four optimizer kinds runs at three configs: the default, the
 signed direction variant, and a wide network ([256,256,64], rank 8,
-batch 64), all at seed 0 for 2000 steps.  Every run is `flatlora run` in
-its own child process with OPENBLAS_NUM_THREADS=1, since a wide lora-sam
-run's bytes depend on the BLAS thread count.  The output is one line per
-file, 24 in all:
+batch 64), all at seed 0 for 2000 steps.  Every run, the self-check and
+each demo is its own child process with OPENBLAS_NUM_THREADS=1, since a
+wide run's bytes depend on the BLAS thread count.  The output is one line
+per file or stream, 28 in all:
 
     <sha256>  <kind>.<config>.csv
     <sha256>  <kind>.<config>.summary.json
+    <sha256>  verify.stdout
+    <sha256>  <demo>.stdout
 
 Run it on two checkouts and diff the outputs to check that a change keeps
 every run byte-identical:
@@ -29,6 +32,7 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +43,7 @@ CONFIGS = {
     "signed": {"direction_variant": "signed"},
     "wide": {"layer_dims": "256,256,64", "rank": 8, "batch_size": 64},
 }
+DEMOS = ("balancedness_flow", "optimizer_comparison", "transfer_identity")
 SEED = 0
 STEPS = 2000
 JOBS = 2
@@ -49,10 +54,14 @@ def config_text(kind: str, overrides: dict) -> str:
     return "".join(f"{key} = {value}\n" for key, value in values.items())
 
 
+def child_env(checkout: Path) -> dict:
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=str(checkout / "src"))
+
+
 def run_digests(checkout: Path, kind: str, config: str) -> list[tuple[str, str]]:
     """(sha256, name) of the CSV and summary JSON of one run."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=str(checkout / "src"))
+    env = child_env(checkout)
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "run.cfg"
         cfg_path.write_text(config_text(kind, CONFIGS[config]), encoding="utf-8")
@@ -70,15 +79,28 @@ def run_digests(checkout: Path, kind: str, config: str) -> list[tuple[str, str]]
         return digests
 
 
+def stdout_digest(checkout: Path, name: str) -> list[tuple[str, str]]:
+    """(sha256, name) of the stdout of `flatlora verify` or of one demo."""
+    if name == "verify":
+        argv = ["-m", "flatlora.cli", "verify"]
+    else:
+        argv = [str(checkout / "demos" / f"{name}.py")]
+    out = subprocess.run([sys.executable, *argv], env=child_env(checkout),
+                         check=True, stdout=subprocess.PIPE).stdout
+    return [(hashlib.sha256(out).hexdigest(), f"{name}.stdout")]
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--checkout", type=Path, default=ROOT,
                    help="checkout whose src/ runs (default: this repository)")
     args = p.parse_args(argv)
     checkout = args.checkout.resolve()
-    runs = [(kind, config) for kind in KINDS for config in CONFIGS]
+    jobs = [partial(run_digests, checkout, kind, config)
+            for kind in KINDS for config in CONFIGS]
+    jobs += [partial(stdout_digest, checkout, name) for name in ("verify", *DEMOS)]
     with ThreadPoolExecutor(JOBS) as pool:
-        for digests in pool.map(lambda run: run_digests(checkout, *run), runs):
+        for digests in pool.map(lambda job: job(), jobs):
             for digest, name in digests:
                 print(f"{digest}  {name}", flush=True)
     return 0

@@ -18,10 +18,8 @@ from .linalg import (
     ZERO_GRAD_EPS,
     Matrix,
     NumericalError,
-    frobenius_norm,
     make_rng,
     row_space_projector,
-    vectorize,
 )
 from .model import (
     Batch,
@@ -101,18 +99,17 @@ def sharpness_ema(net: Network, batch: Batch, pstate: PerturbState) -> float:
     """Loss increase produced by the EMA perturbation currently tracked.
 
     Works whether or not the perturbation is applied at call time, and
-    leaves the network in the state it found it.  Both ways evaluate the
-    same b + e and subtract the same two losses, so they agree bit for bit.
+    leaves the network in the state it found it: an applied shift is
+    removed for the two forward passes and applied again after them.
     """
-    if pstate.applied:
-        _, loss_perturbed = forward(net, batch)
+    was_applied = pstate.applied
+    if was_applied:
         pstate.remove(net)
-        _, loss_plain = forward(net, batch)
+    _, loss_plain = forward(net, batch)
+    with apply_b_perturbation(net, pstate.ema_e_b):
+        _, loss_perturbed = forward(net, batch)
+    if was_applied:
         pstate.apply(net)
-    else:
-        _, loss_plain = forward(net, batch)
-        with apply_b_perturbation(net, pstate.ema_e_b):
-            _, loss_perturbed = forward(net, batch)
     return loss_perturbed - loss_plain
 
 
@@ -136,11 +133,11 @@ def ema_sam_gap_bound(
 
 def _flat_merged_gradient(net: Network, batch: Batch) -> np.ndarray:
     grads = backward(net, batch, want_full=True)
-    return np.concatenate([vectorize(gw) for gw in grads.grad_w])
+    return np.concatenate([gw.ravel() for gw in grads.grad_w])
 
 
 def _flat_merged_weights(net: Network) -> np.ndarray:
-    return np.concatenate([vectorize(layer.merged_weight()) for layer in net.layers])
+    return np.concatenate([layer.merged_weight().ravel() for layer in net.layers])
 
 
 def estimate_assumption_constants(
@@ -346,5 +343,5 @@ def loss_match_residual(
     offsets[layer_index] = projected
     _, loss_projected = forward_with_offsets(net, batch, offsets)
 
-    unprojected = frobenius_norm(e_w_bar - projected)
+    unprojected = float(np.linalg.norm(e_w_bar - projected))
     return abs(loss_lowrank - loss_projected), unprojected

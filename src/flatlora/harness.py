@@ -229,7 +229,6 @@ def load_config(path: str) -> ExperimentConfig:
 class Task:
     """Generated data plus the architecture choices it implies."""
 
-    kind: str
     train_batches: list[Batch]
     eval_batch: Batch
     w0_list: list[np.ndarray]
@@ -283,7 +282,6 @@ def generate_task(cfg: ExperimentConfig) -> Task:
         x_eval = rng.standard_normal((dims[0], cfg.batch_size))
         eval_batch = Batch(inputs=x_eval, targets=_dense_forward(teacher, x_eval))
         return Task(
-            kind=cfg.task,
             train_batches=train,
             eval_batch=eval_batch,
             w0_list=w0_list,
@@ -310,7 +308,6 @@ def generate_task(cfg: ExperimentConfig) -> Task:
         train = [draw(cfg.batch_size) for _ in range(cfg.n_batches)]
         eval_batch = draw(cfg.batch_size)
         return Task(
-            kind=cfg.task,
             train_batches=train,
             eval_batch=eval_batch,
             w0_list=w0_list,
@@ -323,7 +320,6 @@ def generate_task(cfg: ExperimentConfig) -> Task:
     root = np.sqrt(float(m))
     batch = Batch(inputs=root * np.eye(m), targets=root * target)
     return Task(
-        kind=cfg.task,
         train_batches=[batch],
         eval_batch=batch,
         w0_list=[np.zeros((n, m))],

@@ -130,18 +130,13 @@ class GradientSet:
     grad_w: list[Matrix] | None = None
 
 
-def kaiming_matrix(rng: Rng, rows: int, cols: int, fan_in: int) -> Matrix:
-    """Gaussian entries scaled by sqrt(2 / fan_in)."""
-    return rng.standard_normal((rows, cols)) * np.sqrt(2.0 / fan_in)
-
-
 def make_lora_layer(w0: Matrix, rank: int, scale: float, rng: Rng) -> LoRALinear:
     """Adapter factors for a frozen weight: a is Kaiming-scaled Gaussian with
     fan_in equal to the layer input dim, b starts at zero so the merged
     weight initially equals w0."""
     w0 = as_matrix(w0)
     n, m = w0.shape
-    a = kaiming_matrix(rng, rank, m, fan_in=m)
+    a = rng.standard_normal((rank, m)) * np.sqrt(2.0 / m)
     b = np.zeros((n, rank))
     return LoRALinear(w0=w0, b=b, a=a, scale=scale, rank=rank)
 

@@ -69,8 +69,8 @@ class BaseUpdateConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not (self.weight_decay >= 0.0):
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not (self.weight_decay >= 0.0 and math.isfinite(self.weight_decay)):
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
 
 
 @dataclass
@@ -104,12 +104,18 @@ class StepStats:
     perturb_norm: float
 
 
+def _check_rho(rho: float, name: str = "rho") -> None:
+    """A radius is finite and >= 0: a NaN or infinite one poisons every
+    loss after it, and a negative one steps downhill."""
+    if not (rho >= 0.0 and math.isfinite(rho)):
+        raise ValueError(f"{name} must be >= 0 and finite, got {rho}")
+
+
 def rho_at(rho0: float, t: int, schedule: str = "constant") -> float:
     """Perturbation radius at 1-based step t."""
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
-    if rho0 < 0.0:
-        raise ValueError(f"rho0 must be >= 0, got {rho0}")
+    _check_rho(rho0, "rho0")
     if schedule == "constant":
         return rho0
     if schedule == "inverse-sqrt":
@@ -129,6 +135,7 @@ def sam_direction(
     """
     if variant not in DIRECTION_VARIANTS:
         raise ValueError(f"unknown direction variant {variant!r}")
+    _check_rho(rho)
     g = np.asarray(g, dtype=np.float64)
     norm = float(np.linalg.norm(g))
     if norm <= ZERO_GRAD_EPS:
@@ -299,6 +306,7 @@ def perturbation_from_gradients(
     """
     if variant not in DIRECTION_VARIANTS:
         raise ValueError(f"unknown direction variant {variant!r}")
+    _check_rho(rho)
     _check_tol(tol)
     e_b: list[Matrix] = []
     degenerate: list[int] = []
@@ -485,8 +493,7 @@ class PerturbState:
     def __post_init__(self) -> None:
         if not (0.0 < self.beta <= 1.0):
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.rho0 < 0.0:
-            raise ValueError(f"rho0 must be >= 0, got {self.rho0}")
+        _check_rho(self.rho0, "rho0")
 
     @property
     def applied(self) -> bool:

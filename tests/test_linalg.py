@@ -1,4 +1,4 @@
-"""Pseudo-inverse, projector, and reshaping invariants, checked against
+"""Pseudo-inverse and projector invariants, checked against
 brute-force oracles on randomly drawn matrices."""
 
 import numpy as np
@@ -7,15 +7,10 @@ import pytest
 from flatlora.linalg import (
     DEFAULT_TOL,
     NumericalError,
-    ShapeError,
     col_space_projector,
-    frobenius_norm,
     make_rng,
-    matrixize,
     pseudo_inverse,
     row_space_projector,
-    svd,
-    vectorize,
 )
 from flatlora.optimizers import _pinv_factors, gram_pseudo_inverse
 
@@ -34,62 +29,43 @@ def random_cases(rng, count, max_dim=8, rank_deficient_every=3):
         yield m
 
 
-def test_frobenius_norm_is_root_of_squared_sum():
-    rng = make_rng(1)
-    m = rng.standard_normal((5, 7))
-    expected = np.sqrt(np.trace(m.T @ m))
-    assert abs(frobenius_norm(m) - expected) < 1e-12
-    assert frobenius_norm(np.zeros((3, 3))) == 0.0
-
-
-def test_vectorize_row_major_and_roundtrip():
-    m = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    v = vectorize(m)
-    assert v.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    back = matrixize(v, 2, 3)
-    assert np.array_equal(back, m)
-    rng = make_rng(2)
-    for _ in range(10):
-        r, c = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        m = rng.standard_normal((r, c))
-        assert np.array_equal(matrixize(vectorize(m), r, c), m)
-
-
-def test_vectorize_copy_does_not_alias():
-    m = np.ones((2, 2))
-    v = vectorize(m)
-    v[0] = 99.0
-    assert m[0, 0] == 1.0
-
-
-def test_matrixize_rejects_bad_length():
-    with pytest.raises(ShapeError):
-        matrixize(np.zeros(5), 2, 3)
-    with pytest.raises(ShapeError):
-        matrixize(np.zeros((2, 3)), 2, 3)
-
-
 def test_svd_reconstructs_and_counts_rank():
+    """The pseudo-inverse's row-space projector p @ m has trace equal to
+    the numerical rank: 4 for a full-rank 6 x 4 matrix, 2 for a sum of
+    two outer products."""
     rng = make_rng(3)
     m = rng.standard_normal((6, 4))
-    res = svd(m)
-    rebuilt = (res.u * res.singular_values) @ res.v_t
-    assert np.max(np.abs(rebuilt - m)) < 1e-12
-    assert res.numerical_rank == 4
+    p = pseudo_inverse(m)
+    assert np.max(np.abs(m @ p @ m - m)) < 1e-12
+    assert np.max(np.abs(p @ m - np.eye(4))) < 1e-12
 
-    # A matrix assembled from 2 outer products has numerical rank 2.
     low = np.outer(rng.standard_normal(6), rng.standard_normal(5))
     low += np.outer(rng.standard_normal(6), rng.standard_normal(5))
-    assert svd(low).numerical_rank == 2
+    assert abs(np.trace(pseudo_inverse(low) @ low) - 2.0) < 1e-12
 
 
 def test_svd_tol_validation_and_nonfinite():
     m = np.eye(3)
     for bad in (0.0, 1.0, -1e-3, 2.0):
         with pytest.raises(ValueError):
-            svd(m, tol=bad)
+            pseudo_inverse(m, tol=bad)
     with pytest.raises(NumericalError):
-        svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        pseudo_inverse(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_pseudo_inverse_cuts_singular_values_at_tol_times_the_largest():
+    """Singular values 1 and 1e-13: tol = 1e-12 drops the small direction,
+    tol = 1e-14 inverts it."""
+    rng = make_rng(6)
+    u, _ = np.linalg.qr(rng.standard_normal((5, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((4, 2)))
+    m = (u * [1.0, 1e-13]) @ v.T
+    cut = pseudo_inverse(m, tol=1e-12)
+    assert abs(np.trace(cut @ m) - 1.0) < 1e-9
+    assert np.max(np.abs(cut - np.outer(v[:, 0], u[:, 0]))) < 1e-9
+    kept = pseudo_inverse(m, tol=1e-14)
+    assert abs(np.trace(kept @ m) - 2.0) < 1e-2
+    assert np.linalg.norm(kept) > 1e12
 
 
 def test_pseudo_inverse_moore_penrose_conditions():

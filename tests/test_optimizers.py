@@ -525,6 +525,37 @@ def test_two_pass_steps_revert_when_the_perturbed_pass_raises(step, monkeypatch)
         assert layer.b is b and layer.a is a
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1], ids=["nan", "inf", "negative"])
+def test_entry_points_reject_a_bad_radius_or_decay(bad):
+    """Every library entry point that takes a radius refuses one that is not
+    finite and >= 0, and the update config refuses a decay that is not;
+    a two-pass step raises before it shifts any factor."""
+    net = make_net(seed=32)
+    batch = make_batch(net, seed=32)
+    grads = backward(net, batch)
+    with pytest.raises(ValueError):
+        rho_at(bad, 3)
+    with pytest.raises(ValueError):
+        rho_at(bad, 3, "inverse-sqrt")
+    with pytest.raises(ValueError):
+        init_perturb_state(net, rho0=bad, beta=0.9)
+    with pytest.raises(ValueError):
+        sam_direction(grads.grad_b[0], bad)
+    with pytest.raises(ValueError):
+        sam_direction(np.zeros((2, 2)), bad)
+    with pytest.raises(ValueError):
+        perturbation_from_gradients(net, grads, bad)
+    if bad != -0.1:
+        with pytest.raises(ValueError):
+            BaseUpdateConfig(learning_rate=0.1, weight_decay=bad)
+    originals = [(layer.b, layer.a) for layer in net.layers]
+    for step in (lora_sam_step, flat_lora_step):
+        with pytest.raises(ValueError):
+            step(net, batch, bad, BaseUpdateConfig(learning_rate=0.05), init_sgd_state(net))
+        for layer, (b, a) in zip(net.layers, originals):
+            assert layer.b is b and layer.a is a
+
+
 def test_zero_rho_two_pass_steps_match_plain_lora():
     """rho = 0 collapses every sharpness-aware variant onto plain training,
     trajectory-exact."""

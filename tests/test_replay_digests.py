@@ -9,7 +9,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 def test_replay_digests_prints_24_named_digests(monkeypatch, capsys):
     """Two-step runs stand in for the 2000-step ones; every kind at every
-    config prints a CSV and a summary digest, in order."""
+    config prints a CSV and a summary digest, in order, followed by the
+    stdout digests of verify and the three demos: 28 lines in all."""
     spec = importlib.util.spec_from_file_location(
         "replay_digests", ROOT / "scripts" / "replay_digests.py")
     replay = importlib.util.module_from_spec(spec)
@@ -21,5 +22,7 @@ def test_replay_digests_prints_24_named_digests(monkeypatch, capsys):
              for kind in ("lora", "lora-sam", "flat-lora", "eflat-lora")
              for config in ("default", "signed", "wide")
              for suffix in (".csv", ".summary.json")]
+    names += [f"{name}.stdout" for name in
+              ("verify", "balancedness_flow", "optimizer_comparison", "transfer_identity")]
     assert [line.split("  ")[1] for line in lines] == names
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
