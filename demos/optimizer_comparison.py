@@ -51,7 +51,7 @@ for kind in OPTIMIZER_KINDS:
 
     evals = 0
     for t in range(1, cfg.steps + 1):
-        evals += step(task.train_batches[(t - 1) % len(task.train_batches)], t).grad_evals
+        evals += step(task.train_batch(t), t).grad_evals
 
     # Measure everything at the unperturbed parameters.
     if pstate is not None and pstate.applied:

@@ -1,12 +1,13 @@
-"""Print the sha256 of the CSV and summary JSON of the 12 replay runs, and
+"""Print the sha256 of the CSV and summary JSON of the 16 replay runs, and
 of the stdout of `flatlora verify` and of each demo.
 
-Each of the four optimizer kinds runs at three configs: the default, the
+Each of the four optimizer kinds runs at four configs: the default, the
 signed direction variant, and a wide network ([256,256,64], rank 8,
-batch 64), all at seed 0 for 2000 steps.  Every run, the self-check and
+batch 64), all at seed 0 for 2000 steps, and the default at 0 steps
+(the summary of an untrained student).  Every run, the self-check and
 each demo is its own child process with OPENBLAS_NUM_THREADS=1, since a
 wide run's bytes depend on the BLAS thread count.  The output is one line
-per file or stream, 28 in all:
+per file or stream, 36 in all:
 
     <sha256>  <kind>.<config>.csv
     <sha256>  <kind>.<config>.summary.json
@@ -42,6 +43,7 @@ CONFIGS = {
     "default": {},
     "signed": {"direction_variant": "signed"},
     "wide": {"layer_dims": "256,256,64", "rank": 8, "batch_size": 64},
+    "zero": {"steps": 0},
 }
 DEMOS = ("balancedness_flow", "optimizer_comparison", "transfer_identity")
 SEED = 0

@@ -140,9 +140,8 @@ def _train(cfg: ExperimentConfig, task, net: Network, steps: int):
     """make_step on net, stepped through the task's batches in order; the
     step's PerturbState (None unless eflat-lora) is returned."""
     step, pstate = make_step(cfg, net)
-    pool = task.train_batches
     for t in range(1, steps + 1):
-        step(pool[(t - 1) % len(pool)], t)
+        step(task.train_batch(t), t)
     return pstate
 
 
@@ -188,10 +187,9 @@ def ema_closed_form(cfg: ExperimentConfig) -> tuple[float, float]:
     """
     cfg = dataclasses.replace(cfg, optimizer="eflat-lora")
     task = generate_task(cfg)
-    pool = task.train_batches
     net = _build_student(cfg, task)
     step, pstate = make_step(cfg, net)
-    per_step = [_shift_then_step(cfg, net, step, pool[(t - 1) % len(pool)], t)
+    per_step = [_shift_then_step(cfg, net, step, task.train_batch(t), t)
                 for t in range(1, cfg.steps + 1)]
     closed = 0.0
     for li, ema in enumerate(pstate.ema_e_b):
@@ -205,7 +203,7 @@ def ema_closed_form(cfg: ExperimentConfig) -> tuple[float, float]:
     step1, pstate1 = make_step(cfg1, net1)
     beta_one = 0.0
     for t in range(1, 5):
-        last = _shift_then_step(cfg1, net1, step1, pool[(t - 1) % len(pool)], t)
+        last = _shift_then_step(cfg1, net1, step1, task.train_batch(t), t)
         for ema, e in zip(pstate1.ema_e_b, last):
             beta_one = max(beta_one, _worst_abs(ema - e))
     return closed, beta_one

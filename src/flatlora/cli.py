@@ -46,20 +46,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", parents=[out], help="run one experiment from a config file")
     p_run.add_argument("--config", required=True, help="path to a key = value config")
+    p_run.set_defaults(handler=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", parents=[out], help="run one config across several seeds")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument(
         "--seeds", required=True, help="comma-separated seed list, e.g. 0,1,2"
     )
+    p_sweep.set_defaults(handler=_cmd_sweep)
 
-    sub.add_parser("verify", help="run the self-check suite")
+    sub.add_parser("verify", help="run the self-check suite").set_defaults(handler=_cmd_verify)
 
     p_bench = sub.add_parser(
         "bench", parents=[out], help="compare per-step wall time across optimizers"
     )
     p_bench.add_argument("--config", required=True)
     p_bench.add_argument("--repeats", type=int, default=3)
+    p_bench.set_defaults(handler=_cmd_bench)
 
     return parser
 
@@ -96,7 +99,7 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify() -> int:
+def _cmd_verify(args) -> int:
     report = verify()
     for line in report.format_lines():
         print(line)
@@ -124,20 +127,11 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if getattr(args, "out", "") is None:  # run, sweep or bench without --out
         args.out = os.environ.get(OUT_DIR_ENV_VAR, os.getcwd())
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "verify":
-            return _cmd_verify()
-        if args.command == "bench":
-            return _cmd_bench(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -150,7 +144,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ExperimentAbort, NumericalError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -100,16 +100,19 @@ def sharpness_ema(net: Network, batch: Batch, pstate: PerturbState) -> float:
 
     Works whether or not the perturbation is applied at call time, and
     leaves the network in the state it found it: an applied shift is
-    removed for the two forward passes and applied again after them.
+    removed for the two forward passes and applied again after them, also
+    when a pass raises.
     """
     was_applied = pstate.applied
     if was_applied:
         pstate.remove(net)
-    _, loss_plain = forward(net, batch)
-    with apply_b_perturbation(net, pstate.ema_e_b):
-        _, loss_perturbed = forward(net, batch)
-    if was_applied:
-        pstate.apply(net)
+    try:
+        _, loss_plain = forward(net, batch)
+        with apply_b_perturbation(net, pstate.ema_e_b):
+            _, loss_perturbed = forward(net, batch)
+    finally:
+        if was_applied:
+            pstate.apply(net)
     return loss_perturbed - loss_plain
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import diagnostics
 from .linalg import make_rng
-from .model import Batch, Network, build_network, forward
+from .model import Batch, Network, apply_b_perturbation, build_network, forward
 from .optimizers import (
     DIRECTION_VARIANTS,
     OPTIMIZER_KINDS,
@@ -234,6 +234,10 @@ class Task:
     w0_list: list[np.ndarray]
     activation: str
     loss_kind: str
+
+    def train_batch(self, t: int) -> Batch:
+        """The batch of 1-based step t: the train batches in order, cycled."""
+        return self.train_batches[(t - 1) % len(self.train_batches)]
 
 
 def _dense_forward(weights: list[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -449,34 +453,31 @@ def run_experiment(
     records: list[MetricsRecord] = []
     grad_evals = 0
     wall_ms = 0.0
-    last_train_loss = math.nan
-    pool = task.train_batches
     t = 0
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for t in range(1, cfg.steps + 1):
                 t0 = time.perf_counter()
-                stats = step(pool[(t - 1) % len(pool)], t)
+                stats = step(task.train_batch(t), t)
                 wall_ms += (time.perf_counter() - t0) * 1e3
                 grad_evals += stats.grad_evals
-                last_train_loss = (
+                train_loss = (
                     stats.loss_original
                     if math.isfinite(stats.loss_original)
                     else stats.loss_perturbed
                 )
-                if not math.isfinite(last_train_loss):
-                    raise ExperimentAbort(t, f"training loss is {last_train_loss}")
+                if not math.isfinite(train_loss):
+                    raise ExperimentAbort(t, f"training loss is {train_loss}")
                 if t % cfg.eval_every == 0 or t == cfg.steps:
-                    records.append(
-                        _evaluate(cfg, net, task, pstate, t, last_train_loss,
-                                  grad_evals, wall_ms, stats.perturb_norm)
-                    )
-            if cfg.steps == 0:
-                final = _evaluate(cfg, net, task, pstate, 0, math.nan, 0, 0.0, 0.0)
+                    wall = wall_ms if cfg.measure_time else 0.0
+                    records.append(MetricsRecord(
+                        t, train_loss, *_evaluate(cfg, net, task, pstate, t),
+                        grad_evals, wall, stats.perturb_norm))
+            last = records[-1] if records else MetricsRecord(
+                0, math.nan, *_evaluate(cfg, net, task, pstate, 0), 0, 0.0, 0.0)
     except FloatingPointError as exc:
         raise ExperimentAbort(t, str(exc)) from exc
 
-    summary_source = final if cfg.steps == 0 else records[-1]
     counts = param_and_memory_counts(net, cfg.optimizer)
     summary = RunSummary(
         config_hash=cfg.config_hash(),
@@ -484,13 +485,13 @@ def run_experiment(
         optimizer=cfg.optimizer,
         task=cfg.task,
         steps=cfg.steps,
-        final_train_loss=summary_source.train_loss,
-        final_eval_loss=summary_source.eval_loss,
-        final_sharpness_sam=summary_source.sharpness_sam,
-        final_sharpness_ema=summary_source.sharpness_ema,
-        final_gap=summary_source.gap,
-        total_grad_evals=grad_evals,
-        total_wall_time_ms=wall_ms if cfg.measure_time else 0.0,
+        final_train_loss=last.train_loss,
+        final_eval_loss=last.eval_loss,
+        final_sharpness_sam=last.sharpness_sam,
+        final_sharpness_ema=last.sharpness_ema,
+        final_gap=last.gap,
+        total_grad_evals=last.grad_evals_cumulative,
+        total_wall_time_ms=last.wall_time_ms_cumulative,
         trainable_params=counts.trainable,
         extra_memory_elements=counts.extra,
     )
@@ -500,61 +501,40 @@ def run_experiment(
 
 
 def _evaluate(
-    cfg: ExperimentConfig,
-    net: Network,
-    task: Task,
-    pstate,
-    step: int,
-    train_loss: float,
-    grad_evals: int,
-    wall_ms: float,
-    perturb_norm: float,
-) -> MetricsRecord:
-    """Measure at the unperturbed parameters, then put the network back
-    exactly as found.
+    cfg: ExperimentConfig, net: Network, task: Task, pstate: PerturbState | None, step: int
+) -> tuple[float, float, float, float, float]:
+    """(eval_loss, sharpness_sam, sharpness_ema, gap, balancedness) at the
+    unperturbed parameters; the network is put back exactly as found,
+    also when a measurement raises.
 
-    One sweep per distinct parameter point.  While eflat-lora's EMA shift
-    is still applied, one forward gives the loss at the EMA point, and the
-    shift comes off.  The sharpness probe's backward at the unperturbed
-    point gives eval_loss, and its one offset forward the SAM point; the
-    EMA sharpness is then the EMA-point loss minus eval_loss, the same
-    subtraction of the same floats as diagnostics.sharpness_ema.  So an
-    evaluation costs two sweeps, three with the EMA shift applied; an
-    EMA state that was never applied (steps = 0) is measured by
-    sharpness_ema, which applies and reverts the shift itself.
+    One sweep per distinct parameter point.  An applied EMA shift comes
+    off first.  The sharpness probe's backward at the unperturbed point
+    gives eval_loss, and its one offset forward the SAM point; one
+    forward with the EMA shift held gives the EMA point, b + ema_e_b, the
+    same sum PerturbState.apply makes.  The EMA sharpness is that loss
+    minus eval_loss, the subtraction diagnostics.sharpness_ema makes.  So
+    an evaluation costs two sweeps, three for eflat-lora at every step
+    count.  sharpness_ema and gap are NaN without an EMA state.
     """
-    was_applied = pstate.applied if pstate is not None else False
+    was_applied = pstate is not None and pstate.applied
     if was_applied:
-        _, loss_at_ema = forward(net, task.eval_batch)
         pstate.remove(net)
-    rho_now = rho_at(cfg.rho0, max(step, 1), cfg.resolved_schedule())
-    eval_loss, s_sam = diagnostics.sam_probe(
-        net, task.eval_batch, rho_now, cfg.direction_variant
-    )
-    if not math.isfinite(eval_loss):
-        raise ExperimentAbort(step, f"eval loss is {eval_loss}")
-    if was_applied:
-        s_ema = loss_at_ema - eval_loss
-    elif pstate is not None:
-        s_ema = diagnostics.sharpness_ema(net, task.eval_batch, pstate)
-    else:
-        s_ema = math.nan
-    gap = abs(s_ema - s_sam) if pstate is not None else math.nan
-    bal = diagnostics.network_balancedness(net)
-    if was_applied:
-        pstate.apply(net)
-    return MetricsRecord(
-        step=step,
-        train_loss=train_loss,
-        eval_loss=eval_loss,
-        sharpness_sam=s_sam,
-        sharpness_ema=s_ema,
-        gap=gap,
-        balancedness=bal,
-        grad_evals_cumulative=grad_evals,
-        wall_time_ms_cumulative=wall_ms if cfg.measure_time else 0.0,
-        perturb_norm=perturb_norm,
-    )
+    try:
+        rho_now = rho_at(cfg.rho0, max(step, 1), cfg.resolved_schedule())
+        eval_loss, s_sam = diagnostics.sam_probe(
+            net, task.eval_batch, rho_now, cfg.direction_variant
+        )
+        if not math.isfinite(eval_loss):
+            raise ExperimentAbort(step, f"eval loss is {eval_loss}")
+        s_ema = gap = math.nan
+        if pstate is not None:
+            with apply_b_perturbation(net, pstate.ema_e_b):
+                s_ema = forward(net, task.eval_batch)[1] - eval_loss
+            gap = abs(s_ema - s_sam)
+        return eval_loss, s_sam, s_ema, gap, diagnostics.network_balancedness(net)
+    finally:
+        if was_applied:
+            pstate.apply(net)
 
 
 def run_paths(cfg: ExperimentConfig, out_dir: str) -> tuple[str, str]:
@@ -612,13 +592,7 @@ class BenchReport:
     entries: list[BenchEntry]
 
     def to_json(self) -> str:
-        payload = {
-            "config_hash": self.config_hash,
-            "repeats": self.repeats,
-            "steps_timed": self.steps_timed,
-            "entries": [dataclasses.asdict(e) for e in self.entries],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def bench(cfg: ExperimentConfig, repeats: int = 3) -> BenchReport:
@@ -642,7 +616,6 @@ def bench(cfg: ExperimentConfig, repeats: int = 3) -> BenchReport:
     if cfg.steps <= warmup:
         raise ConfigError({"steps": f"bench needs steps > {warmup} for warmup"})
     task = generate_task(cfg)
-    pool = task.train_batches
     times: dict[str, list[float]] = {kind: [] for kind in OPTIMIZER_KINDS}
     eval_counts = dict.fromkeys(OPTIMIZER_KINDS, 0)
     for _ in range(repeats):
@@ -651,7 +624,7 @@ def bench(cfg: ExperimentConfig, repeats: int = 3) -> BenchReport:
             run_cfg = dataclasses.replace(cfg, optimizer=kind)
             steps[kind] = make_step(run_cfg, _build_student(run_cfg, task))[0]
         for t in range(1, cfg.steps + 1):
-            batch = pool[(t - 1) % len(pool)]
+            batch = task.train_batch(t)
             for kind, step in steps.items():
                 t0 = time.perf_counter()
                 stats = step(batch, t)

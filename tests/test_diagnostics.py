@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from flatlora.checks import random_batch, random_net
 from flatlora.linalg import NumericalError, ShapeError, make_rng
 from flatlora.model import (
     Batch,
@@ -30,7 +31,10 @@ from flatlora.diagnostics import (
     sharpness_sam,
 )
 from flatlora.optimizers import (
+    BaseUpdateConfig,
+    eflat_lora_step,
     init_perturb_state,
+    init_sgd_state,
     perturbation_from_gradients,
     reconstruct_full_gradient,
     sam_direction,
@@ -128,6 +132,24 @@ def test_sharpness_ema_applied_and_unapplied_agree():
 
     # Both paths evaluate the same b + e and subtract the same two losses.
     assert applied == unapplied
+
+
+def test_sharpness_ema_puts_applied_shift_back_when_a_pass_raises():
+    rng = make_rng(1)
+    net = random_net(rng, (6, 5, 3), rank=2)
+    batch = random_batch(rng, net)
+    pstate = init_perturb_state(net, rho0=0.1, beta=0.9)
+    opt, sgd = BaseUpdateConfig(learning_rate=0.05), init_sgd_state(net)
+    for _ in range(3):
+        eflat_lora_step(net, batch, pstate, opt, sgd)
+    before = [layer.b.tobytes() for layer in net.layers]
+
+    bad = Batch(inputs=batch.inputs, targets=np.zeros((7, batch.inputs.shape[1])))
+    with pytest.raises(ShapeError):
+        sharpness_ema(net, bad, pstate)
+    assert pstate.applied
+    assert [layer.b.tobytes() for layer in net.layers] == before
+    eflat_lora_step(net, batch, pstate, opt, sgd)
 
 
 def test_neighborhood_oracle_dominates_ascent_probe():

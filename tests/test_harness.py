@@ -256,7 +256,8 @@ def _stepped(cfg, steps):
 
 
 def _evaluate_at(cfg, task, net, pstate, step):
-    return harness._evaluate(cfg, net, task, pstate, step, 0.0, 0, 0.0, 0.0)
+    return harness.MetricsRecord(
+        step, 0.0, *harness._evaluate(cfg, net, task, pstate, step), 0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("kind, steps, sweeps", [
@@ -264,13 +265,12 @@ def _evaluate_at(cfg, task, net, pstate, step):
     ("lora-sam", 3, 2),
     ("flat-lora", 3, 2),
     ("eflat-lora", 3, 3),
-    ("eflat-lora", 0, 4),
+    ("eflat-lora", 0, 3),
 ])
 def test_evaluate_runs_one_sweep_per_parameter_point(kind, steps, sweeps, monkeypatch):
     """Unperturbed point (the probe's backward) and SAM point always; the
-    EMA point too for eflat-lora, read while its shift is still applied.
-    An EMA state that was never applied is measured by sharpness_ema,
-    which sweeps the unperturbed point once more."""
+    EMA point too for eflat-lora, whether or not its shift was applied
+    (never, at steps = 0)."""
     cfg = tiny_config(optimizer=kind)
     task, net, pstate = _stepped(cfg, steps)
     sweep_fn = model._forward_cache
@@ -324,6 +324,22 @@ def test_evaluate_matches_separate_measurements_bit_for_bit(kind, steps, variant
     assert [(layer.b.tobytes(), layer.a.tobytes()) for layer in net.layers] == before
     if pstate is not None:
         assert pstate.applied == was_applied
+
+
+def test_evaluate_puts_applied_ema_back_when_a_measurement_raises(monkeypatch):
+    cfg = tiny_config(optimizer="eflat-lora")
+    task, net, pstate = _stepped(cfg, 3)
+    assert pstate.applied
+    before = [layer.b.tobytes() for layer in net.layers]
+
+    def broken_probe(*args):
+        raise RuntimeError("probe failed")
+
+    monkeypatch.setattr(diagnostics, "sam_probe", broken_probe)
+    with pytest.raises(RuntimeError, match="probe failed"):
+        harness._evaluate(cfg, net, task, pstate, 3)
+    assert pstate.applied
+    assert [layer.b.tobytes() for layer in net.layers] == before
 
 
 def test_run_writes_replayable_csv(tmp_path):

@@ -10,7 +10,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 def test_replay_digests_prints_24_named_digests(monkeypatch, capsys):
     """Two-step runs stand in for the 2000-step ones; every kind at every
     config prints a CSV and a summary digest, in order, followed by the
-    stdout digests of verify and the three demos: 28 lines in all."""
+    stdout digests of verify and the three demos: 36 lines in all."""
     spec = importlib.util.spec_from_file_location(
         "replay_digests", ROOT / "scripts" / "replay_digests.py")
     replay = importlib.util.module_from_spec(spec)
@@ -20,7 +20,7 @@ def test_replay_digests_prints_24_named_digests(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     names = [f"{kind}.{config}{suffix}"
              for kind in ("lora", "lora-sam", "flat-lora", "eflat-lora")
-             for config in ("default", "signed", "wide")
+             for config in ("default", "signed", "wide", "zero")
              for suffix in (".csv", ".summary.json")]
     names += [f"{name}.stdout" for name in
               ("verify", "balancedness_flow", "optimizer_comparison", "transfer_identity")]
