@@ -20,7 +20,7 @@ unrepresentable at fixed a; it is measured and printed, never hidden.
 import numpy as np
 
 from flatlora.linalg import make_rng, row_space_projector
-from flatlora.model import Batch, backward, build_network, effective_full_perturbation
+from flatlora.model import Batch, backward, build_network
 from flatlora.optimizers import (
     full_to_lowrank_perturbation,
     reconstruct_full_gradient,
@@ -65,7 +65,7 @@ for i, layer in enumerate(net.layers):
     e_b = full_to_lowrank_perturbation(direction, layer.a, layer.scale)
 
     # Merged effect of the b-shift vs the projected dense direction.
-    merged = effective_full_perturbation(e_b, layer.a, layer.scale)
+    merged = layer.scale * (e_b @ layer.a)
     projection_err = np.max(np.abs(merged - direction @ p_a))
 
     # Loss-level agreement plus the unrepresentable component's size.

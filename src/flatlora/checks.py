@@ -436,7 +436,7 @@ def verify() -> VerifyReport:
     net_o = random_net(make_rng(21), (6, 5, 3), rank=2, scale=2.0)
     batch_o = random_batch(make_rng(22), net_o)
     s_probe = diagnostics.sharpness_sam(net_o, batch_o, 0.1)
-    s_oracle = diagnostics.neighborhood_max_oracle(net_o, batch_o, 0.1, n_samples=32)
+    s_oracle = diagnostics.neighborhood_max_oracle(net_o, batch_o, 0.1)
     add("oracle_dominates_probe", max(0.0, s_probe - s_oracle), 1e-12)
 
     excess, _ = drift_bound(2, rho=0.05, scale=2.0, steps=300)

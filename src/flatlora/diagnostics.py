@@ -30,7 +30,14 @@ from .model import (
     forward,
     forward_with_offsets,
 )
-from .optimizers import PerturbState, sam_direction
+from .optimizers import PerturbState, _check_rho, sam_direction
+
+# estimate_assumption_constants draws TAU_PROBES random factor shifts of
+# entrywise scale TAU_PROBE_SCALE; neighborhood_max_oracle tries
+# ORACLE_SAMPLES random directions.
+TAU_PROBES = 8
+TAU_PROBE_SCALE = 1e-2
+ORACLE_SAMPLES = 32
 
 
 @dataclass
@@ -125,10 +132,14 @@ def ema_sam_gap_bound(
         * (rho0 / sqrt(t) + rho0 * (1-beta)^(t-1) + rho0)
 
     with tau the smoothness constant, G the gradient-norm ceiling and
-    sigma^2 the gradient noise variance, all taken from consts.
+    sigma^2 the gradient noise variance, all taken from consts.  rho0 must
+    be finite and >= 0, and beta lie in (0, 1], as PerturbState requires.
     """
     if t < 2:
         raise ValueError(f"the gap bound needs t >= 2, got {t}")
+    _check_rho(rho0, "rho0")
+    if not (0.0 < beta <= 1.0):
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
     lhs = consts.tau_hat * rho0 / math.sqrt(t - 1) + consts.grad_bound_hat + consts.noise_var_hat
     rhs = rho0 / math.sqrt(t) + rho0 * (1.0 - beta) ** (t - 1) + rho0
     return lhs * rhs
@@ -146,16 +157,14 @@ def _flat_merged_weights(net: Network) -> np.ndarray:
 def estimate_assumption_constants(
     net: Network,
     batches: list[Batch],
-    n_probes: int = 8,
-    probe_scale: float = 1e-2,
     seed: int = 0,
 ) -> AssumptionConstants:
     """Estimate the constants the gap bound needs, at the current point.
 
     tau_hat: largest gradient-difference-over-distance slope between the
-    current parameters and random shifts of both factors (applied to net
-    and reverted, one at a time), measured in merged-weight space on the
-    pooled data.  grad_bound_hat: largest minibatch gradient norm.
+    current parameters and TAU_PROBES random shifts of both factors
+    (applied to net and reverted, one at a time), measured in
+    merged-weight space on the pooled data.  grad_bound_hat: largest minibatch gradient norm.
     noise_var_hat: mean squared deviation of minibatch gradients from the
     pooled gradient.
 
@@ -164,8 +173,6 @@ def estimate_assumption_constants(
     """
     if not batches:
         raise ValueError("need at least one batch")
-    if probe_scale <= 0.0:
-        raise ValueError(f"probe_scale must be positive, got {probe_scale}")
     rng = make_rng(seed)
     pooled = Batch(
         inputs=np.concatenate([b.inputs for b in batches], axis=1),
@@ -183,12 +190,12 @@ def estimate_assumption_constants(
 
     w_base = _flat_merged_weights(net)
     tau = 0.0
-    for _ in range(n_probes):
+    for _ in range(TAU_PROBES):
         e_b: list[Matrix] = []
         e_a: list[Matrix] = []
         for layer in net.layers:
-            e_b.append(probe_scale * rng.standard_normal(layer.b.shape))
-            e_a.append(probe_scale * rng.standard_normal(layer.a.shape))
+            e_b.append(TAU_PROBE_SCALE * rng.standard_normal(layer.b.shape))
+            e_a.append(TAU_PROBE_SCALE * rng.standard_normal(layer.a.shape))
         with apply_perturbation(net, e_b=e_b, e_a=e_a):
             g_probe = _flat_merged_gradient(net, pooled)
             w_probe = _flat_merged_weights(net)
@@ -205,20 +212,19 @@ def neighborhood_max_oracle(
     net: Network,
     batch: Batch,
     rho: float,
-    n_samples: int = 64,
     seed: int = 0,
 ) -> float:
     """Brute-force estimate of the worst loss increase at radius rho.
 
     Starts from sam_probe's increase along the normalised ascent
-    direction, then evaluates n_samples random dense directions, each
+    direction, then evaluates ORACLE_SAMPLES random dense directions, each
     Gaussian draw scaled to norm rho per layer by sam_direction, and
     returns the largest increase seen.  By construction it is at least
     the single-direction sharpness probe.
     """
     rng = make_rng(seed)
     loss0, best = sam_probe(net, batch, rho)
-    for _ in range(n_samples):
+    for _ in range(ORACLE_SAMPLES):
         offsets: list[Matrix | None] = []
         for layer in net.layers:
             direction, degenerate = sam_direction(rng.standard_normal(layer.w0.shape), rho)
@@ -265,15 +271,18 @@ def run_scale_invariant_flow(
     callers can check that the drift never exceeds the ceiling (up to
     discretisation slack).  rho = 0 makes the ceiling identically zero and
     the flow an exact gradient flow, under which balancedness is conserved
-    up to O(eta) discretisation error.
+    up to O(eta) discretisation error.  rho must be finite and >= 0, and
+    scale and eta finite and > 0.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.ndim != 2:
         raise ValueError("target must be a matrix")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    _check_rho(rho)
+    for name, value in (("scale", scale), ("eta", eta)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be > 0 and finite, got {value}")
     n, m = target.shape
     rng = make_rng(seed)
     x = init_scale * rng.standard_normal(n)

@@ -189,7 +189,7 @@ _CONFIG_PARSERS = {
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse the flat key = value format (# starts a comment line).
 
-    Unknown keys and unparseable values raise ConfigError listing every
+    Unknown, repeated and unparseable keys raise ConfigError listing every
     offender; missing keys keep their defaults.  The parsed config is
     validated before it is returned.
     """
@@ -208,6 +208,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         parser = _CONFIG_PARSERS.get(key)
         if parser is None:
             problems[key] = "unknown key"
+            continue
+        if key in values or key in problems:
+            problems[key] = f"repeated on line {lineno}"
             continue
         try:
             values[key] = parser(value)

@@ -83,10 +83,6 @@ class Batch:
         if self.inputs.shape[1] < 1:
             raise ShapeError("a batch needs at least one sample column")
 
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[1]
-
 
 @dataclass
 class Network:
@@ -373,15 +369,6 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
             g_next *= layer.scale
             g = _add_product(layer.w0.T, g, g_next)
     return GradientSet(grad_b=grad_b, grad_a=grad_a, loss=loss, grad_w=grad_w)
-
-
-def effective_full_perturbation(e_b: Matrix, a: Matrix, scale: float) -> Matrix:
-    """Dense weight change induced by shifting b by e_b: scale * e_b @ a."""
-    e_b = as_matrix(e_b)
-    a = as_matrix(a)
-    if e_b.shape[1] != a.shape[0]:
-        raise ShapeError(f"cannot multiply {e_b.shape} @ {a.shape}")
-    return scale * (e_b @ a)
 
 
 class PerturbationHandle:

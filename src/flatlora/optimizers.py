@@ -585,9 +585,7 @@ class MemoryCounts:
     eflat-lora keeps both the EMA and the per-step perturbation at 2.0x.
     """
 
-    kind: str
     trainable: int
-    frozen: int
     extra: float
 
 
@@ -600,18 +598,11 @@ _EXTRA_MULTIPLIER = {
 
 
 def param_and_memory_counts(net: Network, kind: str) -> MemoryCounts:
-    """Element counts: trainable adapters, frozen base, optimizer extras."""
+    """Element counts: trainable adapters and optimizer extras."""
     if kind not in OPTIMIZER_KINDS:
         raise ValueError(f"unknown optimizer kind {kind!r}")
     trainable = 0
-    frozen = 0
     for layer in net.layers:
         n, m = layer.w0.shape
         trainable += n * layer.rank + layer.rank * m
-        frozen += n * m
-    return MemoryCounts(
-        kind=kind,
-        trainable=trainable,
-        frozen=frozen,
-        extra=_EXTRA_MULTIPLIER[kind] * trainable,
-    )
+    return MemoryCounts(trainable=trainable, extra=_EXTRA_MULTIPLIER[kind] * trainable)

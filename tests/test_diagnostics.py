@@ -158,7 +158,7 @@ def test_neighborhood_oracle_dominates_ascent_probe():
         batch = generic_batch(net, seed=seed)
         rho = 0.15
         probe = sharpness_sam(net, batch, rho)
-        oracle = neighborhood_max_oracle(net, batch, rho, n_samples=32, seed=seed)
+        oracle = neighborhood_max_oracle(net, batch, rho, seed=seed)
         assert oracle >= probe - 1e-12
 
 
@@ -177,6 +177,18 @@ def test_gap_bound_requires_second_step():
     with pytest.raises(ValueError):
         ema_sam_gap_bound(consts, 0.1, 0.9, 1)
     assert ema_sam_gap_bound(consts, 0.1, 0.9, 2) > 0.0
+
+
+@pytest.mark.parametrize("rho0, beta", [
+    (math.nan, 0.9), (math.inf, 0.9), (-0.1, 0.9),
+    (0.1, 0.0), (0.1, 1.5), (0.1, math.nan),
+])
+def test_gap_bound_rejects_a_bad_radius_or_beta(rho0, beta):
+    """A NaN or infinite rho0 would give a non-finite ceiling and a negative
+    one a negative ceiling; beta follows PerturbState's (0, 1] rule."""
+    consts = AssumptionConstants(tau_hat=2.0, grad_bound_hat=3.0, noise_var_hat=0.25)
+    with pytest.raises(ValueError):
+        ema_sam_gap_bound(consts, rho0, beta, 5)
 
 
 def test_gap_bound_shrinks_with_t():
@@ -214,8 +226,6 @@ def test_assumption_constants_validation():
     net = generic_net()
     with pytest.raises(ValueError):
         estimate_assumption_constants(net, [])
-    with pytest.raises(ValueError):
-        estimate_assumption_constants(net, [generic_batch(net)], probe_scale=0.0)
 
 
 def test_assumption_constants_restore_network():
@@ -288,6 +298,19 @@ def test_flow_validation_and_collapse():
         run_scale_invariant_flow(target, 0.1, 1.0, 0.0, 10)
     with pytest.raises(NumericalError):
         run_scale_invariant_flow(target, 0.1, 1.0, 1e-4, 10, init_scale=0.0)
+
+
+@pytest.mark.parametrize("rho, scale, eta", [
+    (math.nan, 1.0, 1e-4), (math.inf, 1.0, 1e-4), (-0.1, 1.0, 1e-4),
+    (0.1, 0.0, 1e-4), (0.1, -1.0, 1e-4), (0.1, math.nan, 1e-4), (0.1, math.inf, 1e-4),
+    (0.1, 1.0, math.nan), (0.1, 1.0, math.inf),
+])
+def test_flow_rejects_a_bad_radius_scale_or_eta(rho, scale, eta):
+    """Each of these would run to an all-NaN trace, a NaN or
+    sign-flipped ceiling, or a bare ZeroDivisionError."""
+    target = make_rng(14).standard_normal((3, 3))
+    with pytest.raises(ValueError):
+        run_scale_invariant_flow(target, rho, scale, eta, 10)
 
 
 # ---------------------------------------------------------------- loss match

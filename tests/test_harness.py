@@ -91,8 +91,10 @@ def test_parse_collects_every_offender():
             "learning_rate = fast\n"
             "not a key value line\n"
             "layer_dims = 16,,4\n"
+            "optimizer = lora-sam\n"
         )
     fields = err.value.fields
+    assert "optimizer: repeated on line 6" in str(err.value)
     assert "coffee" in fields
     assert "learning_rate" in fields
     assert "layer_dims" in fields

@@ -7,7 +7,7 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_replay_digests_prints_24_named_digests(monkeypatch, capsys):
+def test_replay_digests_prints_36_named_digests(monkeypatch, capsys):
     """Two-step runs stand in for the 2000-step ones; every kind at every
     config prints a CSV and a summary digest, in order, followed by the
     stdout digests of verify and the three demos: 36 lines in all."""
