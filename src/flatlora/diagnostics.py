@@ -271,12 +271,16 @@ def run_scale_invariant_flow(
     callers can check that the drift never exceeds the ceiling (up to
     discretisation slack).  rho = 0 makes the ceiling identically zero and
     the flow an exact gradient flow, under which balancedness is conserved
-    up to O(eta) discretisation error.  rho must be finite and >= 0, and
-    scale and eta finite and > 0.
+    up to O(eta) discretisation error.  rho must be finite and >= 0,
+    scale and eta finite and > 0, and target and init_scale finite.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.ndim != 2:
         raise ValueError("target must be a matrix")
+    if not np.isfinite(target).all():
+        raise ValueError("target must hold only finite values")
+    if not math.isfinite(init_scale):
+        raise ValueError(f"init_scale must be finite, got {init_scale}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     _check_rho(rho)

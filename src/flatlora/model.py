@@ -190,8 +190,13 @@ def _activate(z: Matrix, kind: str) -> Matrix:
 
 
 def _activation_grad(y: Matrix, kind: str) -> Matrix:
-    # Written in terms of the activation output, which backward caches; it
-    # overwrites y, which backward has finished reading.
+    """Overwrite a hidden output y with its activation derivative and
+    return it: 1 - y*y for tanh, the 0/1 mask y > 0 for relu, ones for
+    identity.  Written in terms of the output, which backward caches;
+    backward passes one row block of the output at a time, once the next
+    layer has read it, and then multiplies the block by the incoming
+    gradient, so the output's buffer ends up holding that layer's
+    gradient."""
     if kind == "tanh":
         np.multiply(y, y, out=y)
         np.subtract(1.0, y, out=y)
@@ -203,23 +208,27 @@ def _activation_grad(y: Matrix, kind: str) -> Matrix:
 
 
 def _loss_and_grad(pred: Matrix, targets: Matrix, kind: str):
-    """Loss value and its gradient with respect to pred (a fresh array)."""
+    """Loss value and its gradient with respect to pred, which is built in
+    pred's own buffer and returned: pred becomes the residual (mse) or the
+    log-probabilities and then the softmax minus the targets (softmax-ce),
+    divided by the batch size.  The caller must own pred."""
     k = pred.shape[1]
     if kind == "mse":
-        resid = pred - targets
-        loss = 0.5 * float(np.sum(resid * resid)) / k
-        resid /= k
-        return loss, resid
+        pred -= targets
+        loss = 0.5 * float(np.sum(pred * pred)) / k
+        pred /= k
+        return loss, pred
     # softmax-ce: column-wise softmax, targets are probability columns.
-    shifted = pred - pred.max(axis=0, keepdims=True)
-    exp = np.exp(shifted)
+    pred -= pred.max(axis=0, keepdims=True)
+    exp = np.exp(pred)
     z = exp.sum(axis=0, keepdims=True)
-    shifted -= np.log(z)
-    loss = -float(np.sum(targets * shifted)) / k
-    exp /= z
-    exp -= targets
-    exp /= k
-    return loss, exp
+    pred -= np.log(z)
+    loss = -float(np.sum(targets * pred)) / k
+    np.divide(exp, z, out=pred)
+    del exp
+    pred -= targets
+    pred /= k
+    return loss, pred
 
 
 def _check_batch(net: Network, batch: Batch) -> None:
@@ -258,9 +267,10 @@ def _add_product(x: Matrix, y: Matrix, out: Matrix) -> Matrix:
         return out
     a, trans_a = (y, 1) if y.flags.f_contiguous else (y.T, 0)
     b, trans_b = (x, 1) if x.flags.f_contiguous else (x.T, 0)
-    got = dgemm(1.0, a, b, beta=1.0, c=out.T, trans_a=trans_a,
-                trans_b=trans_b, overwrite_c=1)
-    if not np.shares_memory(got, out):
+    c = out.T
+    got = dgemm(1.0, a, b, beta=1.0, c=c, trans_a=trans_a, trans_b=trans_b,
+                overwrite_c=1)
+    if got is not c and not np.shares_memory(got, out):
         raise AccumulationError(
             f"cannot add a product into a {out.dtype} array that is not "
             "C-ordered"
@@ -279,10 +289,12 @@ def _forward_cache(
     layer's output is built in one fresh array: the low-rank product,
     scaled in place, then w0 @ h and offsets[i] @ h added into it by BLAS
     (_add_product), so no other n x k array is made, with the roundings
-    of the sum written out (_add_product says when).  The last output, which forward
-    returns, is an array nothing else holds; backward uses up the cache
-    entries (it overwrites the hidden outputs), so a cache serves one
-    pass.
+    of the sum written out (_add_product says when).  Layer i's output is
+    layer i + 1's input, the same array.  backward reuses the output
+    buffers for its gradients: the last output becomes the loss gradient
+    and each hidden output the gradient passed down into the layer that
+    produced it, so a cache serves one pass.  The last output, which
+    forward returns, is an array nothing else holds.
     """
     _check_batch(net, batch)
     if len(offsets) != len(net.layers):
@@ -325,8 +337,26 @@ def forward_with_offsets(
     perturbations are evaluated without materialising a perturbed network.
     """
     pred = _forward_cache(net, batch, offsets)[-1][2]
-    loss, _ = _loss_and_grad(pred, batch.targets, net.loss_kind)
+    loss, _ = _loss_and_grad(pred.copy(), batch.targets, net.loss_kind)
     return pred, loss
+
+
+# backward builds the gradient passed down in row blocks of about this
+# many bytes; an output smaller than two blocks stays whole.
+_BLOCK_BYTES = 80 * 1024
+
+
+def _row_blocks(y: Matrix) -> list[slice]:
+    """Row slices splitting y into y.nbytes // _BLOCK_BYTES blocks (at
+    least one) of near-equal rows.  y stays whole when it has one column,
+    and no block has fewer than two rows: a product with one row or one
+    column takes numpy's matrix-vector route, whose roundings depend on
+    the rows it covers, while a block's matrix products give the bits of
+    the same rows of the whole array's."""
+    rows, cols = y.shape
+    n = max(1, min(y.nbytes // _BLOCK_BYTES, rows // 2)) if cols > 1 else 1
+    bounds = [rows * j // n for j in range(n + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet:
@@ -335,12 +365,17 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
 
     grad_b and grad_a come out of the factored chain rule directly, never
     through the merged-weight gradient, so the factored and merged routes
-    stay independent checks of each other.  The sweep's cache is used up
-    as the reverse pass goes: each entry is dropped once read, and each
-    hidden output is overwritten with its activation derivative.  The
-    gradient passed down is built in one array: scale * (a.T @ (b.T @ g)),
-    then w0.T @ g added into it by BLAS (_add_product), with the same
-    roundings.  The batch is never written.
+    stay independent checks of each other.  No n x k array is allocated:
+    the last layer's output becomes the loss gradient (_loss_and_grad),
+    and once layer i + 1 has read its input y (layer i's output) for its
+    own gradients, y becomes layer i's gradient,
+    (scale * a.T @ (b.T @ g) + w0.T @ g) * act'(y), one block of rows at
+    a time (_row_blocks): the low-rank part into a fresh block, scaled,
+    w0.T @ g added into it by BLAS (_add_product), then y's rows
+    overwritten with their activation derivative (_activation_grad) and
+    multiplied by the block, each block released before the next.  The
+    roundings are those of the formula written one array per operation.
+    Cache entries are dropped once read; the batch is never written.
     """
     cache = _forward_cache(net, batch, [None] * len(net.layers))
     last = len(net.layers) - 1
@@ -350,13 +385,8 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
     grad_w: list[Matrix | None] = [None] * len(net.layers) if want_full else None
     for i in range(last, -1, -1):
         layer = net.layers[i]
-        x_in, ax, out = cache[i]
+        x_in, ax = cache[i][:2]
         cache[i] = None
-        if i < last:
-            # Layer i + 1 has read out as its input: out becomes the
-            # activation derivative.
-            g *= _activation_grad(out, net.activation)
-        del out
         grad_b[i] = layer.scale * (g @ ax.T)
         del ax
         bt_g = layer.b.T @ g
@@ -364,10 +394,24 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
         if want_full:
             grad_w[i] = g @ x_in.T
         if i > 0:
-            g_next = layer.a.T @ bt_g
-            del bt_g
-            g_next *= layer.scale
-            g = _add_product(layer.w0.T, g, g_next)
+            # x_in is layer i - 1's output, read for the last time above.
+            a_t, w0_t = layer.a.T, layer.w0.T
+            for rows in _row_blocks(x_in):
+                part = a_t[rows] @ bt_g
+                part *= layer.scale
+                w0_rows = w0_t[rows]
+                if not w0_rows.flags.c_contiguous:
+                    # F order, as a C-ordered w0's w0.T is, so BLAS takes a
+                    # block the way it takes the whole; a copy unless rows
+                    # covers all of w0.T.
+                    w0_rows = np.asfortranarray(w0_rows)
+                _add_product(w0_rows, g, part)
+                block = x_in[rows]
+                np.multiply(_activation_grad(block, net.activation), part,
+                            out=block)
+                del part, block, w0_rows
+            g = x_in
+        del x_in, bt_g
     return GradientSet(grad_b=grad_b, grad_a=grad_a, loss=loss, grad_w=grad_w)
 
 

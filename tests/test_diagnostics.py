@@ -300,6 +300,22 @@ def test_flow_validation_and_collapse():
         run_scale_invariant_flow(target, 0.1, 1.0, 1e-4, 10, init_scale=0.0)
 
 
+@pytest.mark.parametrize("argument", ["target", "init_scale"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_flow_rejects_non_finite_target_and_init_scale(argument, bad):
+    """A NaN or infinite target entry or init_scale would run the flow to
+    an all-NaN trace (the collapse check is False for NaN); it is refused
+    before step 0, with the argument named."""
+    target = np.eye(3)
+    init_scale = 1.0
+    if argument == "target":
+        target[0, 0] = bad
+    else:
+        init_scale = bad
+    with pytest.raises(ValueError, match=argument):
+        run_scale_invariant_flow(target, 0.1, 1.0, 1e-4, 3, init_scale=init_scale)
+
+
 @pytest.mark.parametrize("rho, scale, eta", [
     (math.nan, 1.0, 1e-4), (math.inf, 1.0, 1e-4), (-0.1, 1.0, 1e-4),
     (0.1, 0.0, 1e-4), (0.1, -1.0, 1e-4), (0.1, math.nan, 1e-4), (0.1, math.inf, 1e-4),

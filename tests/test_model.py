@@ -2,12 +2,14 @@
 equivalence, finite-difference gradient checks, and the perturbation
 apply/revert lifecycle."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from flatlora.checks import random_net
+from flatlora.harness import ExperimentConfig, make_step
 from flatlora.linalg import ShapeError, make_rng
 from flatlora.model import (
     AccumulationError,
@@ -24,7 +26,9 @@ from flatlora.model import (
     forward_with_offsets,
     make_lora_layer,
     _add_product,
+    _row_blocks,
 )
+from flatlora import model
 
 FD_STEP = 1e-6
 FD_TOL = 1e-4
@@ -373,6 +377,37 @@ def test_in_place_sweep_is_bit_identical_to_out_of_place_formulas(activation, lo
     assert held.tobytes() == held_bytes
 
 
+@pytest.mark.parametrize("k", [1, 2, 3072])
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 17])
+def test_backward_is_bit_identical_at_row_block_edges(monkeypatch, width, k):
+    """backward builds each hidden gradient in the hidden output's buffer
+    one row block at a time; at every activation and loss, with the
+    module's block size (five uneven blocks at width 17, k = 3072) and
+    with blocks of two or three rows (one block when k = 1),
+    backward(want_full=True) writes the bytes of the oracle that builds
+    each gradient as one array."""
+    for block_bytes in (model._BLOCK_BYTES, 1):
+        monkeypatch.setattr(model, "_BLOCK_BYTES", block_bytes)
+        sizes = [s.stop - s.start for s in _row_blocks(np.empty((width, k)))]
+        assert sum(sizes) == width and (len(sizes) == 1 or min(sizes) >= 2)
+        if block_bytes == 1:
+            assert len(sizes) == (max(1, width // 2) if k > 1 else 1)
+        elif (width, k) == (17, 3072):
+            assert sizes == [3, 3, 4, 3, 4]
+        for activation in ("tanh", "relu", "identity"):
+            for loss in ("mse", "softmax-ce"):
+                net = small_net(seed=width, dims=(5, width, width, 3),
+                                rank=min(2, width), activation=activation,
+                                loss=loss, scale=0.7)
+                batch = random_batch(net, seed=k, k=k)
+                want_loss, want_b, want_a, want_w = _oracle_backward(net, batch)
+                grads = backward(net, batch, want_full=True)
+                assert grads.loss == want_loss
+                for got, want in zip(grads.grad_b + grads.grad_a + grads.grad_w,
+                                     want_b + want_a + want_w):
+                    assert _same_bytes(got, want), (block_bytes, activation, loss)
+
+
 def _traced_peak(fn):
     """Peak traced bytes of one call above the traced size at its start,
     after an untraced warm-up call."""
@@ -386,20 +421,42 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("dims, rank, k", [((16, 16, 4), 4, 3072),
-                                           ((256, 256, 64), 8, 64)],
+@pytest.mark.parametrize("dims, rank, k, backward_bound",
+                         [((16, 16, 4), 4, 3072, 2.1),
+                          ((256, 256, 64), 8, 64, 3.0)],
                          ids=["default-dims", "wide-dims"])
-def test_sweep_peak_memory_stays_within_a_few_activations(dims, rank, k):
+def test_sweep_peak_memory_stays_within_a_few_activations(dims, rank, k,
+                                                          backward_bound):
     """The sweep reuses the arrays it owns and BLAS adds w0 @ h and
-    w0.T @ g into them: backward peaks at no more than 3 and forward at no
-    more than 2 of the largest n x k float64 activation.  Building those
-    products apart and adding them reads about 3.5 and 2.25; one fresh
-    array per elementwise operation about 5 and 3."""
+    w0.T @ g into them: forward peaks at no more than 2 of the largest
+    n x k float64 activation, and backward, which builds each hidden
+    gradient in row blocks inside the hidden output, at no more than 2.1
+    at the default dims (it reads 2.01) and 3 at the wide dims, where the
+    output stays whole (2.48).  A fresh array for the gradient passed
+    down reads 2.76 at the default dims; building the products apart and
+    adding them about 3.5; one fresh array per operation about 5."""
     net = small_net(seed=13, dims=dims, rank=rank, scale=0.5)
     batch = random_batch(net, seed=13, k=k)
     activation_bytes = max(dims) * k * 8
-    assert _traced_peak(lambda: backward(net, batch)) <= 3.0 * activation_bytes
+    assert (_traced_peak(lambda: backward(net, batch))
+            <= backward_bound * activation_bytes)
     assert _traced_peak(lambda: forward(net, batch)) <= 2.0 * activation_bytes
+
+
+@pytest.mark.parametrize("kind", ["lora", "lora-sam", "flat-lora", "eflat-lora"])
+def test_step_peak_memory_stays_within_a_few_activations(kind):
+    """One step of each optimizer kind at the default config peaks at no
+    more than 2.1 of the largest activation (each reads 2.01): the two
+    passes of a sharpness-aware step never hold two sweeps at once, and
+    neither the plan nor the update adds an n x k array."""
+    cfg = ExperimentConfig(optimizer=kind)
+    net = small_net(seed=13, dims=tuple(cfg.layer_dims), rank=cfg.rank,
+                    scale=cfg.scale)
+    batch = random_batch(net, seed=13, k=cfg.batch_size)
+    step, _ = make_step(cfg, net)
+    t = itertools.count(1)
+    activation_bytes = max(cfg.layer_dims) * cfg.batch_size * 8
+    assert _traced_peak(lambda: step(batch, next(t))) <= 2.1 * activation_bytes
 
 
 @pytest.mark.parametrize("layout", ["w0-f-order", "inputs-f-order",
