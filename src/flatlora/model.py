@@ -25,7 +25,8 @@ class PerturbationStateError(RuntimeError):
 
 
 class AccumulationError(RuntimeError):
-    """BLAS returned a copy instead of adding a product into the given array."""
+    """A product cannot be added into the given array in place: BLAS would
+    return a copy, or the product is not float64."""
 
 
 @dataclass
@@ -193,10 +194,10 @@ def _activation_grad(y: Matrix, kind: str) -> Matrix:
     """Overwrite a hidden output y with its activation derivative and
     return it: 1 - y*y for tanh, the 0/1 mask y > 0 for relu, ones for
     identity.  Written in terms of the output, which backward caches;
-    backward passes one row block of the output at a time, once the next
-    layer has read it, and then multiplies the block by the incoming
-    gradient, so the output's buffer ends up holding that layer's
-    gradient."""
+    backward passes the whole output once, after the next layer has read
+    it, and then multiplies the returned array by the incoming gradient
+    one row block at a time, so the output's buffer ends up holding that
+    layer's gradient."""
     if kind == "tanh":
         np.multiply(y, y, out=y)
         np.subtract(1.0, y, out=y)
@@ -244,29 +245,55 @@ def _check_batch(net: Network, batch: Batch) -> None:
         )
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _blas_operand(m: Matrix) -> tuple[Matrix, int]:
+    """A float64 m as numpy's matmul hands it to column-major dgemm, with
+    the trans flag: m itself for F order, m.T untransposed for C order,
+    and an m in neither order (such as a row block of w0.T) copied in its
+    own axis order first.  f2py would copy that last kind in F order, and
+    dgemm would take it with the other trans flag than numpy's, which
+    rounds differently."""
+    if not (m.flags.c_contiguous or m.flags.f_contiguous):
+        m = m.copy(order="K")
+    return (m, 1) if m.flags.f_contiguous else (m.T, 0)
+
+
 def _add_product(x: Matrix, y: Matrix, out: Matrix) -> Matrix:
     """out += x @ y in place, with no array for x @ y.
 
     One dgemm with beta = 1 on out.T: column-major BLAS computes
     out.T += y.T @ x.T, the call numpy's row-major matmul makes for x @ y,
     and an operand in F order (such as w0.T) goes in untransposed with the
-    trans flag, as numpy passes it, so nothing is copied.  BLAS holds each
-    dot product in a register and adds it to out once, and that register
-    holds the double x @ y would store, so out gets the bits of
-    out + x @ y.  This holds while the inner dimension fits one BLAS panel
-    (384 with OpenBLAS's SkylakeX kernels); past it each panel's partial
-    sum is added to out in turn, which rounds differently.  numpy takes
-    a matrix-vector route when x has one row or y one column; there the
-    product is built and added, to keep numpy's roundings.
+    trans flag, as numpy passes it, so nothing is copied; an operand in
+    neither order, or of another dtype, is first copied as numpy copies
+    it (_blas_operand).  BLAS holds each dot product in a register and
+    adds it to out once, and that register holds the double x @ y would
+    store, so out gets the bits of out + x @ y.  This holds while the
+    inner dimension fits one BLAS panel (384 with OpenBLAS's SkylakeX
+    kernels); past it each panel's partial sum is added to out in turn,
+    which rounds differently.  numpy takes a matrix-vector route when x
+    has one row or y one column; there the product is built and added,
+    to keep numpy's roundings.
 
     Raises AccumulationError when BLAS hands back a copy, which it does
-    unless out is a C-ordered float64 array; the sum is never dropped.
+    unless out is a C-ordered float64 array, so the sum is never dropped,
+    and when x @ y is not float64 (complex or float32 operands, say),
+    whose sum dgemm cannot give.
     """
+    if x.dtype != _FLOAT64 or y.dtype != _FLOAT64:
+        product = np.result_type(x.dtype, y.dtype)
+        if product != _FLOAT64:
+            raise AccumulationError(f"cannot add a {product} product as float64")
+        # numpy casts an operand of another dtype to C-ordered float64.
+        x, y = (m if m.dtype == _FLOAT64 else
+                np.ascontiguousarray(m, dtype=np.float64) for m in (x, y))
     if x.shape[0] == 1 or y.shape[1] == 1:
         out += x @ y
         return out
-    a, trans_a = (y, 1) if y.flags.f_contiguous else (y.T, 0)
-    b, trans_b = (x, 1) if x.flags.f_contiguous else (x.T, 0)
+    a, trans_a = _blas_operand(y)
+    b, trans_b = _blas_operand(x)
     c = out.T
     got = dgemm(1.0, a, b, beta=1.0, c=c, trans_a=trans_a, trans_b=trans_b,
                 overwrite_c=1)
@@ -287,8 +314,9 @@ def _forward_cache(
     when that offset is not None, and applies the activation on every
     layer but the last.  The batch is checked before the offsets.  Each
     layer's output is built in one fresh array: the low-rank product,
-    scaled in place, then w0 @ h and offsets[i] @ h added into it by BLAS
-    (_add_product), so no other n x k array is made, with the roundings
+    scaled in place unless scale is 1.0, where x * 1.0 == x bit for bit,
+    then w0 @ h and offsets[i] @ h added into it by BLAS (_add_product),
+    so no other n x k array is made, with the roundings
     of the sum written out (_add_product says when).  Layer i's output is
     layer i + 1's input, the same array.  backward reuses the output
     buffers for its gradients: the last output becomes the loss gradient
@@ -307,7 +335,8 @@ def _forward_cache(
     for i, (layer, off) in enumerate(zip(net.layers, offsets)):
         ax = layer.a @ h
         z = layer.b @ ax
-        z *= layer.scale
+        if layer.scale != 1.0:
+            z *= layer.scale
         _add_product(layer.w0, h, z)
         if off is not None:
             if off.shape != layer.w0.shape:
@@ -342,19 +371,22 @@ def forward_with_offsets(
 
 
 # backward builds the gradient passed down in row blocks of about this
-# many bytes; an output smaller than two blocks stays whole.
+# many bytes, and in at least four blocks once an output is larger than
+# half of it; a smaller output stays whole.
 _BLOCK_BYTES = 80 * 1024
 
 
 def _row_blocks(y: Matrix) -> list[slice]:
-    """Row slices splitting y into y.nbytes // _BLOCK_BYTES blocks (at
-    least one) of near-equal rows.  y stays whole when it has one column,
-    and no block has fewer than two rows: a product with one row or one
-    column takes numpy's matrix-vector route, whose roundings depend on
-    the rows it covers, while a block's matrix products give the bits of
-    the same rows of the whole array's."""
+    """Row slices splitting y into y.nbytes // _BLOCK_BYTES blocks of
+    near-equal rows, and at least four once y is larger than half of
+    _BLOCK_BYTES.  y stays whole when it has one column or is no larger
+    than that, and no block has fewer than two rows: a product with one
+    row or one column takes numpy's matrix-vector route, whose roundings
+    depend on the rows it covers, while a block's matrix products give
+    the bits of the same rows of the whole array's."""
     rows, cols = y.shape
-    n = max(1, min(y.nbytes // _BLOCK_BYTES, rows // 2)) if cols > 1 else 1
+    split = cols > 1 and 2 * y.nbytes > _BLOCK_BYTES
+    n = max(1, min(max(4, y.nbytes // _BLOCK_BYTES), rows // 2)) if split else 1
     bounds = [rows * j // n for j in range(n + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
@@ -369,13 +401,15 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
     the last layer's output becomes the loss gradient (_loss_and_grad),
     and once layer i + 1 has read its input y (layer i's output) for its
     own gradients, y becomes layer i's gradient,
-    (scale * a.T @ (b.T @ g) + w0.T @ g) * act'(y), one block of rows at
-    a time (_row_blocks): the low-rank part into a fresh block, scaled,
-    w0.T @ g added into it by BLAS (_add_product), then y's rows
-    overwritten with their activation derivative (_activation_grad) and
-    multiplied by the block, each block released before the next.  The
-    roundings are those of the formula written one array per operation.
-    Cache entries are dropped once read; the batch is never written.
+    (scale * a.T @ (b.T @ g) + w0.T @ g) * act'(y): y is overwritten with
+    its activation derivative in one pass (_activation_grad), then, one
+    block of rows at a time (_row_blocks), the low-rank part goes into a
+    fresh block, scaled, w0.T @ g is added into it by BLAS (_add_product)
+    and y's rows are multiplied by it, each block released before the
+    next.  Every multiplication by scale, here and in the sweep, is
+    skipped at scale 1.0, where it changes no bit.  The roundings are
+    those of the formula written one array per operation.  Cache entries
+    are dropped once read; the batch is never written.
     """
     cache = _forward_cache(net, batch, [None] * len(net.layers))
     last = len(net.layers) - 1
@@ -387,30 +421,26 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
         layer = net.layers[i]
         x_in, ax = cache[i][:2]
         cache[i] = None
-        grad_b[i] = layer.scale * (g @ ax.T)
+        scale = layer.scale
+        grad_b[i] = g @ ax.T if scale == 1.0 else scale * (g @ ax.T)
         del ax
         bt_g = layer.b.T @ g
-        grad_a[i] = layer.scale * (bt_g @ x_in.T)
+        grad_a[i] = bt_g @ x_in.T if scale == 1.0 else scale * (bt_g @ x_in.T)
         if want_full:
             grad_w[i] = g @ x_in.T
         if i > 0:
             # x_in is layer i - 1's output, read for the last time above.
+            act = _activation_grad(x_in, net.activation)
             a_t, w0_t = layer.a.T, layer.w0.T
-            for rows in _row_blocks(x_in):
+            for rows in _row_blocks(act):
                 part = a_t[rows] @ bt_g
-                part *= layer.scale
-                w0_rows = w0_t[rows]
-                if not w0_rows.flags.c_contiguous:
-                    # F order, as a C-ordered w0's w0.T is, so BLAS takes a
-                    # block the way it takes the whole; a copy unless rows
-                    # covers all of w0.T.
-                    w0_rows = np.asfortranarray(w0_rows)
-                _add_product(w0_rows, g, part)
-                block = x_in[rows]
-                np.multiply(_activation_grad(block, net.activation), part,
-                            out=block)
-                del part, block, w0_rows
-            g = x_in
+                if scale != 1.0:
+                    part *= scale
+                _add_product(w0_t[rows], g, part)
+                block = act[rows]
+                np.multiply(block, part, out=block)
+                del part, block
+            g = act
         del x_in, bt_g
     return GradientSet(grad_b=grad_b, grad_a=grad_a, loss=loss, grad_w=grad_w)
 
