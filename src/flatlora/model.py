@@ -277,10 +277,10 @@ def _add_product(x: Matrix, y: Matrix, out: Matrix) -> Matrix:
     has one row or y one column; there the product is built and added,
     to keep numpy's roundings.
 
-    Raises AccumulationError when BLAS hands back a copy, which it does
-    unless out is a C-ordered float64 array, so the sum is never dropped,
-    and when x @ y is not float64 (complex or float32 operands, say),
-    whose sum dgemm cannot give.
+    Raises AccumulationError rather than drop the sum or round it
+    otherwise: when out is not a C-ordered float64 array, since BLAS
+    would then add into a copy, and when x @ y is not float64 (complex
+    or float32 operands, say).
     """
     if x.dtype != _FLOAT64 or y.dtype != _FLOAT64:
         product = np.result_type(x.dtype, y.dtype)
