@@ -1,13 +1,15 @@
-"""Print the sha256 of the CSV and summary JSON of the 16 replay runs, and
+"""Print the sha256 of the CSV and summary JSON of the 20 replay runs, and
 of the stdout of `flatlora verify` and of each demo.
 
 Each of the four optimizer kinds runs at four configs: the default, the
 signed direction variant, and a wide network ([256,256,64], rank 8,
 batch 64), all at seed 0 for 2000 steps, and the default at 0 steps
 (the summary of an untrained student).  Every run, the self-check and
-each demo is its own child process with OPENBLAS_NUM_THREADS=1, since a
-wide run's bytes depend on the BLAS thread count.  The output is one line
-per file or stream, 36 in all:
+each demo is its own child process with OPENBLAS_NUM_THREADS=1.  The wide
+runs then run again with OPENBLAS_NUM_THREADS=2, as config
+`wide-2threads`: their lines equal the `wide` ones, because a run's bytes
+depend on its config and seed alone, not on the BLAS thread count.  The
+output is one line per file or stream, 44 in all:
 
     <sha256>  <kind>.<config>.csv
     <sha256>  <kind>.<config>.summary.json
@@ -45,6 +47,8 @@ CONFIGS = {
     "wide": {"layer_dims": "256,256,64", "rank": 8, "batch_size": 64},
     "zero": {"steps": 0},
 }
+# (config, BLAS threads) of each kind's runs, in print order.
+RUNS = [(config, 1) for config in CONFIGS] + [("wide", 2)]
 DEMOS = ("balancedness_flow", "optimizer_comparison", "transfer_identity")
 SEED = 0
 STEPS = 2000
@@ -56,14 +60,17 @@ def config_text(kind: str, overrides: dict) -> str:
     return "".join(f"{key} = {value}\n" for key, value in values.items())
 
 
-def child_env(checkout: Path) -> dict:
-    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+def child_env(checkout: Path, threads: int = 1) -> dict:
+    return dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                 PYTHONPATH=str(checkout / "src"))
 
 
-def run_digests(checkout: Path, kind: str, config: str) -> list[tuple[str, str]]:
-    """(sha256, name) of the CSV and summary JSON of one run."""
-    env = child_env(checkout)
+def run_digests(checkout: Path, kind: str, config: str,
+                threads: int = 1) -> list[tuple[str, str]]:
+    """(sha256, name) of the CSV and summary JSON of one run on `threads`
+    BLAS threads; a run on more than one is named <config>-<n>threads."""
+    env = child_env(checkout, threads)
+    label = config if threads == 1 else f"{config}-{threads}threads"
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "run.cfg"
         cfg_path.write_text(config_text(kind, CONFIGS[config]), encoding="utf-8")
@@ -77,7 +84,7 @@ def run_digests(checkout: Path, kind: str, config: str) -> list[tuple[str, str]]
         for suffix in (".csv", ".summary.json"):
             (path,) = out.glob(f"*{suffix}")
             digests.append((hashlib.sha256(path.read_bytes()).hexdigest(),
-                            f"{kind}.{config}{suffix}"))
+                            f"{kind}.{label}{suffix}"))
         return digests
 
 
@@ -98,8 +105,8 @@ def main(argv: list[str] | None = None) -> int:
                    help="checkout whose src/ runs (default: this repository)")
     args = p.parse_args(argv)
     checkout = args.checkout.resolve()
-    jobs = [partial(run_digests, checkout, kind, config)
-            for kind in KINDS for config in CONFIGS]
+    jobs = [partial(run_digests, checkout, kind, config, threads)
+            for kind in KINDS for config, threads in RUNS]
     jobs += [partial(stdout_digest, checkout, name) for name in ("verify", *DEMOS)]
     with ThreadPoolExecutor(JOBS) as pool:
         for digests in pool.map(lambda job: job(), jobs):

@@ -19,8 +19,8 @@ import numpy as np
 from . import diagnostics
 from .harness import (CSV_HEADER, ExperimentConfig, _build_student, generate_task, make_step,
                       run_experiment, run_paths)
-from .linalg import (DEFAULT_TOL, Rng, col_space_projector, make_rng, pseudo_inverse,
-                     row_space_projector)
+from .linalg import (DEFAULT_TOL, Rng, _sq_norm, col_space_projector, make_rng,
+                     pseudo_inverse, row_space_projector)
 from .model import (Batch, LoRALinear, Network, apply_b_perturbation, backward, build_network,
                     clone_network, forward)
 from .optimizers import (BaseUpdateConfig, _pinv_factors, base_update,
@@ -93,8 +93,7 @@ def algebraic_core(rng: Rng, n_cases: int) -> tuple[float, float, float]:
         )
         net = Network(layers=[layer], activation="identity", loss_kind="mse")
         batch = random_batch(rng, net, k=4)
-        e_w_bar = rng.standard_normal((n, m))
-        e_w_bar *= 0.1 / np.linalg.norm(e_w_bar)
+        e_w_bar, _ = sam_direction(rng.standard_normal((n, m)), 0.1)
         e_b = full_to_lowrank_perturbation(e_w_bar, layer.a, scale)
         diff, _ = diagnostics.loss_match_residual(net, batch, 0, e_w_bar, e_b)
         loss_match = max(loss_match, diff)
@@ -425,7 +424,7 @@ def verify() -> VerifyReport:
         layer.b = 0.5 * make_rng(11).standard_normal(layer.b.shape)
     batch_q = task.eval_batch
     grads_q = backward(net_q, batch_q, want_full=True)
-    g_norm = float(np.linalg.norm(grads_q.grad_w[0]))
+    g_norm = math.sqrt(_sq_norm(grads_q.grad_w[0]))
     for rho in (0.01, 0.1, 0.5):
         measured = diagnostics.sharpness_sam(net_q, batch_q, rho)
         expected = rho * g_norm + 0.5 * rho * rho

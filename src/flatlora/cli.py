@@ -2,8 +2,8 @@
 
 Subcommands: run (one experiment), sweep (same config across seeds),
 verify (self-check suite), bench (per-step wall-time comparison).  Exit
-codes: 0 on success, 1 when a config or the bench arguments are invalid
-or a verify check fails, 2 when training aborts on non-finite numbers.
+codes: 0 on success, 1 when a config, the bench arguments or --out is
+invalid or a verify check fails, 2 when training aborts on non-finite numbers.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .harness import (
     OUT_DIR_ENV_VAR,
     ConfigError,
     ExperimentAbort,
+    _bench_warmup,
     bench,
     load_config,
     run_experiment,
@@ -108,8 +109,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = load_config(args.config)
-    report = bench(cfg, repeats=args.repeats)
+    _bench_warmup(cfg, args.repeats)
     os.makedirs(args.out, exist_ok=True)
+    report = bench(cfg, repeats=args.repeats)
     out_path = os.path.join(args.out, f"{report.config_hash}.bench.json")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
@@ -137,6 +139,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"cannot read {exc.filename}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:
+        print(f"cannot use {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INVALID
     except UnicodeDecodeError as exc:
         print(f"cannot read {args.config}: not UTF-8 ({exc.reason})", file=sys.stderr)

@@ -18,6 +18,7 @@ from .linalg import (
     ZERO_GRAD_EPS,
     Matrix,
     NumericalError,
+    _sq_norm,
     make_rng,
     row_space_projector,
 )
@@ -180,12 +181,12 @@ def estimate_assumption_constants(
     )
     g_pool = _flat_merged_gradient(net, pooled)
 
-    grad_bound = float(np.linalg.norm(g_pool))
+    grad_bound = math.sqrt(_sq_norm(g_pool))
     noise_sq = 0.0
     for b in batches:
         g_b = _flat_merged_gradient(net, b)
-        grad_bound = max(grad_bound, float(np.linalg.norm(g_b)))
-        noise_sq += float(np.sum((g_b - g_pool) ** 2))
+        grad_bound = max(grad_bound, math.sqrt(_sq_norm(g_b)))
+        noise_sq += _sq_norm(g_b - g_pool)
     noise_var = noise_sq / len(batches)
 
     w_base = _flat_merged_weights(net)
@@ -199,10 +200,10 @@ def estimate_assumption_constants(
         with apply_perturbation(net, e_b=e_b, e_a=e_a):
             g_probe = _flat_merged_gradient(net, pooled)
             w_probe = _flat_merged_weights(net)
-        dist = float(np.linalg.norm(w_probe - w_base))
+        dist = math.sqrt(_sq_norm(w_probe - w_base))
         if dist <= ZERO_GRAD_EPS:
             continue
-        tau = max(tau, float(np.linalg.norm(g_probe - g_pool)) / dist)
+        tau = max(tau, math.sqrt(_sq_norm(g_probe - g_pool)) / dist)
     return AssumptionConstants(
         tau_hat=tau, grad_bound_hat=grad_bound, noise_var_hat=noise_var
     )
@@ -238,13 +239,13 @@ def balancedness(x: np.ndarray, y: np.ndarray) -> float:
     """Half the squared-norm imbalance of a factor pair: (|x|^2 - |y|^2)/2."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    return 0.5 * (float(np.sum(x * x)) - float(np.sum(y * y)))
+    return 0.5 * (_sq_norm(x) - _sq_norm(y))
 
 
 def network_balancedness(net: Network) -> float:
     """Balancedness of the stacked adapter factors: (sum|b|^2 - sum|a|^2)/2."""
-    sq_b = sum(float(np.sum(layer.b * layer.b)) for layer in net.layers)
-    sq_a = sum(float(np.sum(layer.a * layer.a)) for layer in net.layers)
+    sq_b = sum(_sq_norm(layer.b) for layer in net.layers)
+    sq_a = sum(_sq_norm(layer.a) for layer in net.layers)
     return 0.5 * (sq_b - sq_a)
 
 
@@ -298,12 +299,12 @@ def run_scale_invariant_flow(
     losses = np.empty(steps)
     b_now = balancedness(x, y)
     for t in range(steps):
-        y_norm_sq = float(np.sum(y * y))
+        y_norm_sq = _sq_norm(y)
         if y_norm_sq <= ZERO_GRAD_EPS:
             raise NumericalError(f"y collapsed to zero at step {t}")
         resid = np.outer(x, y) - target
-        losses[t] = 0.5 * float(np.sum(resid * resid))
-        g_norm = float(np.linalg.norm(resid))
+        losses[t] = 0.5 * _sq_norm(resid)
+        g_norm = math.sqrt(_sq_norm(resid))
         if g_norm > ZERO_GRAD_EPS and rho > 0.0:
             x_tilde = x + (rho / (scale * g_norm * y_norm_sq)) * (resid @ y)
         else:
@@ -313,7 +314,7 @@ def run_scale_invariant_flow(
         g_y = resid_tilde.T @ x_tilde
 
         bal[t] = b_now
-        bound[t] = abs(rho / scale) * float(np.linalg.norm(g_x)) / math.sqrt(y_norm_sq)
+        bound[t] = abs(rho / scale) * math.sqrt(_sq_norm(g_x)) / math.sqrt(y_norm_sq)
         x = x - eta * g_x
         y = y - eta * g_y
         b_next = balancedness(x, y)
@@ -359,5 +360,5 @@ def loss_match_residual(
     offsets[layer_index] = projected
     _, loss_projected = forward_with_offsets(net, batch, offsets)
 
-    unprojected = float(np.linalg.norm(e_w_bar - projected))
+    unprojected = math.sqrt(_sq_norm(e_w_bar - projected))
     return abs(loss_lowrank - loss_projected), unprojected

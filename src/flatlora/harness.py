@@ -2,11 +2,11 @@
 point, the training loop with metrics output, and the wall-time benchmark.
 
 Runs are deterministic by construction: every random draw flows from the
-config seed through named substreams, and the metrics CSV is written with
-round-trip float formatting, so an identical config and seed reproduces
-the file byte for byte.  Wall-clock time is the one unavoidable source of
-nondeterminism; the training loop and the benchmark time each step call,
-and the CSV records it only when the config opts in (measure_time = true).
+config seed through named substreams, every norm is numpy's pairwise sum
+(linalg._sq_norm) rather than a BLAS dot whose bits follow the thread
+count, and the metrics CSV is written with round-trip float formatting, so
+an identical config and seed reproduces the file byte for byte.  The
+training loop reads no clock; only the benchmark times each step call.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagnostics
-from .linalg import make_rng
+from .linalg import _sq_norm, make_rng
 from .model import Batch, Network, apply_b_perturbation, build_network, forward
 from .optimizers import (
     DIRECTION_VARIANTS,
@@ -90,7 +90,6 @@ class ExperimentConfig:
     eval_every: int = 100
     seed: int = 0
     svd_tol: float = 1e-12
-    measure_time: bool = False
 
     def validate(self) -> None:
         problems: dict[str, str] = {}
@@ -163,8 +162,6 @@ class ExperimentConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, list):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):
@@ -178,7 +175,6 @@ _TYPE_PARSERS = {
     "str": str,
     "int": int,
     "float": float,
-    "bool": lambda s: {"true": True, "false": False}[s.lower()],
     "list[int]": lambda s: [int(p) for p in s.split(",")],
 }
 _CONFIG_PARSERS = {
@@ -214,7 +210,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             continue
         try:
             values[key] = parser(value)
-        except (ValueError, KeyError):
+        except ValueError:
             problems[key] = f"cannot parse {value!r}"
     if problems:
         raise ConfigError(problems)
@@ -297,7 +293,7 @@ def generate_task(cfg: ExperimentConfig) -> Task:
         )
     if cfg.task == "two-cluster":
         direction = rng.standard_normal(dims[0])
-        direction /= np.linalg.norm(direction)
+        direction /= math.sqrt(_sq_norm(direction))
         separation = 6.0
         centers = np.stack([0.5 * separation * direction, -0.5 * separation * direction])
         w0_list = [
@@ -350,7 +346,6 @@ class MetricsRecord:
     gap: float
     balancedness: float
     grad_evals_cumulative: int
-    wall_time_ms_cumulative: float
     perturb_norm: float
 
     def to_csv_row(self) -> str:
@@ -376,7 +371,6 @@ class RunSummary:
     final_sharpness_ema: float
     final_gap: float
     total_grad_evals: int
-    total_wall_time_ms: float
     trainable_params: int
     extra_memory_elements: float
 
@@ -441,13 +435,16 @@ def run_experiment(
     """Train per the config, evaluating every eval_every steps.
 
     Returns the metrics records and the summary; when out_dir is given the
-    CSV and summary JSON are also written there.  Raises ExperimentAbort
+    CSV and summary JSON are also written there, into a directory made
+    before any training.  Raises ExperimentAbort
     (with the offending step) if any loss turns non-finite.  Training and
     evaluation run under np.errstate raising on overflow, invalid and
     divide, so divergence stops at the first such numpy operation, with
     no warnings, and is reported as an abort at that step.
     """
     cfg.validate()
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     if task is None:
         task = generate_task(cfg)
     net = _build_student(cfg, task)
@@ -455,14 +452,11 @@ def run_experiment(
 
     records: list[MetricsRecord] = []
     grad_evals = 0
-    wall_ms = 0.0
     t = 0
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for t in range(1, cfg.steps + 1):
-                t0 = time.perf_counter()
                 stats = step(task.train_batch(t), t)
-                wall_ms += (time.perf_counter() - t0) * 1e3
                 grad_evals += stats.grad_evals
                 train_loss = (
                     stats.loss_original
@@ -472,12 +466,11 @@ def run_experiment(
                 if not math.isfinite(train_loss):
                     raise ExperimentAbort(t, f"training loss is {train_loss}")
                 if t % cfg.eval_every == 0 or t == cfg.steps:
-                    wall = wall_ms if cfg.measure_time else 0.0
                     records.append(MetricsRecord(
                         t, train_loss, *_evaluate(cfg, net, task, pstate, t),
-                        grad_evals, wall, stats.perturb_norm))
+                        grad_evals, stats.perturb_norm))
             last = records[-1] if records else MetricsRecord(
-                0, math.nan, *_evaluate(cfg, net, task, pstate, 0), 0, 0.0, 0.0)
+                0, math.nan, *_evaluate(cfg, net, task, pstate, 0), 0, 0.0)
     except FloatingPointError as exc:
         raise ExperimentAbort(t, str(exc)) from exc
 
@@ -494,7 +487,6 @@ def run_experiment(
         final_sharpness_ema=last.sharpness_ema,
         final_gap=last.gap,
         total_grad_evals=last.grad_evals_cumulative,
-        total_wall_time_ms=last.wall_time_ms_cumulative,
         trainable_params=counts.trainable,
         extra_memory_elements=counts.extra,
     )
@@ -554,7 +546,6 @@ def write_run_outputs(
     summary: RunSummary,
     out_dir: str,
 ) -> tuple[str, str]:
-    os.makedirs(out_dir, exist_ok=True)
     csv_path, summary_path = run_paths(cfg, out_dir)
     lines = [CSV_HEADER] + [r.to_csv_row() for r in records]
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -598,6 +589,17 @@ class BenchReport:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
 
+def _bench_warmup(cfg: ExperimentConfig, repeats: int) -> int:
+    """The warmup step count of a bench; bad arguments raise ConfigError."""
+    cfg.validate()
+    if repeats < 1:
+        raise ConfigError({"repeats": f"must be >= 1, got {repeats}"})
+    warmup = max(1, cfg.steps // 10)
+    if cfg.steps <= warmup:
+        raise ConfigError({"steps": f"bench needs steps > {warmup} for warmup"})
+    return warmup
+
+
 def bench(cfg: ExperimentConfig, repeats: int = 3) -> BenchReport:
     """Median per-step wall time for each optimizer on the config's task,
     with diagnostics disabled (bare steps, no evaluation in the loop).
@@ -612,12 +614,7 @@ def bench(cfg: ExperimentConfig, repeats: int = 3) -> BenchReport:
     discarded as warmup before taking medians.  Too few repeats or steps
     raise ConfigError.
     """
-    cfg.validate()
-    if repeats < 1:
-        raise ConfigError({"repeats": f"must be >= 1, got {repeats}"})
-    warmup = max(1, cfg.steps // 10)
-    if cfg.steps <= warmup:
-        raise ConfigError({"steps": f"bench needs steps > {warmup} for warmup"})
+    warmup = _bench_warmup(cfg, repeats)
     task = generate_task(cfg)
     times: dict[str, list[float]] = {kind: [] for kind in OPTIMIZER_KINDS}
     eval_counts = dict.fromkeys(OPTIMIZER_KINDS, 0)

@@ -46,6 +46,13 @@ def as_matrix(values) -> Matrix:
     return m
 
 
+def _sq_norm(x: np.ndarray) -> float:
+    """Squared Frobenius norm by numpy's pairwise sum (the bits of
+    np.sum(x * x)), the package's one norm: a BLAS dot splits long
+    vectors across threads, so its last bits would follow the thread count."""
+    return float((x * x).sum())
+
+
 def _check_tol(tol: float) -> float:
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol}")

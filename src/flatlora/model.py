@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .linalg import Matrix, Rng, ShapeError, as_matrix
+from .linalg import Matrix, Rng, ShapeError, _sq_norm, as_matrix
 
 ACTIVATIONS = ("tanh", "relu", "identity")
 LOSS_KINDS = ("mse", "softmax-ce")
@@ -216,7 +216,7 @@ def _loss_and_grad(pred: Matrix, targets: Matrix, kind: str):
     k = pred.shape[1]
     if kind == "mse":
         pred -= targets
-        loss = 0.5 * float(np.sum(pred * pred)) / k
+        loss = 0.5 * _sq_norm(pred) / k
         pred /= k
         return loss, pred
     # softmax-ce: column-wise softmax, targets are probability columns.

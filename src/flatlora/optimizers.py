@@ -33,6 +33,7 @@ from .linalg import (
     ZERO_GRAD_EPS,
     Matrix,
     _check_tol,
+    _sq_norm,
     as_matrix,
     pseudo_inverse,
 )
@@ -137,7 +138,7 @@ def sam_direction(
         raise ValueError(f"unknown direction variant {variant!r}")
     _check_rho(rho)
     g = np.asarray(g, dtype=np.float64)
-    norm = float(np.linalg.norm(g))
+    norm = math.sqrt(_sq_norm(g))
     if norm <= ZERO_GRAD_EPS:
         return np.zeros_like(g), True
     if variant == "signed":
@@ -203,7 +204,7 @@ class PerturbationPlan:
     degenerate_layers: tuple[int, ...]
 
     def total_norm(self) -> float:
-        return math.sqrt(sum(float(np.sum(e * e)) for e in self.e_b))
+        return math.sqrt(sum(_sq_norm(e) for e in self.e_b))
 
 
 # |diag R| ratio of a factor's QR (the Cholesky diagonal of its Gram
@@ -324,14 +325,14 @@ def perturbation_from_gradients(
         else:
             z2 = t2 @ ga
             w = z2 @ q1
-            sq = float(np.vdot(z2, z2)) - float(np.vdot(w, w))
+            sq = _sq_norm(z2) - _sq_norm(w)
             # Drop each m- or n-long temporary once used: they set the
             # plan's peak.
             del z2, q1
             u = gb @ t1.T
             u += q2 @ w
             del q2
-            sq += float(np.vdot(u, u))
+            sq += _sq_norm(u)
             norm = half_inv_scale * math.sqrt(max(sq, 0.0))
             flat = norm <= ZERO_GRAD_EPS
             if not flat:
@@ -441,7 +442,7 @@ def lora_sam_step(
             da, _ = sam_direction(ga, rho, variant)
             e_b.append(db)
             e_a.append(da)
-            sq += float(np.sum(db * db)) + float(np.sum(da * da))
+            sq += _sq_norm(db) + _sq_norm(da)
         return e_b, e_a, math.sqrt(sq)
 
     return _two_pass_step(net, batch, cfg, state, shift)

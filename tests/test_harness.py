@@ -72,13 +72,11 @@ def test_parse_config_text_happy_path():
         optimizer = eflat-lora
         learning_rate = 0.1   # inline comment
         rho0 = 0.2
-        measure_time = true
         """
     )
     assert cfg.layer_dims == [8, 6, 4]
     assert cfg.optimizer == "eflat-lora"
     assert cfg.learning_rate == 0.1
-    assert cfg.measure_time is True
     # Unset keys keep their defaults.
     assert cfg.beta == ExperimentConfig().beta
 
@@ -131,14 +129,12 @@ def test_config_hash_excludes_seed_only():
     cfg = tiny_config()
     assert dataclasses.replace(cfg, seed=99).config_hash() == cfg.config_hash()
     assert dataclasses.replace(cfg, learning_rate=0.06).config_hash() != cfg.config_hash()
-    assert dataclasses.replace(cfg, measure_time=True).config_hash() != cfg.config_hash()
     assert len(cfg.config_hash()) == 12
     assert cfg.config_hash() == cfg.config_hash()
 
 
 def test_canonical_text_round_trips():
-    cfg = tiny_config(optimizer="eflat-lora", rho_schedule="inverse-sqrt",
-                      measure_time=True, svd_tol=1e-10)
+    cfg = tiny_config(optimizer="eflat-lora", rho_schedule="inverse-sqrt", svd_tol=1e-10)
     assert parse_config_text(cfg.canonical_text()) == cfg
 
 
@@ -259,7 +255,7 @@ def _stepped(cfg, steps):
 
 def _evaluate_at(cfg, task, net, pstate, step):
     return harness.MetricsRecord(
-        step, 0.0, *harness._evaluate(cfg, net, task, pstate, step), 0, 0.0, 0.0)
+        step, 0.0, *harness._evaluate(cfg, net, task, pstate, step), 0, 0.0)
 
 
 @pytest.mark.parametrize("kind, steps, sweeps", [
@@ -359,15 +355,6 @@ def test_run_writes_replayable_csv(tmp_path):
     summary = json.loads(open(sum_a).read())
     assert summary["config_hash"] == cfg.config_hash()
     assert summary["seed"] == cfg.seed
-
-
-def test_wall_time_column_zero_unless_measured():
-    records, summary = run_experiment(tiny_config())
-    assert all(r.wall_time_ms_cumulative == 0.0 for r in records)
-    assert summary.total_wall_time_ms == 0.0
-    records, summary = run_experiment(tiny_config(measure_time=True))
-    assert records[-1].wall_time_ms_cumulative > 0.0
-    assert summary.total_wall_time_ms == records[-1].wall_time_ms_cumulative
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -589,6 +576,25 @@ def test_cli_sweep(tmp_path, capsys):
         assert capsys.readouterr().err == f"cannot parse seed list {seeds!r}\n"
     assert main(["sweep", "--config", cfg_path, "--seeds=-1", "--out", out]) == 1
     assert capsys.readouterr().err.endswith("config error: invalid config (seed: must be >= 0)\n")
+
+
+def test_cli_out_that_cannot_be_a_directory_exits_one_before_any_work(
+        tmp_path, monkeypatch, capsys):
+    """An --out that is a file, or lies under one, ends run, sweep and
+    bench in one message line and exit 1 before any task is built."""
+    cfg_path, _ = write_cfg(tmp_path, optimizer="lora", steps=30, batch_size=4)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("trained before checking --out")
+
+    monkeypatch.setattr(harness, "generate_task", no_work)
+    for out in (afile, afile / "sub"):
+        for argv in (["run"], ["sweep", "--seeds", "0"], ["bench", "--repeats", "1"]):
+            assert main([*argv, "--config", cfg_path, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"cannot use {out}: ") and err.count("\n") == 1
 
 
 def test_cli_verify_exits_zero(capsys):

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package, the tests, the
-scripts or the demos imports is used, and every name the benchmark's
-tracer wraps is bound where it looks it up."""
+scripts or the demos imports is used, no package module reduces through a
+BLAS dot, and every name the benchmark's tracer wraps is bound where it
+looks it up."""
 
 import ast
 import importlib.util
@@ -58,6 +59,45 @@ def test_package_modules_import_nothing_unused(path):
 )
 def test_tests_scripts_and_demos_import_nothing_unused(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Calls that numpy sends to a BLAS dot, which OpenBLAS splits across
+# threads past 10,000 elements, so their last bits follow the thread count.
+BLAS_REDUCTIONS = ("norm", "vdot", "dot", "inner")
+
+
+def blas_reductions(source: str) -> list[str]:
+    """Calls of a function or method named in BLAS_REDUCTIONS
+    (np.linalg.norm, np.vdot, np.dot, np.inner, x.dot, ...)."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in BLAS_REDUCTIONS:
+                hits.append(f"{ast.unparse(func)} (line {node.lineno})")
+    return hits
+
+
+def test_blas_reduction_scan_flags_every_dot_call():
+    source = (
+        "import numpy as np\n"
+        "from numpy import vdot\n"
+        "a = np.linalg.norm(x)\nb = np.vdot(x, x)\nc = np.dot(x, y)\n"
+        "d = np.inner(x, y)\ne = x.dot(y)\nf = vdot(x, x)\n"
+        "g = float(np.sum(x * x)) + (x @ y).sum()\n"
+    )
+    assert blas_reductions(source) == [
+        "np.linalg.norm (line 3)", "np.vdot (line 4)", "np.dot (line 5)",
+        "np.inner (line 6)", "x.dot (line 7)", "vdot (line 8)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_package_modules_reduce_through_no_blas_dot(path):
+    """Every norm goes through linalg._sq_norm, numpy's pairwise sum, so a
+    run's bytes do not depend on the BLAS thread count."""
+    assert blas_reductions(path.read_text(encoding="utf-8")) == []
 
 
 def test_tracer_patch_targets_are_bound():
