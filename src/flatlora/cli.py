@@ -130,8 +130,12 @@ def _cmd_bench(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "out", "") is None:  # run, sweep or bench without --out
-        args.out = os.environ.get(OUT_DIR_ENV_VAR, os.getcwd())
+    if hasattr(args, "out"):  # run, sweep and bench
+        if args.out is None:
+            args.out = os.environ.get(OUT_DIR_ENV_VAR, os.getcwd())
+        if not args.out:
+            print("cannot use an empty output path", file=sys.stderr)
+            return EXIT_INVALID
     try:
         return args.handler(args)
     except ConfigError as exc:

@@ -307,8 +307,9 @@ def _add_product(x: Matrix, y: Matrix, out: Matrix) -> Matrix:
 
 def _forward_cache(
     net: Network, batch: Batch, offsets: list[Matrix | None]
-) -> list[tuple[Matrix, Matrix, Matrix]]:
-    """The one forward sweep: (input, a @ input, output) per layer.
+) -> list[tuple[Matrix, Matrix | None, Matrix]]:
+    """The one forward sweep: (input, a @ input, output) per layer, with
+    None for a @ input on every layer but the last.
 
     Layer i computes w0 @ h + scale * (b @ (a @ h)), plus offsets[i] @ h
     when that offset is not None, and applies the activation on every
@@ -321,8 +322,12 @@ def _forward_cache(
     layer i + 1's input, the same array.  backward reuses the output
     buffers for its gradients: the last output becomes the loss gradient
     and each hidden output the gradient passed down into the layer that
-    produced it, so a cache serves one pass.  The last output, which
-    forward returns, is an array nothing else holds.
+    produced it, so a cache serves one pass.  A hidden layer's a @ h
+    (rank x k) is dropped once its output is built, so it is not held
+    under backward's peaks; backward rebuilds it from the input.  The
+    last layer's is kept, since backward reads it right after the loss.
+    The last output, which forward returns, is an array nothing else
+    holds.
     """
     _check_batch(net, batch)
     if len(offsets) != len(net.layers):
@@ -335,6 +340,8 @@ def _forward_cache(
     for i, (layer, off) in enumerate(zip(net.layers, offsets)):
         ax = layer.a @ h
         z = layer.b @ ax
+        if i < last:
+            ax = None  # backward rebuilds it from h
         if layer.scale != 1.0:
             z *= layer.scale
         _add_product(layer.w0, h, z)
@@ -409,7 +416,10 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
     next.  Every multiplication by scale, here and in the sweep, is
     skipped at scale 1.0, where it changes no bit.  The roundings are
     those of the formula written one array per operation.  Cache entries
-    are dropped once read; the batch is never written.
+    are dropped once read; a hidden layer's a @ x_in, which the sweep
+    does not keep, is rebuilt from x_in before x_in is overwritten, the
+    same product on the same operands, so grad_b gets the same bits.  The
+    batch is never written.
     """
     cache = _forward_cache(net, batch, [None] * len(net.layers))
     last = len(net.layers) - 1
@@ -421,6 +431,8 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
         layer = net.layers[i]
         x_in, ax = cache[i][:2]
         cache[i] = None
+        if ax is None:
+            ax = layer.a @ x_in
         scale = layer.scale
         grad_b[i] = g @ ax.T if scale == 1.0 else scale * (g @ ax.T)
         del ax

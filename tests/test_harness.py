@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from flatlora import checks, diagnostics, harness, model, optimizers
+from flatlora import checks, cli, diagnostics, harness, model, optimizers
 from flatlora.checks import verify
 from flatlora.cli import main
 from flatlora.harness import (
@@ -595,6 +595,25 @@ def test_cli_out_that_cannot_be_a_directory_exits_one_before_any_work(
             assert main([*argv, "--config", cfg_path, "--out", str(out)]) == 1
             err = capsys.readouterr().err
             assert err.startswith(f"cannot use {out}: ") and err.count("\n") == 1
+
+
+def test_cli_empty_out_exits_one_before_any_work(tmp_path, monkeypatch, capsys):
+    """An empty --out, or an empty $FLATLORA_OUT_DIR with no --out, ends
+    run, sweep and bench in one message line and exit 1 before the config
+    is read, not as a config that cannot be read."""
+    cfg_path, _ = write_cfg(tmp_path, optimizer="lora", steps=30, batch_size=4)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("read the config before checking --out")
+
+    monkeypatch.setattr(cli, "load_config", no_work)
+    for argv in (["run"], ["sweep", "--seeds", "0"], ["bench", "--repeats", "1"]):
+        monkeypatch.delenv(OUT_DIR_ENV_VAR, raising=False)
+        assert main([*argv, "--config", cfg_path, "--out", ""]) == 1
+        assert capsys.readouterr().err == "cannot use an empty output path\n"
+        monkeypatch.setenv(OUT_DIR_ENV_VAR, "")
+        assert main([*argv, "--config", cfg_path]) == 1
+        assert capsys.readouterr().err == "cannot use an empty output path\n"
 
 
 def test_cli_verify_exits_zero(capsys):
