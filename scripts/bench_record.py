@@ -22,10 +22,14 @@ anywhere:
 commits, pairs them by seed, and prints for each workload and each
 end-to-end metric of BENCHMARK.json the two medians, the parent's
 quartile spread (upper minus lower quartile) and how many pairs the
-change won (strictly better, by the metric's `better`).  perfbench
-divides every time by the machine slowdown it measured in that run; a
-time metric gets a second row with the undivided value, value x slowdown,
-since the division alone can tilt a comparison:
+change won (strictly better, by the metric's `better`), and a verdict:
+`gain` when the change won at least 9 of every 10 pairs and its median
+is better than the parent's by more than the parent's quartile spread,
+`over bound` when its median is worse than the parent's by more than the
+metric's `bound` in BENCHMARK.json, blank otherwise.  perfbench divides
+every time by the machine slowdown it measured in that run; a time
+metric gets a second row, with its own verdict, for the undivided value,
+value x slowdown, since the division alone can tilt a comparison:
 
     python3 scripts/bench_record.py --compare 2b7ec40 8241fa9
 """
@@ -163,16 +167,34 @@ def compare_rows(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[tu
     return rows
 
 
+def verdict(metric: dict, before: float, after: float, spread: float,
+            won: int, pairs: int) -> str:
+    """'gain' when the change won at least 9 of every 10 pairs and its
+    median is better than the parent's by more than the parent's quartile
+    spread; 'over bound' when its median is worse than the parent's by
+    more than the metric's bound, a fraction of the parent's median; ''
+    otherwise."""
+    gained = before - after if metric["better"] == "lower" else after - before
+    if 10 * won >= 9 * pairs and gained > spread:
+        return "gain"
+    if -gained > metric["bound"] * abs(before):
+        return "over bound"
+    return ""
+
+
 def print_comparison(workload: str, parent: str, change: str,
                      pairs: list[tuple[dict, dict]], metrics: list[dict]) -> None:
     seeds = ",".join(str(p["seed"]) for p, _ in pairs)
     print(f"{workload}: {parent} -> {change}, {len(pairs)} pairs at seeds {seeds}")
     print(f"  {'metric':<28}{'parent':>13}{'change':>13}{'change %':>10}"
-          f"{'parent IQR':>13}{'won':>8}")
+          f"{'parent IQR':>13}{'won':>8}  verdict")
+    by_name = {m["name"]: m for m in metrics}
     for label, before, after, spread, won in compare_rows(pairs, metrics):
         pct = f"{100.0 * (after / before - 1.0):+.2f}" if before else "-"
+        mark = verdict(by_name[label.removesuffix(" x slowdown")], before, after,
+                       spread, won, len(pairs))
         print(f"  {label:<28}{_number(before):>13}{_number(after):>13}{pct:>10}"
-              f"{_number(spread):>13}{f'{won}/{len(pairs)}':>8}")
+              f"{_number(spread):>13}{f'{won}/{len(pairs)}':>8}  {mark}".rstrip())
 
 
 def _number(value: float) -> str:

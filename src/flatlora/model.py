@@ -323,7 +323,7 @@ def _forward_cache(
     buffers for its gradients: the last output becomes the loss gradient
     and each hidden output the gradient passed down into the layer that
     produced it, so a cache serves one pass.  A hidden layer's a @ h
-    (rank x k) is dropped once its output is built, so it is not held
+    (rank x k) is dropped once b @ (a @ h) is built, so it is not held
     under backward's peaks; backward rebuilds it from the input.  The
     last layer's is kept, since backward reads it right after the loss.
     The last output, which forward returns, is an array nothing else

@@ -153,3 +153,41 @@ def test_compare_prints_every_workload_and_rejects_unmatched_commits(
     out = capsys.readouterr().out
     assert out.startswith("eval-run: p -> c, 1 pairs at seeds 1\n")
     assert "lora.step_ms x slowdown" in out and "1/1" in out
+
+
+def test_compare_marks_a_gain_and_a_median_over_its_bound(tmp_path, monkeypatch,
+                                                          capsys):
+    """`gain` needs 9 of 10 pairs won and a median gap wider than the
+    parent's quartile spread; `over bound` a median worse by more than the
+    metric's bound; anything else is left blank."""
+    recorder = load_recorder()
+    records = []
+    for seed in range(1, 11):
+        # The change wins 9 of 10 step pairs, by 0.1 ms at the median
+        # against a parent spread of 0.045, and its peak is 6% higher.
+        step = 1.2 if seed == 10 else 0.9 + 0.01 * seed
+        records += [synthetic("p", seed, 1.0 + 0.01 * seed, 1.0),
+                    synthetic("c", seed, step, 1.0, peak=1060)]
+    path = tmp_path / "BENCH_eval-run.json"
+    path.write_text(json.dumps(records))
+    monkeypatch.setattr(recorder, "bench_path", lambda workload: path)
+    assert recorder.main(["--compare", "p", "c", "--workloads", "eval-run"]) == 0
+    marks = {line.split()[0] + (" x slowdown" if "x slowdown" in line else ""):
+             line.split("/10")[1].strip()
+             for line in capsys.readouterr().out.splitlines()[2:]}
+    assert marks.pop("lora.step_ms") == marks.pop("lora.step_ms x slowdown") == "gain"
+    assert marks.pop("run_s") == marks.pop("run_s x slowdown") == "gain"
+    for name in ("lora-sam", "flat-lora", "eflat-lora", "lora"):
+        assert marks.pop(f"{name}.peak_bytes") == "over bound"
+    assert marks.pop("run_peak_bytes") == "over bound"
+    assert set(marks.values()) == {""}  # the unchanged times
+
+    lower = {"better": "lower", "bound": 0.25}
+    higher = {"better": "higher", "bound": 0.25}
+    assert recorder.verdict(lower, 2.0, 1.5, 0.4, 9, 10) == "gain"
+    assert recorder.verdict(lower, 2.0, 1.5, 0.4, 8, 10) == ""  # too few pairs
+    assert recorder.verdict(lower, 2.0, 1.7, 0.4, 10, 10) == ""  # inside the spread
+    assert recorder.verdict(lower, 2.0, 2.5, 0.0, 0, 10) == ""  # worse by the bound
+    assert recorder.verdict(lower, 2.0, 2.51, 0.0, 0, 10) == "over bound"
+    assert recorder.verdict(higher, 2.0, 2.5, 0.4, 10, 10) == "gain"
+    assert recorder.verdict(higher, 2.0, 1.49, 0.0, 0, 10) == "over bound"
