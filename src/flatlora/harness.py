@@ -558,7 +558,12 @@ def write_run_outputs(
 def sweep(
     cfg: ExperimentConfig, seeds: list[int], out_dir: str | None = None
 ) -> list[RunSummary]:
-    """Run the same config across seeds (data and init reseeded per run)."""
+    """Run the same config across seeds (data and init reseeded per run).
+    A seed listed twice would rewrite its run's files; it raises
+    ConfigError before any run."""
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise ConfigError({"seeds": f"repeated {', '.join(map(str, repeated))}"})
     summaries = []
     for seed in seeds:
         run_cfg = dataclasses.replace(cfg, seed=seed)

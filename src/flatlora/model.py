@@ -251,10 +251,11 @@ _FLOAT64 = np.dtype(np.float64)
 def _blas_operand(m: Matrix) -> tuple[Matrix, int]:
     """A float64 m as numpy's matmul hands it to column-major dgemm, with
     the trans flag: m itself for F order, m.T untransposed for C order,
-    and an m in neither order (such as a row block of w0.T) copied in its
-    own axis order first.  f2py would copy that last kind in F order, and
-    dgemm would take it with the other trans flag than numpy's, which
-    rounds differently."""
+    and an m in neither order copied in its own axis order first; in
+    backward that is a row block of a.T at scale 1.0 and of w0.T at
+    other scales.  f2py would copy that last kind in F order, and dgemm
+    would take it with the other trans flag than numpy's, which rounds
+    differently."""
     if not (m.flags.c_contiguous or m.flags.f_contiguous):
         m = m.copy(order="K")
     return (m, 1) if m.flags.f_contiguous else (m.T, 0)
@@ -267,8 +268,9 @@ def _add_product(x: Matrix, y: Matrix, out: Matrix) -> Matrix:
     out.T += y.T @ x.T, the call numpy's row-major matmul makes for x @ y,
     and an operand in F order (such as w0.T) goes in untransposed with the
     trans flag, as numpy passes it, so nothing is copied; an operand in
-    neither order, or of another dtype, is first copied as numpy copies
-    it (_blas_operand).  BLAS holds each dot product in a register and
+    neither order (in backward, a row block of a.T at scale 1.0 and of
+    w0.T at other scales), or of another dtype, is first copied as numpy
+    copies it (_blas_operand).  BLAS holds each dot product in a register and
     adds it to out once, and that register holds the double x @ y would
     store, so out gets the bits of out + x @ y.  This holds while the
     inner dimension fits one BLAS panel (384 with OpenBLAS's SkylakeX
@@ -306,10 +308,12 @@ def _add_product(x: Matrix, y: Matrix, out: Matrix) -> Matrix:
 
 
 def _forward_cache(
-    net: Network, batch: Batch, offsets: list[Matrix | None]
+    net: Network, batch: Batch, offsets: list[Matrix | None], hold: bool = True
 ) -> list[tuple[Matrix, Matrix | None, Matrix]]:
     """The one forward sweep: (input, a @ input, output) per layer, with
-    None for a @ input on every layer but the last.
+    None for a @ input on every layer but the last.  With hold False, for
+    a sweep no backward follows, only the last layer's entry is kept, so
+    each hidden output is dropped once the next layer has read it.
 
     Layer i computes w0 @ h + scale * (b @ (a @ h)), plus offsets[i] @ h
     when that offset is not None, and applies the activation on every
@@ -353,7 +357,8 @@ def _forward_cache(
             _add_product(off, h, z)
         if i < last:
             _activate(z, net.activation)
-        cache.append((h, ax, z))
+        if hold or i == last:
+            cache.append((h, ax, z))
         h = z
     return cache
 
@@ -372,7 +377,7 @@ def forward_with_offsets(
     the stored parameters are never touched.  This is how full-space
     perturbations are evaluated without materialising a perturbed network.
     """
-    pred = _forward_cache(net, batch, offsets)[-1][2]
+    pred = _forward_cache(net, batch, offsets, hold=False)[-1][2]
     loss, _ = _loss_and_grad(pred.copy(), batch.targets, net.loss_kind)
     return pred, loss
 
@@ -408,14 +413,21 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
     the last layer's output becomes the loss gradient (_loss_and_grad),
     and once layer i + 1 has read its input y (layer i's output) for its
     own gradients, y becomes layer i's gradient,
-    (scale * a.T @ (b.T @ g) + w0.T @ g) * act'(y): y is overwritten with
+    (w0.T @ g + scale * a.T @ (b.T @ g)) * act'(y): y is overwritten with
     its activation derivative in one pass (_activation_grad), then, one
-    block of rows at a time (_row_blocks), the low-rank part goes into a
-    fresh block, scaled, w0.T @ g is added into it by BLAS (_add_product)
+    block of rows at a time (_row_blocks), the block of the sum is built
     and y's rows are multiplied by it, each block released before the
-    next.  Every multiplication by scale, here and in the sweep, is
-    skipped at scale 1.0, where it changes no bit.  The roundings are
-    those of the formula written one array per operation.  Cache entries
+    next.  At scale 1.0 the block starts as w0.T[rows] @ g, which numpy's
+    matmul reads from the strided rows in place, and a.T[rows] @ (b.T @ g)
+    is added into it by BLAS (_add_product), which copies only that
+    rank-wide block of a.T.  At other scales the low-rank part goes into
+    a fresh block, scaled, since the scaled term is an array anyway, and
+    w0.T @ g is added into it by BLAS, which copies the block of w0.T;
+    the other order held one more block there.  Either way the sum is one
+    addition, which IEEE 754 rounds the same in either operand order.
+    Every multiplication by scale, here and in the sweep, is skipped at
+    scale 1.0, where it changes no bit.  The roundings are those of the
+    formula written one array per operation.  Cache entries
     are dropped once read; a hidden layer's a @ x_in, which the sweep
     does not keep, is rebuilt from x_in before x_in is overwritten, the
     same product on the same operands, so grad_b gets the same bits.  The
@@ -445,10 +457,13 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
             act = _activation_grad(x_in, net.activation)
             a_t, w0_t = layer.a.T, layer.w0.T
             for rows in _row_blocks(act):
-                part = a_t[rows] @ bt_g
-                if scale != 1.0:
+                if scale == 1.0:
+                    part = w0_t[rows] @ g
+                    _add_product(a_t[rows], bt_g, part)
+                else:
+                    part = a_t[rows] @ bt_g
                     part *= scale
-                _add_product(w0_t[rows], g, part)
+                    _add_product(w0_t[rows], g, part)
                 block = act[rows]
                 np.multiply(block, part, out=block)
                 del part, block

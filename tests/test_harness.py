@@ -274,9 +274,9 @@ def test_evaluate_runs_one_sweep_per_parameter_point(kind, steps, sweeps, monkey
     sweep_fn = model._forward_cache
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return sweep_fn(*args)
+        return sweep_fn(*args, **kwargs)
 
     monkeypatch.setattr(model, "_forward_cache", counted)
     _evaluate_at(cfg, task, net, pstate, steps)
@@ -576,6 +576,27 @@ def test_cli_sweep(tmp_path, capsys):
         assert capsys.readouterr().err == f"cannot parse seed list {seeds!r}\n"
     assert main(["sweep", "--config", cfg_path, "--seeds=-1", "--out", out]) == 1
     assert capsys.readouterr().err.endswith("config error: invalid config (seed: must be >= 0)\n")
+
+
+def test_sweep_refuses_a_repeated_seed_before_any_run(tmp_path, monkeypatch, capsys):
+    """A seed listed twice would run twice into the same CSV and summary;
+    sweep raises ConfigError naming every repeated seed, and the CLI ends
+    in one message line and exit 1, before any task is built."""
+    cfg_path, cfg = write_cfg(tmp_path, optimizer="lora", steps=10)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("trained before checking the seeds")
+
+    monkeypatch.setattr(harness, "generate_task", no_work)
+    with pytest.raises(ConfigError) as err:
+        sweep(cfg, [2, 0, 1, 0, 2, 0], out_dir=str(tmp_path))
+    assert err.value.fields == ["seeds"]
+    assert str(err.value) == "invalid config (seeds: repeated 0, 2)"
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg_path, "--seeds", "0,0", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: invalid config (seeds: repeated 0)\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_cli_out_that_cannot_be_a_directory_exits_one_before_any_work(
