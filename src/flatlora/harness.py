@@ -240,11 +240,12 @@ class Task:
 
 
 def _dense_forward(weights: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    # tanh in place: each hidden layer holds one array at a time.
     h = x
     for i, w in enumerate(weights):
         h = w @ h
         if i < len(weights) - 1:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
     return h
 
 

@@ -252,10 +252,9 @@ def _blas_operand(m: Matrix) -> tuple[Matrix, int]:
     """A float64 m as numpy's matmul hands it to column-major dgemm, with
     the trans flag: m itself for F order, m.T untransposed for C order,
     and an m in neither order copied in its own axis order first; in
-    backward that is a row block of a.T at scale 1.0 and of w0.T at
-    other scales.  f2py would copy that last kind in F order, and dgemm
-    would take it with the other trans flag than numpy's, which rounds
-    differently."""
+    backward that is a row block of a.T.  f2py would copy that last kind
+    in F order, and dgemm would take it with the other trans flag than
+    numpy's, which rounds differently."""
     if not (m.flags.c_contiguous or m.flags.f_contiguous):
         m = m.copy(order="K")
     return (m, 1) if m.flags.f_contiguous else (m.T, 0)
@@ -268,16 +267,18 @@ def _add_product(x: Matrix, y: Matrix, out: Matrix) -> Matrix:
     out.T += y.T @ x.T, the call numpy's row-major matmul makes for x @ y,
     and an operand in F order (such as w0.T) goes in untransposed with the
     trans flag, as numpy passes it, so nothing is copied; an operand in
-    neither order (in backward, a row block of a.T at scale 1.0 and of
-    w0.T at other scales), or of another dtype, is first copied as numpy
-    copies it (_blas_operand).  BLAS holds each dot product in a register and
-    adds it to out once, and that register holds the double x @ y would
-    store, so out gets the bits of out + x @ y.  This holds while the
-    inner dimension fits one BLAS panel (384 with OpenBLAS's SkylakeX
-    kernels); past it each panel's partial sum is added to out in turn,
-    which rounds differently.  numpy takes a matrix-vector route when x
-    has one row or y one column; there the product is built and added,
-    to keep numpy's roundings.
+    neither order (in backward, a row block of a.T), or of another dtype,
+    is first copied as numpy copies it (_blas_operand).  BLAS holds each
+    dot product in a register and adds it to out once, and that register
+    holds the double x @ y would store, so out gets the bits of
+    out + x @ y.  This holds while the inner dimension fits one BLAS
+    panel (384 with OpenBLAS's SkylakeX kernels); past it each panel's
+    partial sum is added to out in turn, which rounds differently.  numpy
+    takes a matrix-vector route when x has one row or y one column; there
+    the product is built and added, to keep numpy's roundings.  dgemm's
+    alpha stays 1: OpenBLAS's packed kernels fuse alpha * (x @ y) into
+    the addition, so another alpha would not give the bits of
+    out + alpha * (x @ y).
 
     Raises AccumulationError rather than drop the sum or round it
     otherwise: when out is not a C-ordered float64 array, since BLAS
@@ -307,31 +308,47 @@ def _add_product(x: Matrix, y: Matrix, out: Matrix) -> Matrix:
     return out
 
 
+def _merged_route(layer: LoRALinear, k: int) -> bool:
+    """Whether the sweep runs layer through its merged weight for a batch
+    of k columns: when the n x m weight holds no more entries than the
+    rank x k product a @ h, one product with w0 + scale * b @ a does the
+    work of the factored route's two skinny ones."""
+    n, m = layer.w0.shape
+    return n * m <= layer.rank * k
+
+
 def _forward_cache(
     net: Network, batch: Batch, offsets: list[Matrix | None], hold: bool = True
 ) -> list[tuple[Matrix, Matrix | None, Matrix]]:
     """The one forward sweep: (input, a @ input, output) per layer, with
-    None for a @ input on every layer but the last.  With hold False, for
-    a sweep no backward follows, only the last layer's entry is kept, so
-    each hidden output is dropped once the next layer has read it.
+    None for a @ input on every layer but the last and on a layer of the
+    merged route.  With hold False, for a sweep no backward follows, only
+    the last layer's entry is kept, so each hidden output is dropped once
+    the next layer has read it.
 
-    Layer i computes w0 @ h + scale * (b @ (a @ h)), plus offsets[i] @ h
-    when that offset is not None, and applies the activation on every
-    layer but the last.  The batch is checked before the offsets.  Each
-    layer's output is built in one fresh array: the low-rank product,
+    Layer i computes (w0 + scale * b @ a) @ h, plus offsets[i] @ h when
+    that offset is not None, and applies the activation on every layer
+    but the last.  The batch is checked before the offsets.  Each layer
+    takes one of two routes, chosen from its shape and the batch width k
+    alone (_merged_route).  A layer whose n x m weight is no larger than
+    rank x k takes the merged route: its output is
+    layer.merged_weight() @ h, one product.  Every other layer takes the
+    factored route, w0 @ h + scale * (b @ (a @ h)): the low-rank product,
     scaled in place unless scale is 1.0, where x * 1.0 == x bit for bit,
-    then w0 @ h and offsets[i] @ h added into it by BLAS (_add_product),
-    so no other n x k array is made, with the roundings
-    of the sum written out (_add_product says when).  Layer i's output is
-    layer i + 1's input, the same array.  backward reuses the output
-    buffers for its gradients: the last output becomes the loss gradient
-    and each hidden output the gradient passed down into the layer that
-    produced it, so a cache serves one pass.  A hidden layer's a @ h
-    (rank x k) is dropped once b @ (a @ h) is built, so it is not held
-    under backward's peaks; backward rebuilds it from the input.  The
-    last layer's is kept, since backward reads it right after the loss.
-    The last output, which forward returns, is an array nothing else
-    holds.
+    then w0 @ h added into it by BLAS (_add_product).  On either route
+    offsets[i] @ h is added by BLAS too, so each layer's output is built
+    in one fresh array and no other n x k array is made, with the
+    roundings of the sum written out (_add_product says when).  Layer i's
+    output is layer i + 1's input, the same array.  backward reuses the
+    output buffers for its gradients: the last output becomes the loss
+    gradient and each hidden output the gradient passed down into the
+    layer that produced it, so a cache serves one pass.  A hidden
+    layer's a @ h (rank x k) is dropped once b @ (a @ h) is built, so it
+    is not held under backward's peaks; backward rebuilds it from the
+    input, as it does for a layer of the merged route, which never makes
+    it.  The last layer's is kept on the factored route, since backward
+    reads it right after the loss.  The last output, which forward
+    returns, is an array nothing else holds.
     """
     _check_batch(net, batch)
     if len(offsets) != len(net.layers):
@@ -342,13 +359,17 @@ def _forward_cache(
     h = batch.inputs
     cache = []
     for i, (layer, off) in enumerate(zip(net.layers, offsets)):
-        ax = layer.a @ h
-        z = layer.b @ ax
-        if i < last:
-            ax = None  # backward rebuilds it from h
-        if layer.scale != 1.0:
-            z *= layer.scale
-        _add_product(layer.w0, h, z)
+        ax = None
+        if _merged_route(layer, h.shape[1]):
+            z = layer.merged_weight() @ h
+        else:
+            ax = layer.a @ h
+            z = layer.b @ ax
+            if i < last:
+                ax = None  # backward rebuilds it from h
+            if layer.scale != 1.0:
+                z *= layer.scale
+            _add_product(layer.w0, h, z)
         if off is not None:
             if off.shape != layer.w0.shape:
                 raise ShapeError(
@@ -408,33 +429,35 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
     reverse accumulation over the forward sweep's cache.
 
     grad_b and grad_a come out of the factored chain rule directly, never
-    through the merged-weight gradient, so the factored and merged routes
-    stay independent checks of each other.  No n x k array is allocated:
-    the last layer's output becomes the loss gradient (_loss_and_grad),
-    and once layer i + 1 has read its input y (layer i's output) for its
-    own gradients, y becomes layer i's gradient,
-    (w0.T @ g + scale * a.T @ (b.T @ g)) * act'(y): y is overwritten with
-    its activation derivative in one pass (_activation_grad), then, one
-    block of rows at a time (_row_blocks), the block of the sum is built
-    and y's rows are multiplied by it, each block released before the
-    next.  At scale 1.0 the block starts as w0.T[rows] @ g, which numpy's
-    matmul reads from the strided rows in place, and a.T[rows] @ (b.T @ g)
-    is added into it by BLAS (_add_product), which copies only that
-    rank-wide block of a.T.  At other scales the low-rank part goes into
-    a fresh block, scaled, since the scaled term is an array anyway, and
-    w0.T @ g is added into it by BLAS, which copies the block of w0.T;
-    the other order held one more block there.  Either way the sum is one
-    addition, which IEEE 754 rounds the same in either operand order.
-    Every multiplication by scale, here and in the sweep, is skipped at
-    scale 1.0, where it changes no bit.  The roundings are those of the
-    formula written one array per operation.  Cache entries
-    are dropped once read; a hidden layer's a @ x_in, which the sweep
-    does not keep, is rebuilt from x_in before x_in is overwritten, the
-    same product on the same operands, so grad_b gets the same bits.  The
-    batch is never written.
+    through the merged-weight gradient, on either of the sweep's routes,
+    so the factored and merged routes stay independent checks of each
+    other.  No n x k array is allocated: the last layer's output becomes
+    the loss gradient (_loss_and_grad), and once layer i + 1 has read its
+    input y (layer i's output) for its own gradients, y becomes layer i's
+    gradient, (w.T @ g) * act'(y) with w = w0 + scale * b @ a: y is
+    overwritten with its activation derivative in one pass
+    (_activation_grad), then, one block of rows at a time (_row_blocks),
+    the block of w.T @ g is built and y's rows are multiplied by it, each
+    block released before the next.  A layer of the factored route
+    builds the block as w0.T[rows] @ g, which numpy's matmul reads from
+    the strided rows in place, and BLAS adds a.T[rows] @ (scale * b.T @ g)
+    into it (_add_product), which copies only that rank-wide block of
+    a.T; b.T @ g is scaled in its own buffer once grad_a is built, so
+    every scale takes this one order.  A layer of the merged route
+    builds it as w.T[rows] @ g, one product with layer.merged_weight(),
+    the weight the sweep ran it through; b.T @ g is dropped once grad_a
+    is built, before the blocks.  Every multiplication by scale, here and
+    in the sweep, is skipped at scale 1.0, where it changes no bit.  The
+    roundings are those of the formula written one array per operation,
+    on each layer's route.  Cache entries are dropped once read; an
+    a @ x_in the sweep does not keep (a hidden layer's, or any layer's on
+    the merged route) is rebuilt from x_in before x_in is overwritten,
+    the same product on the same operands, so grad_b gets the same bits.
+    The batch is never written.
     """
     cache = _forward_cache(net, batch, [None] * len(net.layers))
     last = len(net.layers) - 1
+    k = batch.inputs.shape[1]
     loss, g = _loss_and_grad(cache[last][2], batch.targets, net.loss_kind)
     grad_b: list[Matrix | None] = [None] * len(net.layers)
     grad_a: list[Matrix | None] = [None] * len(net.layers)
@@ -450,20 +473,24 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
         del ax
         bt_g = layer.b.T @ g
         grad_a[i] = bt_g @ x_in.T if scale == 1.0 else scale * (bt_g @ x_in.T)
+        merged = _merged_route(layer, k)
+        if merged:
+            bt_g = None
         if want_full:
             grad_w[i] = g @ x_in.T
         if i > 0:
             # x_in is layer i - 1's output, read for the last time above.
             act = _activation_grad(x_in, net.activation)
-            a_t, w0_t = layer.a.T, layer.w0.T
+            if merged:
+                w_t = layer.merged_weight().T
+            else:
+                w_t, a_t = layer.w0.T, layer.a.T
+                if scale != 1.0:
+                    bt_g *= scale
             for rows in _row_blocks(act):
-                if scale == 1.0:
-                    part = w0_t[rows] @ g
+                part = w_t[rows] @ g
+                if not merged:
                     _add_product(a_t[rows], bt_g, part)
-                else:
-                    part = a_t[rows] @ bt_g
-                    part *= scale
-                    _add_product(w0_t[rows], g, part)
                 block = act[rows]
                 np.multiply(block, part, out=block)
                 del part, block

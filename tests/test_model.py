@@ -284,14 +284,25 @@ def test_forward_offsets_and_backward_share_one_sweep(activation, loss):
     assert loss_plain == loss_off == backward(net, batch).loss
 
 
-def _oracle_sweep(net, batch, offsets):
-    """The sweep written out of place, one fresh array per operation."""
+def _merged(layer, k):
+    """Whether the sweep takes layer's merged route at batch width k."""
+    n, m = layer.w0.shape
+    return n * m <= layer.rank * k
+
+
+def _oracle_sweep(net, batch, offsets, merged=_merged):
+    """The sweep written out of place, one fresh array per operation: a
+    layer of the merged route (merged(layer, k)) as merged_weight() @ h,
+    any other as w0 @ h + scale * (b @ (a @ h))."""
     last = len(net.layers) - 1
     h = batch.inputs
     cache = []
     for i, (layer, off) in enumerate(zip(net.layers, offsets)):
         ax = layer.a @ h
-        z = layer.w0 @ h + layer.scale * (layer.b @ ax)
+        if merged(layer, h.shape[1]):
+            z = layer.merged_weight() @ h
+        else:
+            z = layer.w0 @ h + layer.scale * (layer.b @ ax)
         if off is not None:
             z = z + off @ h
         if i < last:
@@ -316,8 +327,11 @@ def _oracle_loss_and_grad(pred, targets, kind):
     return -float(np.sum(targets * log_probs)) / k, (exp / z - targets) / k
 
 
-def _oracle_backward(net, batch):
-    cache = _oracle_sweep(net, batch, [None] * len(net.layers))
+def _oracle_backward(net, batch, merged=_merged):
+    """The gradients written out of place: the passed-down gradient of a
+    layer of the merged route as merged_weight().T @ g, of any other as
+    w0.T @ g + a.T @ (scale * (b.T @ g))."""
+    cache = _oracle_sweep(net, batch, [None] * len(net.layers), merged)
     last = len(net.layers) - 1
     loss, g = _oracle_loss_and_grad(cache[last][2], batch.targets, net.loss_kind)
     grad_b, grad_a, grad_w = [], [], []
@@ -335,8 +349,10 @@ def _oracle_backward(net, batch):
         grad_b.insert(0, layer.scale * (g @ ax.T))
         grad_a.insert(0, layer.scale * (bt_g @ x_in.T))
         grad_w.insert(0, g @ x_in.T)
-        if i > 0:
-            g = layer.w0.T @ g + layer.scale * (layer.a.T @ bt_g)
+        if i > 0 and merged(layer, x_in.shape[1]):
+            g = layer.merged_weight().T @ g
+        elif i > 0:
+            g = layer.w0.T @ g + layer.a.T @ (layer.scale * bt_g)
     return loss, grad_b, grad_a, grad_w
 
 
@@ -349,14 +365,16 @@ def _same_bytes(got, want):
 def test_in_place_sweep_is_bit_identical_to_out_of_place_formulas(activation, loss):
     """forward, forward_with_offsets and backward(want_full=True) write the
     same bytes as the sweep computed one fresh array per operation, on a
-    three-layer net, at scale 0.7 and at scale 1.0, where every
-    multiplication by the scale is skipped; backward leaves batch.inputs
-    alone, and a prediction held from forward survives a later backward
-    unchanged."""
+    three-layer net whose first two layers take the factored route and
+    whose last, 3 x 4 against rank x k = 2 x 7, the merged route, at
+    scale 0.7 and at scale 1.0, where every multiplication by the scale
+    is skipped; backward leaves batch.inputs alone, and a prediction
+    held from forward survives a later backward unchanged."""
     for scale in (0.7, 1.0):
         net = small_net(seed=9, dims=(5, 6, 4, 3), activation=activation,
                         loss=loss, scale=scale)
         batch = random_batch(net, seed=9)
+        assert [_merged(layer, 7) for layer in net.layers] == [False, False, True]
         inputs_before = batch.inputs.copy()
         rng = make_rng(9)
         offsets = [rng.standard_normal(net.layers[0].w0.shape) * 0.2, None,
@@ -388,7 +406,10 @@ def test_backward_is_bit_identical_at_row_block_edges(monkeypatch, width, k):
     and 1.0, with the module's block size (five uneven blocks at width
     17, k = 3072) and with blocks of two or three rows (one block when
     k = 1), backward(want_full=True) writes the bytes of the oracle that
-    builds each gradient as one array."""
+    builds each gradient as one array.  At k = 3072 every layer takes
+    the merged route, at k = 1 and 2 the factored one, but for the
+    width-1 and width-2 square layer at k = 2 and the width-1 one at
+    k = 1, which take the merged route between two factored layers."""
     for block_bytes in (model._BLOCK_BYTES, 1):
         monkeypatch.setattr(model, "_BLOCK_BYTES", block_bytes)
         sizes = [s.stop - s.start for s in _row_blocks(np.empty((width, k)))]
@@ -425,32 +446,33 @@ def _traced_peak(fn):
 
 
 @pytest.mark.parametrize("dims, rank, k, scale, backward_bound, forward_bound",
-                         [((16, 16, 4), 4, 3072, 0.5, 1.77, 1.51),
-                          ((256, 256, 64), 8, 64, 0.5, 1.96, 1.3),
+                         [((16, 16, 4), 4, 3072, 0.5, 1.52, 1.26),
+                          ((256, 256, 64), 8, 64, 0.5, 1.74, 1.3),
                           ((256, 256, 64), 8, 64, 1.0, 1.74, 1.3),
-                          ((16, 16, 16, 4), 4, 3072, 0.5, 2.77, 2.26)],
+                          ((16, 16, 16, 4), 4, 3072, 0.5, 2.52, 2.01)],
                          ids=["default-dims", "wide-dims", "wide-dims-scale-1",
                               "three-layer"])
 def test_sweep_peak_memory_stays_within_a_few_activations(dims, rank, k, scale,
                                                           backward_bound,
                                                           forward_bound):
-    """The sweep reuses the arrays it owns, BLAS adds w0 @ h and
-    w0.T @ g into them, and only the last layer's a @ h is held for
-    backward: in units of the largest n x k float64 activation, backward,
-    which builds each hidden gradient in row blocks inside the hidden
-    output and rebuilds each hidden layer's a @ h, peaks at no more than
-    1.77 at the default dims (it reads 1.76; 2.01 with every a @ h held),
-    1.96 at the wide dims and scale 0.5, where the output takes four
-    blocks and each block of w0.T is copied for BLAS (1.95; 1.98 with
-    every a @ h held, 2.48 whole), 1.74 there at scale 1.0, where each
-    block starts as w0.T[rows] @ g, which numpy reads in place (1.73;
-    1.95 with the copied block), and 2.77 with three layers (2.76; 3.26
-    with every a @ h held), and forward, which drops each hidden output
-    once the next layer has read it, at no more than 1.51, 1.3, 1.3 and
-    2.26 (1.50, 1.29, 1.29 and 2.25; 2.50 with three layers when every
-    output was held).  A fresh array for the gradient passed down read
-    2.76 at the default dims; building the products apart and adding
-    them about 3.5; one fresh array per operation about 5."""
+    """The sweep reuses the arrays it owns, runs each layer no larger
+    than rank x k through its merged weight, and holds only the last
+    factored layer's a @ h for backward: in units of the largest n x k
+    float64 activation, backward, which builds each hidden gradient in
+    row blocks inside the hidden output, rebuilds every a @ h it needs
+    and, on the merged route, drops b.T @ g before the blocks, peaks at
+    no more than 1.52 at the default dims, where every layer takes the
+    merged route (it reads 1.51; 1.76 on the factored route), 1.74 at
+    the wide dims, factored, at scale 0.5 and 1.0, where each block
+    starts as w0.T[rows] @ g, which numpy reads in place, and
+    a.T[rows] @ (scale * b.T @ g) is added (1.73; 1.95 at scale 0.5
+    when that block of w0.T was copied for BLAS), and 2.52 with three
+    layers (2.51; 2.76 factored), and forward, which drops each hidden
+    output once the next layer has read it, at no more than 1.26, 1.3,
+    1.3 and 2.01 (1.25, 1.29, 1.29 and 2.01; 1.50 and 2.25 factored).
+    A fresh array for the gradient passed down read 2.76 at the default
+    dims; building the products apart and adding them about 3.5; one
+    fresh array per operation about 5."""
     net = small_net(seed=13, dims=dims, rank=rank, scale=scale)
     batch = random_batch(net, seed=13, k=k)
     activation_bytes = max(dims) * k * 8
@@ -465,34 +487,35 @@ THREE_LAYERS = {"layer_dims": [16, 16, 16, 4]}
 
 
 @pytest.mark.parametrize("kind, dims, bound", [
-    ("lora", {}, 1.77),
-    ("lora-sam", {}, 1.77),
-    ("flat-lora", {}, 1.77),
-    ("eflat-lora", {}, 1.77),
+    ("lora", {}, 1.52),
+    ("lora-sam", {}, 1.52),
+    ("flat-lora", {}, 1.52),
+    ("eflat-lora", {}, 1.52),
     ("lora", WIDE_DIMS, 1.74),
     ("lora-sam", WIDE_DIMS, 2.15),
     ("flat-lora", WIDE_DIMS, 1.9),
     ("eflat-lora", WIDE_DIMS, 1.74),
-    ("lora", THREE_LAYERS, 2.77),
-    ("lora-sam", THREE_LAYERS, 2.78),
-    ("flat-lora", THREE_LAYERS, 2.77),
-    ("eflat-lora", THREE_LAYERS, 2.77),
+    ("lora", THREE_LAYERS, 2.53),
+    ("lora-sam", THREE_LAYERS, 2.53),
+    ("flat-lora", THREE_LAYERS, 2.53),
+    ("eflat-lora", THREE_LAYERS, 2.53),
 ], ids=["lora", "lora-sam", "flat-lora", "eflat-lora", "wide-dims-lora",
         "wide-dims-lora-sam", "wide-dims-flat-lora", "wide-dims-eflat-lora",
         "three-layer-lora", "three-layer-lora-sam", "three-layer-flat-lora",
         "three-layer-eflat-lora"])
 def test_step_peak_memory_stays_within_a_few_activations(kind, dims, bound):
     """One step of each optimizer kind peaks at no more than a bound just
-    above its measured peak, in units of the largest activation: 1.77 at
-    the default config (1.76 for each kind; 2.01 with every a @ h held),
-    at the wide dims 1.74 for lora and eflat-lora (1.73), 1.9 for
-    flat-lora (1.89) and 2.15 for lora-sam (2.146), whose step holds its
-    dense direction too (each 0.22 more when backward copied each block
-    of w0.T for BLAS, and 0.03 more again with every a @ h held), and with
-    three layers at the default width 2.77 (2.76; 2.77 for lora-sam,
-    bound 2.78; each 3.26 or more with every a @ h held).  The two
-    passes of a sharpness-aware step never hold two sweeps at once, and
-    neither the plan nor the update adds an n x k array."""
+    above its measured peak, in units of the largest activation: 1.52 at
+    the default config, where every layer takes the merged route (1.51
+    for each kind; 1.76 factored), at the wide dims, factored, 1.74 for
+    lora and eflat-lora (1.73), 1.9 for flat-lora (1.89) and 2.15 for
+    lora-sam (2.146), whose step holds its dense direction too (each
+    0.22 more when backward copied each block of w0.T for BLAS, and 0.03
+    more again with every a @ h held), and with three layers at the
+    default width 2.53 (2.51, 2.52 for lora-sam; 2.76 or more
+    factored).  The two passes of a sharpness-aware step never hold two
+    sweeps at once, and neither the plan nor the update adds an n x k
+    array."""
     cfg = ExperimentConfig(optimizer=kind, **dims)
     net = small_net(seed=13, dims=tuple(cfg.layer_dims), rank=cfg.rank,
                     scale=cfg.scale)
@@ -631,21 +654,57 @@ def test_row_blocks_split_outputs_over_half_a_block_in_at_least_four():
 def test_backward_is_bit_identical_at_the_wide_split(scale):
     """At hidden width 256 and batch 64 the hidden output takes four
     64-row blocks and the one below it four 24-row blocks, the rows of a
-    non-square w0.T; at every activation and loss, backward(want_full=True)
-    writes the bytes of the oracle that builds each gradient as one
-    array."""
+    non-square w0.T, both on the factored route; above them a last layer
+    whose 10 x 48 weight is no larger than rank x k (8 x 64) passes its
+    gradient down through its merged weight; at every activation and
+    loss, backward(want_full=True) writes the bytes of the oracle that
+    builds each gradient as one array."""
     assert [s.stop - s.start for s in _row_blocks(np.empty((96, 64)))] == [24] * 4
     for activation in ("tanh", "relu", "identity"):
         for loss in ("mse", "softmax-ce"):
-            net = small_net(seed=29, dims=(48, 256, 96, 10), rank=8,
+            net = small_net(seed=29, dims=(48, 256, 96, 48, 10), rank=8,
                             activation=activation, loss=loss, scale=scale)
             batch = random_batch(net, seed=29, k=64)
+            assert [_merged(layer, 64) for layer in net.layers] == [False] * 3 + [True]
             want_loss, want_b, want_a, want_w = _oracle_backward(net, batch)
             grads = backward(net, batch, want_full=True)
             assert grads.loss == want_loss
             for got, want in zip(grads.grad_b + grads.grad_a + grads.grad_w,
                                  want_b + want_a + want_w):
                 assert _same_bytes(got, want), (activation, loss)
+
+
+@pytest.mark.parametrize("out_dim", [3, 4], ids=["n-m-equals-rank-k",
+                                                   "one-row-more"])
+def test_a_layer_takes_the_merged_route_up_to_rank_times_batch(out_dim):
+    """A layer whose n x m weight holds exactly rank x k entries (3 x 8
+    against 2 x 12) runs through its merged weight, and one with a row
+    more through its factors: forward and backward(want_full=True)
+    write the bytes of the oracle that routes that layer so, at scale
+    0.7 and 1.0, and not those of the oracle that routes it the other
+    way."""
+    for scale in (0.7, 1.0):
+        net = small_net(seed=37, dims=(6, 8, out_dim), rank=2, scale=scale)
+        batch = random_batch(net, seed=37, k=12)
+        edge = net.layers[1]
+        assert edge.w0.size - edge.rank * 12 == (0 if out_dim == 3 else 8)
+        assert _merged(edge, 12) == (out_dim == 3) and not _merged(net.layers[0], 12)
+
+        def flipped(layer, k):
+            return _merged(layer, k) != (layer is edge)
+
+        pred, _ = forward(net, batch)
+        assert _same_bytes(pred, _oracle_sweep(net, batch, [None, None])[-1][2])
+        assert not _same_bytes(
+            pred, _oracle_sweep(net, batch, [None, None], flipped)[-1][2])
+        want_loss, want_b, want_a, want_w = _oracle_backward(net, batch)
+        grads = backward(net, batch, want_full=True)
+        assert grads.loss == want_loss
+        for got, want in zip(grads.grad_b + grads.grad_a + grads.grad_w,
+                             want_b + want_a + want_w):
+            assert _same_bytes(got, want), scale
+        other = _oracle_backward(net, batch, flipped)
+        assert not _same_bytes(grads.grad_w[0], other[3][0])
 
 
 @pytest.mark.parametrize("make_out", [
