@@ -276,9 +276,9 @@ def _add_product(x: Matrix, y: Matrix, out: Matrix) -> Matrix:
     partial sum is added to out in turn, which rounds differently.  numpy
     takes a matrix-vector route when x has one row or y one column; there
     the product is built and added, to keep numpy's roundings.  dgemm's
-    alpha stays 1: OpenBLAS's packed kernels fuse alpha * (x @ y) into
-    the addition, so another alpha would not give the bits of
-    out + alpha * (x @ y).
+    alpha stays 1: with another alpha OpenBLAS rounds alpha * (x @ y)
+    and the addition as one operation in many shapes, so out would miss
+    the bits of out + alpha * (x @ y).
 
     Raises AccumulationError rather than drop the sum or round it
     otherwise: when out is not a C-ordered float64 array, since BLAS
