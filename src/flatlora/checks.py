@@ -8,6 +8,7 @@ only verify() runs live in its body.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import os
@@ -22,15 +23,22 @@ from .harness import (CSV_HEADER, ExperimentConfig, _build_student, generate_tas
 from .linalg import (DEFAULT_TOL, Rng, _sq_norm, col_space_projector, make_rng,
                      pseudo_inverse, row_space_projector)
 from .model import (Batch, LoRALinear, Network, apply_b_perturbation, backward, build_network,
-                    clone_network, forward)
+                    forward)
 from .optimizers import (BaseUpdateConfig, _pinv_factors, base_update,
                          full_to_lowrank_perturbation, init_sgd_state,
                          perturbation_from_gradients, reconstruct_full_gradient, rho_at,
                          sam_direction)
 
 
+def _worst(*values: float) -> float:
+    """The largest value, NaN when any is NaN: every residual reduction
+    goes through it, since the builtin max keeps a number against a NaN
+    that comes after it, and a NaN residual would then read as a pass."""
+    return float(np.max(values))
+
+
 def _worst_abs(*diffs: np.ndarray) -> float:
-    return max(float(np.max(np.abs(d))) for d in diffs)
+    return _worst(*(np.max(np.abs(d)) for d in diffs))
 
 
 def random_net(rng: Rng, dims, rank: int, scale: float = 1.0,
@@ -74,13 +82,13 @@ def algebraic_core(rng: Rng, n_cases: int) -> tuple[float, float, float]:
         if trial % 4 == 0 and n > 1:
             mat[-1, :] = mat[0, :]
         p = pseudo_inverse(mat)
-        penrose = max(penrose, _worst_abs(
+        penrose = _worst(penrose, _worst_abs(
             mat @ p @ mat - mat, p @ mat @ p - p, mat @ p - (mat @ p).T, p @ mat - (p @ mat).T
         ))
         a = rng.standard_normal((r, m))
         proj = row_space_projector(a)
         cproj = col_space_projector(rng.standard_normal((n, r)))
-        projector = max(projector, _worst_abs(
+        projector = _worst(projector, _worst_abs(
             proj @ proj - proj, proj - proj.T, a @ proj - a, cproj @ cproj - cproj, cproj - cproj.T
         ))
         scale = float(rng.uniform(0.5, 2.0))
@@ -89,14 +97,13 @@ def algebraic_core(rng: Rng, n_cases: int) -> tuple[float, float, float]:
             b=0.4 * rng.standard_normal((n, r)),
             a=rng.standard_normal((r, m)) * np.sqrt(2.0 / m),
             scale=scale,
-            rank=r,
         )
         net = Network(layers=[layer], activation="identity", loss_kind="mse")
         batch = random_batch(rng, net, k=4)
         e_w_bar, _ = sam_direction(rng.standard_normal((n, m)), 0.1)
         e_b = full_to_lowrank_perturbation(e_w_bar, layer.a, scale)
         diff, _ = diagnostics.loss_match_residual(net, batch, 0, e_w_bar, e_b)
-        loss_match = max(loss_match, diff)
+        loss_match = _worst(loss_match, diff)
     return penrose, projector, loss_match
 
 
@@ -127,11 +134,11 @@ def gradient_fidelity(rng: Rng, n_nets: int) -> tuple[float, float]:
                     _, down = forward(net, batch)
                     mat[idx] = orig
                     numeric = (up - down) / (2.0 * eps)
-                    denom = max(abs(numeric), abs(grad[idx]), 1e-8)
-                    fd_rel = max(fd_rel, abs(numeric - grad[idx]) / denom)
+                    denom = _worst(abs(numeric), abs(grad[idx]), 1e-8)
+                    fd_rel = _worst(fd_rel, abs(numeric - grad[idx]) / denom)
             gw = grads.grad_w[li]
-            chain = max(chain, _worst_abs(grads.grad_b[li] - layer.scale * (gw @ layer.a.T),
-                                          grads.grad_a[li] - layer.scale * (layer.b.T @ gw)))
+            chain = _worst(chain, _worst_abs(grads.grad_b[li] - layer.scale * (gw @ layer.a.T),
+                                             grads.grad_a[li] - layer.scale * (layer.b.T @ gw)))
     return fd_rel, chain
 
 
@@ -159,7 +166,7 @@ def zero_radius_degeneration(cfg: ExperimentConfig) -> float:
         if pstate is not None:
             pstate.remove(net)
         for lr_, ln in zip(ref.layers, net.layers):
-            worst = max(worst, _worst_abs(lr_.b - ln.b, lr_.a - ln.a))
+            worst = _worst(worst, _worst_abs(lr_.b - ln.b, lr_.a - ln.a))
     return worst
 
 
@@ -195,7 +202,7 @@ def ema_closed_form(cfg: ExperimentConfig) -> tuple[float, float]:
         want = np.zeros_like(ema)
         for k, e_list in enumerate(per_step, start=1):
             want += cfg.beta * (1.0 - cfg.beta) ** (cfg.steps - k) * e_list[li]
-        closed = max(closed, _worst_abs(want - ema))
+        closed = _worst(closed, _worst_abs(want - ema))
 
     cfg1 = dataclasses.replace(cfg, beta=1.0)
     net1 = _build_student(cfg1, task)
@@ -204,7 +211,7 @@ def ema_closed_form(cfg: ExperimentConfig) -> tuple[float, float]:
     for t in range(1, 5):
         last = _shift_then_step(cfg1, net1, step1, task.train_batch(t), t)
         for ema, e in zip(pstate1.ema_e_b, last):
-            beta_one = max(beta_one, _worst_abs(ema - e))
+            beta_one = _worst(beta_one, _worst_abs(ema - e))
     return closed, beta_one
 
 
@@ -219,8 +226,8 @@ def drift_bound(n_seeds: int, rho: float, scale: float, steps: int) -> tuple[flo
         trace = diagnostics.run_scale_invariant_flow(
             target, rho=rho, scale=scale, eta=1e-4, steps=steps, seed=seed
         )
-        excess = max(excess, float(np.max(trace.drift_rate - 1.1 * trace.bound_rhs)))
-        ratio = max(ratio, float(np.max(trace.drift_rate / np.maximum(trace.bound_rhs, 1e-300))))
+        excess = _worst(excess, np.max(trace.drift_rate - 1.1 * trace.bound_rhs))
+        ratio = _worst(ratio, np.max(trace.drift_rate / np.maximum(trace.bound_rhs, 1e-300)))
     return excess, ratio
 
 
@@ -320,7 +327,7 @@ def verify() -> VerifyReport:
         tall = rows > cols
         q, t, _ = _pinv_factors(m.T if tall else m, DEFAULT_TOL)
         p = q @ t
-        worst = max(worst, _worst_abs((p.T if tall else p) - pseudo_inverse(m)))
+        worst = _worst(worst, _worst_abs((p.T if tall else p) - pseudo_inverse(m)))
     add("pinv_factors_agreement", worst, 1e-9)
     add("row_projector_properties", projector, 1e-10)
 
@@ -345,8 +352,8 @@ def verify() -> VerifyReport:
             diff, unproj = diagnostics.loss_match_residual(
                 net_t, batch_t, li, e_w_bar, plan.e_b[li]
             )
-            worst = max(worst, diff)
-            residual_info = max(residual_info, unproj)
+            worst = _worst(worst, diff)
+            residual_info = _worst(residual_info, unproj)
     add("transfer_loss_match", worst, 1e-10)
     checks.append(
         VerifyCheck(
@@ -360,7 +367,7 @@ def verify() -> VerifyReport:
 
     add("rho_zero_degeneration", zero_radius_degeneration(_tiny(steps=25)), 1e-12)
     ema = ema_closed_form(_tiny(optimizer="eflat-lora", steps=10, rho0=0.08, beta=0.7))
-    add("ema_closed_form", max(ema), 1e-10)
+    add("ema_closed_form", _worst(*ema), 1e-10)
 
     # Apply/revert restores the exact parameter bytes.
     net_r = random_net(rng, (6, 5, 3), rank=2, scale=2.0)
@@ -378,17 +385,17 @@ def verify() -> VerifyReport:
     cfg_c = _tiny(optimizer="flat-lora", steps=1)
     task = generate_task(cfg_c)
     net_live = _build_student(cfg_c, task)
-    net_ref = clone_network(net_live)
+    net_ref = copy.deepcopy(net_live)
     b0 = task.train_batches[0]
     _train(cfg_c, task, net_live, 1)
     plan = perturbation_from_gradients(net_ref, backward(net_ref, b0), 0.05)
-    probe = clone_network(net_ref)
+    probe = copy.deepcopy(net_ref)
     for layer, e in zip(probe.layers, plan.e_b):
         layer.b = layer.b + e
     base_update(net_ref, backward(probe, b0), BaseUpdateConfig(learning_rate=0.05),
                 init_sgd_state(net_ref))
-    worst = max(_worst_abs(ll.b - lr_.b, ll.a - lr_.a)
-                for ll, lr_ in zip(net_live.layers, net_ref.layers))
+    worst = _worst(*(_worst_abs(ll.b - lr_.b, ll.a - lr_.a)
+                     for ll, lr_ in zip(net_live.layers, net_ref.layers)))
     add("step_composition_equivalence", worst, 1e-14)
 
     # Frozen base weights never move, whatever the optimizer does.
@@ -428,7 +435,7 @@ def verify() -> VerifyReport:
     for rho in (0.01, 0.1, 0.5):
         measured = diagnostics.sharpness_sam(net_q, batch_q, rho)
         expected = rho * g_norm + 0.5 * rho * rho
-        worst = max(worst, abs(measured - expected))
+        worst = _worst(worst, abs(measured - expected))
     add("sharpness_quadratic_closed_form", worst, 1e-9)
 
     # The brute-force neighborhood maximum dominates the one-direction probe.
@@ -436,10 +443,10 @@ def verify() -> VerifyReport:
     batch_o = random_batch(make_rng(22), net_o)
     s_probe = diagnostics.sharpness_sam(net_o, batch_o, 0.1)
     s_oracle = diagnostics.neighborhood_max_oracle(net_o, batch_o, 0.1)
-    add("oracle_dominates_probe", max(0.0, s_probe - s_oracle), 1e-12)
+    add("oracle_dominates_probe", _worst(s_probe - s_oracle, 0.0), 1e-12)
 
     excess, _ = drift_bound(2, rho=0.05, scale=2.0, steps=300)
-    add("balancedness_drift_bound", max(excess, 0.0), 1e-9)
+    add("balancedness_drift_bound", _worst(excess, 0.0), 1e-9)
 
     # Gap-bound formula against a hand-computed value.
     consts = diagnostics.AssumptionConstants(

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
     ZERO_GRAD_EPS,
     Matrix,
     NumericalError,
@@ -335,7 +334,6 @@ def loss_match_residual(
     layer_index: int,
     e_w_bar: Matrix,
     e_b: Matrix,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[float, float]:
     """Check the transfer identity on one layer of a live network.
 
@@ -354,7 +352,7 @@ def loss_match_residual(
     with apply_b_perturbation(net, shifts):
         _, loss_lowrank = forward(net, batch)
 
-    projector = row_space_projector(net.layers[layer_index].a, tol)
+    projector = row_space_projector(net.layers[layer_index].a)
     projected = e_w_bar @ projector
     offsets: list[Matrix | None] = [None] * n_layers
     offsets[layer_index] = projected

@@ -429,11 +429,10 @@ def make_step(
 
 
 def run_experiment(
-    cfg: ExperimentConfig,
-    out_dir: str | None = None,
-    task: Task | None = None,
+    cfg: ExperimentConfig, out_dir: str | None = None
 ) -> tuple[list[MetricsRecord], RunSummary]:
-    """Train per the config, evaluating every eval_every steps.
+    """Train per the config on the task generate_task(cfg) builds,
+    evaluating every eval_every steps.
 
     Returns the metrics records and the summary; when out_dir is given the
     CSV and summary JSON are also written there, into a directory made
@@ -446,8 +445,7 @@ def run_experiment(
     cfg.validate()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    if task is None:
-        task = generate_task(cfg)
+    task = generate_task(cfg)
     net = _build_student(cfg, task)
     step, pstate = make_step(cfg, net)
 
@@ -560,17 +558,16 @@ def sweep(
     cfg: ExperimentConfig, seeds: list[int], out_dir: str | None = None
 ) -> list[RunSummary]:
     """Run the same config across seeds (data and init reseeded per run).
-    A seed listed twice would rewrite its run's files; it raises
-    ConfigError before any run."""
+    A seed listed twice would rewrite its run's files, and a bad seed
+    would stop the sweep part way; either raises ConfigError before any
+    run."""
     repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
     if repeated:
         raise ConfigError({"seeds": f"repeated {', '.join(map(str, repeated))}"})
-    summaries = []
-    for seed in seeds:
-        run_cfg = dataclasses.replace(cfg, seed=seed)
-        _, summary = run_experiment(run_cfg, out_dir=out_dir)
-        summaries.append(summary)
-    return summaries
+    run_cfgs = [dataclasses.replace(cfg, seed=seed) for seed in seeds]
+    for run_cfg in run_cfgs:
+        run_cfg.validate()
+    return [run_experiment(run_cfg, out_dir=out_dir)[1] for run_cfg in run_cfgs]
 
 
 @dataclass

@@ -84,17 +84,19 @@ def pseudo_inverse(m: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
     return (v_t.T * s_inv) @ u.T
 
 
-def row_space_projector(a: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
-    """Orthogonal projector a^+ @ a onto the row space of a.
+def row_space_projector(a: Matrix) -> Matrix:
+    """Orthogonal projector a^+ @ a onto the row space of a, with a^+ cut
+    at DEFAULT_TOL.
 
     Idempotent and symmetric; multiplying a row vector of a by it is the
     identity on that vector.
     """
     a = as_matrix(a)
-    return pseudo_inverse(a, tol) @ a
+    return pseudo_inverse(a) @ a
 
 
-def col_space_projector(b: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
-    """Orthogonal projector b @ b^+ onto the column space of b."""
+def col_space_projector(b: Matrix) -> Matrix:
+    """Orthogonal projector b @ b^+ onto the column space of b, with b^+
+    cut at DEFAULT_TOL."""
     b = as_matrix(b)
-    return b @ pseudo_inverse(b, tol)
+    return b @ pseudo_inverse(b)

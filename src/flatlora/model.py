@@ -31,27 +31,32 @@ class AccumulationError(RuntimeError):
 
 @dataclass
 class LoRALinear:
-    """One adapted layer: frozen w0 (n x m), trainable b (n x r), a (r x m)."""
+    """One adapted layer: frozen w0 (n x m), trainable b (n x r), a (r x m);
+    the rank r is read off a."""
 
     w0: Matrix
     b: Matrix
     a: Matrix
     scale: float
-    rank: int
 
     def __post_init__(self) -> None:
         self.w0 = as_matrix(self.w0)
         self.b = as_matrix(self.b)
         self.a = as_matrix(self.a)
         n, m = self.w0.shape
-        if self.rank < 1 or self.rank > min(n, m):
-            raise ShapeError(f"rank {self.rank} invalid for a {n} x {m} layer")
-        if self.b.shape != (n, self.rank):
-            raise ShapeError(f"b must be {(n, self.rank)}, got {self.b.shape}")
-        if self.a.shape != (self.rank, m):
-            raise ShapeError(f"a must be {(self.rank, m)}, got {self.a.shape}")
+        r = self.rank
+        if r < 1 or r > min(n, m):
+            raise ShapeError(f"rank {r} invalid for a {n} x {m} layer")
+        if self.b.shape != (n, r):
+            raise ShapeError(f"b must be {(n, r)}, got {self.b.shape}")
+        if self.a.shape != (r, m):
+            raise ShapeError(f"a must be {(r, m)}, got {self.a.shape}")
         if not (self.scale > 0.0 and np.isfinite(self.scale)):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
+
+    @property
+    def rank(self) -> int:
+        return self.a.shape[0]
 
     @property
     def out_dim(self) -> int:
@@ -135,7 +140,7 @@ def make_lora_layer(w0: Matrix, rank: int, scale: float, rng: Rng) -> LoRALinear
     n, m = w0.shape
     a = rng.standard_normal((rank, m)) * np.sqrt(2.0 / m)
     b = np.zeros((n, rank))
-    return LoRALinear(w0=w0, b=b, a=a, scale=scale, rank=rank)
+    return LoRALinear(w0=w0, b=b, a=a, scale=scale)
 
 
 def build_network(
@@ -164,21 +169,6 @@ def build_network(
             w0 = rng.standard_normal((n, m)) / np.sqrt(m)
         layers.append(make_lora_layer(w0, rank=rank, scale=scale, rng=rng))
     return Network(layers=layers, activation=activation, loss_kind=loss_kind)
-
-
-def clone_network(net: Network) -> Network:
-    """Independent deep copy; mutating the clone never touches the source."""
-    layers = [
-        LoRALinear(
-            w0=layer.w0.copy(),
-            b=layer.b.copy(),
-            a=layer.a.copy(),
-            scale=layer.scale,
-            rank=layer.rank,
-        )
-        for layer in net.layers
-    ]
-    return Network(layers=layers, activation=net.activation, loss_kind=net.loss_kind)
 
 
 def _activate(z: Matrix, kind: str) -> Matrix:

@@ -147,12 +147,7 @@ def sam_direction(
 
 
 def reconstruct_full_gradient(
-    grad_b: Matrix,
-    grad_a: Matrix,
-    a: Matrix,
-    b: Matrix,
-    scale: float,
-    tol: float = DEFAULT_TOL,
+    grad_b: Matrix, grad_a: Matrix, a: Matrix, b: Matrix, scale: float
 ) -> Matrix:
     """Merged-weight gradient implied by the two factor gradients.
 
@@ -164,19 +159,18 @@ def reconstruct_full_gradient(
 
     which equals 0.5 * (G @ P_A + P_B @ G) when the factor gradients are
     exact -- the dense gradient seen through the row space of a and the
-    column space of b.
+    column space of b.  Both pseudo-inverses cut at DEFAULT_TOL, the
+    steps' default svd_tol.
     """
-    a_pinv = pseudo_inverse(a, tol)
-    b_pinv = pseudo_inverse(b, tol)
+    a_pinv = pseudo_inverse(a, DEFAULT_TOL)
+    b_pinv = pseudo_inverse(b, DEFAULT_TOL)
     inv_scale = 1.0 / scale
     return 0.5 * (
         inv_scale * (grad_b @ a_pinv.T) + inv_scale * (b_pinv.T @ grad_a)
     )
 
 
-def full_to_lowrank_perturbation(
-    e_w_bar: Matrix, a: Matrix, scale: float, tol: float = DEFAULT_TOL
-) -> Matrix:
+def full_to_lowrank_perturbation(e_w_bar: Matrix, a: Matrix, scale: float) -> Matrix:
     """b-factor shift whose merged effect matches a dense perturbation.
 
     Returns e_b = (1/scale) * e_w_bar @ a^+.  The induced merged change is
@@ -185,7 +179,7 @@ def full_to_lowrank_perturbation(
     unrepresentable at fixed a and is silently dropped; callers who care
     measure it with diagnostics.loss_match_residual.
     """
-    return (1.0 / scale) * (e_w_bar @ pseudo_inverse(a, tol))
+    return (1.0 / scale) * (e_w_bar @ pseudo_inverse(a, DEFAULT_TOL))
 
 
 @dataclass

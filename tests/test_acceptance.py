@@ -10,9 +10,9 @@ import numpy as np
 from conftest import acceptance_lines
 
 from flatlora import diagnostics
-from flatlora.checks import (algebraic_core, csv_replays, drift_bound, ema_closed_form,
-                             gradient_fidelity, random_batch, random_net, verify,
-                             zero_radius_degeneration)
+from flatlora.checks import (_worst, _worst_abs, algebraic_core, csv_replays, drift_bound,
+                             ema_closed_form, gradient_fidelity, random_batch, random_net,
+                             verify, zero_radius_degeneration)
 from flatlora.harness import (
     ExperimentConfig,
     _build_student,
@@ -87,7 +87,7 @@ def test_full_gradient_reconstruction_identity():
             gw = grads.grad_w[li]
             want = 0.5 * (gw @ row_space_projector(layer.a)
                           + col_space_projector(layer.b) @ gw)
-            worst_generic = max(worst_generic, float(np.max(np.abs(got - want))))
+            worst_generic = _worst(worst_generic, _worst_abs(got - want))
 
     worst_square = 0.0
     n_square = 60
@@ -100,7 +100,7 @@ def test_full_gradient_reconstruction_identity():
             grads.grad_b[0], grads.grad_a[0], net.layers[0].a, net.layers[0].b,
             net.layers[0].scale,
         )
-        worst_square = max(worst_square, float(np.max(np.abs(got - grads.grad_w[0]))))
+        worst_square = _worst(worst_square, _worst_abs(got - grads.grad_w[0]))
     ok = worst_generic <= 1e-9 and worst_square <= 1e-9
     _report(
         "gradient-reconstruction",
@@ -170,17 +170,17 @@ def test_ema_gap_decays_under_decaying_radius():
         consts = diagnostics.estimate_assumption_constants(
             _build_student(cfg, task), task.train_batches, seed=seed
         )
-        records, _ = run_experiment(cfg, task=task)
+        records, _ = run_experiment(cfg)
         early = [r.gap for r in records if r.step <= cfg.steps // 10]
         late = [r.gap for r in records if r.step > cfg.steps - cfg.steps // 10]
         if float(np.mean(late)) < float(np.mean(early)):
             decays += 1
-        rel = max(
+        rel = _worst(*(
             r.gap / diagnostics.ema_sam_gap_bound(consts, cfg.rho0, cfg.beta, r.step)
             for r in records
             if r.step >= 2
-        )
-        worst_rel = max(worst_rel, rel)
+        ))
+        worst_rel = _worst(worst_rel, rel)
         details.append(f"s{seed}:{np.mean(early):.4f}->{np.mean(late):.4f}")
     ok = decays >= 4 and worst_rel <= 10.0
     _report(
@@ -223,7 +223,8 @@ def test_sharpness_reduction_at_matched_fit():
                                                          rho_probe))
     mean_sharp = {k: float(np.mean(v)) for k, v in sharp.items()}
     mean_loss = {k: float(np.mean(v)) for k, v in losses.items()}
-    matched = max(mean_loss.values()) <= 2.0 * min(mean_loss.values())
+    loss_values = list(mean_loss.values())
+    matched = np.max(loss_values) <= 2.0 * np.min(loss_values)
     flat_ok = mean_sharp["flat-lora"] <= mean_sharp["lora"]
     eflat_ok = mean_sharp["eflat-lora"] <= 1.5 * mean_sharp["flat-lora"]
     ok = matched and flat_ok and eflat_ok
@@ -233,7 +234,7 @@ def test_sharpness_reduction_at_matched_fit():
         f"mean sharpness lora={mean_sharp['lora']:.3f}, "
         f"flat={mean_sharp['flat-lora']:.3f}<=lora, "
         f"eflat={mean_sharp['eflat-lora']:.3f}<=1.5x flat; "
-        f"train losses within {max(mean_loss.values())/min(mean_loss.values()):.2f}x<=2x",
+        f"train losses within {np.max(loss_values) / np.min(loss_values):.2f}x<=2x",
     )
 
 

@@ -47,7 +47,7 @@ def quadratic_net_and_batch(seed=0, dim=4):
     rng = make_rng(seed)
     w0 = rng.standard_normal((dim, dim))
     layer = LoRALinear(w0=w0, b=rng.standard_normal((dim, dim)) * 0.2,
-                       a=rng.standard_normal((dim, dim)), scale=1.0, rank=dim)
+                       a=rng.standard_normal((dim, dim)), scale=1.0)
     net = Network(layers=[layer], activation="identity", loss_kind="mse")
     m_star = rng.standard_normal((dim, dim))
     root_k = np.sqrt(float(dim))

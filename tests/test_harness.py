@@ -511,6 +511,14 @@ def _pinv_factors_untransposed(m, tol, pinv_factors=optimizers._pinv_factors):
     return q, t.T, pinv
 
 
+def _nan_backward(net, batch, want_full=False, backward=model.backward):
+    """backward with every gradient it returns filled with NaN."""
+    grads = backward(net, batch, want_full=want_full)
+    for g in (*grads.grad_b, *grads.grad_a, *(grads.grad_w or ())):
+        g.fill(np.nan)
+    return grads
+
+
 @pytest.mark.parametrize(
     "owner, name, fault, check",
     [
@@ -520,14 +528,16 @@ def _pinv_factors_untransposed(m, tol, pinv_factors=optimizers._pinv_factors):
         (harness, "rho_at", lambda rho0, t, schedule, rho_at=harness.rho_at:
          2.0 * rho_at(rho0, t, schedule), "step_composition_equivalence"),
         (checks, "_pinv_factors", _pinv_factors_untransposed, "pinv_factors_agreement"),
+        (checks, "backward", _nan_backward, "gradient_chain_identity"),
     ],
-    ids=["revert-noop", "activation-grad-ones", "rho-doubled", "pinv-untransposed"],
+    ids=["revert-noop", "activation-grad-ones", "rho-doubled", "pinv-untransposed",
+         "nan-backward"],
 )
 def test_verify_catches_skipped_revert(monkeypatch, owner, name, fault, check):
     """A planted fault (a revert that silently does nothing, a wrong
     activation derivative, a doubled radius, an untransposed triangular
-    solve in the QR pseudo-inverse) turns the named check of the
-    self-check suite red."""
+    solve in the QR pseudo-inverse, gradients that are all NaN) turns the
+    named check of the self-check suite red."""
     monkeypatch.setattr(owner, name, fault)
     report = verify()
     assert not report.all_passed
@@ -601,9 +611,11 @@ def test_cli_sweep(tmp_path, capsys):
 
 
 def test_sweep_refuses_a_repeated_seed_before_any_run(tmp_path, monkeypatch, capsys):
-    """A seed listed twice would run twice into the same CSV and summary;
-    sweep raises ConfigError naming every repeated seed, and the CLI ends
-    in one message line and exit 1, before any task is built."""
+    """A seed listed twice would run twice into the same CSV and summary,
+    and a negative seed would stop the sweep after the runs before it;
+    sweep raises ConfigError naming every repeated seed, or the bad seed,
+    and the CLI ends in one message line and exit 1, before any task is
+    built or any file written."""
     cfg_path, cfg = write_cfg(tmp_path, optimizer="lora", steps=10)
 
     def no_work(*args, **kwargs):
@@ -618,6 +630,13 @@ def test_sweep_refuses_a_repeated_seed_before_any_run(tmp_path, monkeypatch, cap
     assert main(["sweep", "--config", cfg_path, "--seeds", "0,0", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err == "config error: invalid config (seeds: repeated 0)\n"
+    assert captured.out == "" and not out.exists()
+    with pytest.raises(ConfigError) as err:
+        sweep(cfg, [0, 1, -1], out_dir=str(out))
+    assert err.value.fields == ["seed"]
+    assert main(["sweep", "--config", cfg_path, "--seeds", "0,1,-1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: invalid config (seed: must be >= 0)\n"
     assert captured.out == "" and not out.exists()
 
 

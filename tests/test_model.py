@@ -2,6 +2,7 @@
 equivalence, finite-difference gradient checks, and the perturbation
 apply/revert lifecycle."""
 
+import copy
 import itertools
 import tracemalloc
 
@@ -21,7 +22,6 @@ from flatlora.model import (
     apply_perturbation,
     backward,
     build_network,
-    clone_network,
     forward,
     forward_with_offsets,
     make_lora_layer,
@@ -60,13 +60,15 @@ def random_batch(net, seed=0, k=7):
 def test_layer_shape_validation():
     w0 = np.zeros((4, 6))
     with pytest.raises(ShapeError):
-        LoRALinear(w0=w0, b=np.zeros((4, 2)), a=np.zeros((3, 6)), scale=1.0, rank=2)
+        LoRALinear(w0=w0, b=np.zeros((4, 2)), a=np.zeros((3, 6)), scale=1.0)
     with pytest.raises(ShapeError):
-        LoRALinear(w0=w0, b=np.zeros((5, 2)), a=np.zeros((2, 6)), scale=1.0, rank=2)
+        LoRALinear(w0=w0, b=np.zeros((5, 2)), a=np.zeros((2, 6)), scale=1.0)
     with pytest.raises(ShapeError):
-        LoRALinear(w0=w0, b=np.zeros((4, 5)), a=np.zeros((5, 6)), scale=1.0, rank=5)
+        LoRALinear(w0=w0, b=np.zeros((4, 5)), a=np.zeros((5, 6)), scale=1.0)
     with pytest.raises(ValueError):
-        LoRALinear(w0=w0, b=np.zeros((4, 2)), a=np.zeros((2, 6)), scale=0.0, rank=2)
+        LoRALinear(w0=w0, b=np.zeros((4, 2)), a=np.zeros((2, 6)), scale=0.0)
+    with pytest.raises(ShapeError):
+        LoRALinear(w0=w0, b=np.zeros((4, 0)), a=np.zeros((0, 6)), scale=1.0)
 
 
 def test_network_adjacency_validation():
@@ -135,7 +137,7 @@ def test_forward_matches_dense_merged_network():
 
 def test_mse_loss_hand_value():
     layer = LoRALinear(w0=np.array([[2.0]]), b=np.zeros((1, 1)),
-                       a=np.ones((1, 1)), scale=1.0, rank=1)
+                       a=np.ones((1, 1)), scale=1.0)
     net = Network(layers=[layer], loss_kind="mse")
     batch = Batch(inputs=np.array([[1.0, 2.0]]), targets=np.array([[1.0, 1.0]]))
     # preds = [2, 4]; residuals [1, 3]; loss = 0.5 * (1 + 9) / 2 = 2.5
@@ -145,7 +147,7 @@ def test_mse_loss_hand_value():
 
 def test_softmax_ce_loss_hand_value():
     layer = LoRALinear(w0=np.eye(2), b=np.zeros((2, 1)),
-                       a=np.zeros((1, 2)), scale=1.0, rank=1)
+                       a=np.zeros((1, 2)), scale=1.0)
     net = Network(layers=[layer], loss_kind="softmax-ce")
     batch = Batch(inputs=np.array([[1.0], [0.0]]), targets=np.array([[1.0], [0.0]]))
     # logits (1, 0); p(class 0) = e / (e + 1); loss = log(1 + e^-1)
@@ -156,7 +158,7 @@ def test_softmax_ce_loss_hand_value():
 def test_softmax_ce_shift_invariance():
     """Large logits must not overflow thanks to the max-shift."""
     layer = LoRALinear(w0=np.eye(2) * 500.0, b=np.zeros((2, 1)),
-                       a=np.zeros((1, 2)), scale=1.0, rank=1)
+                       a=np.zeros((1, 2)), scale=1.0)
     net = Network(layers=[layer], loss_kind="softmax-ce")
     batch = Batch(inputs=np.array([[1.0], [1.0]]), targets=np.array([[1.0], [0.0]]))
     _, loss = forward(net, batch)
@@ -180,7 +182,7 @@ def test_forward_with_offsets_matches_merged_shift():
     rng = make_rng(22)
     offsets = [rng.standard_normal(layer.w0.shape) * 0.01 for layer in net.layers]
 
-    shifted = clone_network(net)
+    shifted = copy.deepcopy(net)
     for layer, off in zip(shifted.layers, offsets):
         layer.w0 = layer.w0 + off
     _, expected = forward(shifted, batch)
@@ -808,17 +810,3 @@ def test_apply_perturbation_is_all_or_nothing(bad):
         apply_perturbation(net, **shifts)
     for layer, (b, a) in zip(net.layers, originals):
         assert layer.b is b and layer.a is a
-
-
-def test_clone_network_is_independent():
-    net = small_net(seed=71)
-    twin = clone_network(net)
-    twin.layers[0].b[0, 0] += 5.0
-    twin.layers[0].w0[0, 0] += 5.0
-    assert net.layers[0].b[0, 0] != twin.layers[0].b[0, 0]
-    assert net.layers[0].w0[0, 0] != twin.layers[0].w0[0, 0]
-    batch = random_batch(net, seed=71)
-    _, l1 = forward(net, batch)
-    fresh = clone_network(net)
-    _, l2 = forward(fresh, batch)
-    assert l1 == l2

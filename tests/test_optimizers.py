@@ -2,6 +2,7 @@
 oracles, perturbation transfer, update semantics, the EMA state machine,
 and memory accounting."""
 
+import copy
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from flatlora.linalg import make_rng, row_space_projector, col_space_projector
-from flatlora.model import Batch, backward, build_network, clone_network, forward
+from flatlora.model import Batch, backward, build_network, forward
 from flatlora import optimizers
 from flatlora.optimizers import (
     _GRAM_GUARD,
@@ -415,7 +416,7 @@ def test_base_update_momentum_and_weight_decay():
     cfg = BaseUpdateConfig(learning_rate=0.05, momentum=0.9, weight_decay=0.01)
     state = init_sgd_state(net)
 
-    mirror = clone_network(net)
+    mirror = copy.deepcopy(net)
     vel_b = [np.zeros_like(l.b) for l in mirror.layers]
     vel_a = [np.zeros_like(l.a) for l in mirror.layers]
     for _ in range(2):
@@ -480,7 +481,7 @@ def test_two_pass_steps_revert_perturbation_before_update():
     perturbed-point gradient; no perturbation residue remains."""
     net = make_net(seed=14)
     batch = make_batch(net, seed=14)
-    twin = clone_network(net)
+    twin = copy.deepcopy(net)
     cfg = BaseUpdateConfig(learning_rate=0.03)
 
     stats = flat_lora_step(net, batch, 0.1, cfg, init_sgd_state(net))
@@ -640,7 +641,7 @@ def test_perturb_state_misuse_errors():
     with pytest.raises(OptimizerStateError):
         pstate.apply(net)
     with pytest.raises(OptimizerStateError):
-        pstate.remove(clone_network(net))
+        pstate.remove(copy.deepcopy(net))
     pstate.remove(net)
 
     # A state claiming to be mid-run but unapplied is rejected by the step.

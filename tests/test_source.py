@@ -1,7 +1,7 @@
 """Source hygiene: every name a module of the package, the tests, the
 scripts or the demos imports is used, no package module reduces through a
-BLAS dot, and every name the benchmark's tracer wraps is bound where it
-looks it up."""
+BLAS dot, the self-checks reduce no residual through the builtin max, and
+every name the benchmark's tracer wraps is bound where it looks it up."""
 
 import ast
 import importlib.util
@@ -98,6 +98,30 @@ def test_package_modules_reduce_through_no_blas_dot(path):
     """Every norm goes through linalg._sq_norm, numpy's pairwise sum, so a
     run's bytes do not depend on the BLAS thread count."""
     assert blas_reductions(path.read_text(encoding="utf-8")) == []
+
+
+def builtin_max_calls(source: str) -> list[str]:
+    """Calls of the builtin max, which keeps a number against a NaN that
+    comes after it: max(0.0, nan) is 0.0."""
+    return [f"{ast.unparse(node)} (line {node.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "max"]
+
+
+def test_builtin_max_scan_flags_only_the_builtin():
+    source = (
+        "import numpy as np\n"
+        "a = max(0.0, x)\nb = np.max(x)\nc = x.max()\n"
+        "d = max(v for v in x)\ne = np.maximum(x, y)\nf = min(x, y)\n"
+    )
+    assert builtin_max_calls(source) == ["max(0.0, x) (line 2)", "max((v for v in x)) (line 5)"]
+
+
+def test_self_checks_reduce_through_no_builtin_max():
+    """Every residual reduction in checks.py goes through checks._worst,
+    which keeps a NaN, so a NaN residual reads as a failed check."""
+    assert builtin_max_calls((PACKAGE_DIR / "checks.py").read_text(encoding="utf-8")) == []
 
 
 def test_tracer_patch_targets_are_bound():
