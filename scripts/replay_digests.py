@@ -1,15 +1,15 @@
-"""Print the sha256 of the CSV and summary JSON of the 20 replay runs, and
+"""Print the sha256 of the CSV and summary JSON of the 16 replay runs, and
 of the stdout of `flatlora verify` and of each demo.
 
-Each of the four optimizer kinds runs at four configs: the default, the
-signed direction variant, and a wide network ([256,256,64], rank 8,
-batch 64), all at seed 0 for 2000 steps, and the default at 0 steps
-(the summary of an untrained student).  Every run, the self-check and
-each demo is its own child process with OPENBLAS_NUM_THREADS=1.  The wide
-runs then run again with OPENBLAS_NUM_THREADS=2, as config
-`wide-2threads`: their lines equal the `wide` ones, because a run's bytes
-depend on its config and seed alone, not on the BLAS thread count.  The
-output is one line per file or stream, 44 in all:
+Each of the four optimizer kinds runs at three configs: the default and a
+wide network ([256,256,64], rank 8, batch 64), both at seed 0 for 2000
+steps, and the default at 0 steps (the summary of an untrained student).
+Every run, the self-check and each demo is its own child process with
+OPENBLAS_NUM_THREADS=1.  The wide runs then run again with
+OPENBLAS_NUM_THREADS=2, as config `wide-2threads`: their lines equal the
+`wide` ones, because a run's bytes depend on its config and seed alone,
+not on the BLAS thread count.  The output is one line per file or stream,
+36 in all:
 
     <sha256>  <kind>.<config>.csv
     <sha256>  <kind>.<config>.summary.json
@@ -43,7 +43,6 @@ ROOT = Path(__file__).resolve().parent.parent
 KINDS = ("lora", "lora-sam", "flat-lora", "eflat-lora")
 CONFIGS = {
     "default": {},
-    "signed": {"direction_variant": "signed"},
     "wide": {"layer_dims": "256,256,64", "rank": 8, "batch_size": 64},
     "zero": {"steps": 0},
 }

@@ -177,7 +177,7 @@ def _shift_then_step(cfg: ExperimentConfig, net: Network, step, batch: Batch,
     calls only read the network."""
     rho_t = rho_at(cfg.rho0, t, cfg.resolved_schedule())
     e_t = perturbation_from_gradients(net, backward(net, batch), rho_t,
-                                      cfg.direction_variant, cfg.svd_tol).e_b
+                                      cfg.svd_tol).e_b
     step(batch, t)
     return e_t
 
@@ -325,7 +325,7 @@ def verify() -> VerifyReport:
         if trial == 0:
             m = np.zeros((rows, cols))
         tall = rows > cols
-        q, t, _ = _pinv_factors(m.T if tall else m, DEFAULT_TOL)
+        q, t = _pinv_factors(m.T if tall else m, DEFAULT_TOL)
         p = q @ t
         worst = _worst(worst, _worst_abs((p.T if tall else p) - pseudo_inverse(m)))
     add("pinv_factors_agreement", worst, 1e-9)

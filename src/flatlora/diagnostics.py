@@ -67,12 +67,7 @@ class BalancednessTrace:
     final_balancedness: float
 
 
-def sam_probe(
-    net: Network,
-    batch: Batch,
-    rho: float,
-    variant: str = "standard",
-) -> tuple[float, float]:
+def sam_probe(net: Network, batch: Batch, rho: float) -> tuple[float, float]:
     """The ascent-direction sharpness probe: (loss, increase).
 
     One backward sweep at the current parameters gives the loss and each
@@ -85,21 +80,16 @@ def sam_probe(
     grads = backward(net, batch, want_full=True)
     offsets: list[Matrix | None] = []
     for gw in grads.grad_w:
-        direction, degenerate = sam_direction(gw, rho, variant)
+        direction, degenerate = sam_direction(gw, rho)
         offsets.append(None if degenerate else direction)
     _, loss_perturbed = forward_with_offsets(net, batch, offsets)
     return grads.loss, loss_perturbed - grads.loss
 
 
-def sharpness_sam(
-    net: Network,
-    batch: Batch,
-    rho: float,
-    variant: str = "standard",
-) -> float:
+def sharpness_sam(net: Network, batch: Batch, rho: float) -> float:
     """Loss increase along the per-layer normalised ascent direction: the
     increase of sam_probe, for callers that do not need the loss."""
-    return sam_probe(net, batch, rho, variant)[1]
+    return sam_probe(net, batch, rho)[1]
 
 
 def sharpness_ema(net: Network, batch: Batch, pstate: PerturbState) -> float:

@@ -27,12 +27,12 @@ from . import diagnostics
 from .linalg import _sq_norm, make_rng
 from .model import Batch, Network, apply_b_perturbation, build_network, forward
 from .optimizers import (
-    DIRECTION_VARIANTS,
     OPTIMIZER_KINDS,
     RHO_SCHEDULES,
     BaseUpdateConfig,
     PerturbState,
     StepStats,
+    _check_variant,
     eflat_lora_step,
     flat_lora_step,
     init_perturb_state,
@@ -121,8 +121,10 @@ class ExperimentConfig:
             problems["beta"] = "must lie in (0, 1]"
         if self.rho_schedule not in RHO_SCHEDULES + ("auto",):
             problems["rho_schedule"] = f"must be 'auto' or one of {RHO_SCHEDULES}"
-        if self.direction_variant not in DIRECTION_VARIANTS:
-            problems["direction_variant"] = f"must be one of {DIRECTION_VARIANTS}"
+        try:
+            _check_variant(self.direction_variant)
+        except ValueError as exc:
+            problems["direction_variant"] = str(exc)
         if self.batch_size < 1:
             problems["batch_size"] = "must be >= 1"
         if self.n_batches < 1:
@@ -398,9 +400,9 @@ def make_step(
 
     Returns (step, pstate): step(batch, t) takes the 1-based step t and
     runs one step of cfg.optimizer with the config's update, radius
-    schedule, direction variant and SVD tolerance; pstate is the EMA
-    state of eflat-lora (None for the other kinds), which evaluation code
-    removes and reapplies around its measurements.  The step functions are
+    schedule and SVD tolerance; pstate is the EMA state of eflat-lora
+    (None for the other kinds), which evaluation code removes and
+    reapplies around its measurements.  The step functions are
     looked up in this module on every call, so wrappers installed on this
     module's names (perfbench's tracer) see every step.
     """
@@ -411,20 +413,20 @@ def make_step(
     )
     sgd = init_sgd_state(net)
     rho0, schedule = cfg.rho0, cfg.resolved_schedule()
-    variant, tol = cfg.direction_variant, cfg.svd_tol
+    tol = cfg.svd_tol
     kind = cfg.optimizer
     if kind == "lora":
         return (lambda batch, t: lora_step(net, batch, opt, sgd)), None
     if kind == "lora-sam":
         return (lambda batch, t: lora_sam_step(
-            net, batch, rho_at(rho0, t, schedule), opt, sgd, variant)), None
+            net, batch, rho_at(rho0, t, schedule), opt, sgd)), None
     if kind == "flat-lora":
         return (lambda batch, t: flat_lora_step(
-            net, batch, rho_at(rho0, t, schedule), opt, sgd, variant, tol)), None
+            net, batch, rho_at(rho0, t, schedule), opt, sgd, tol=tol)), None
     if kind == "eflat-lora":
         pstate = init_perturb_state(net, rho0=rho0, beta=cfg.beta)
         return (lambda batch, t: eflat_lora_step(
-            net, batch, pstate, opt, sgd, variant, tol, schedule)), pstate
+            net, batch, pstate, opt, sgd, tol=tol, schedule=schedule)), pstate
     raise ValueError(f"unknown optimizer kind {kind!r}")
 
 
@@ -515,9 +517,7 @@ def _evaluate(
         pstate.remove(net)
     try:
         rho_now = rho_at(cfg.rho0, max(step, 1), cfg.resolved_schedule())
-        eval_loss, s_sam = diagnostics.sam_probe(
-            net, task.eval_batch, rho_now, cfg.direction_variant
-        )
+        eval_loss, s_sam = diagnostics.sam_probe(net, task.eval_batch, rho_now)
         if not math.isfinite(eval_loss):
             raise ExperimentAbort(step, f"eval loss is {eval_loss}")
         s_ema = gap = math.nan

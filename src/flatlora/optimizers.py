@@ -7,10 +7,10 @@ factors, normalise it to a radius rho, and transfer it back onto the b
 factor so the merged weight moves along the full-space direction restricted
 to the row space of a.  The variants differ only in when gradients are
 evaluated and whether the perturbation persists across steps.  The steps
-take the pseudo-inverses from one Householder QR per factor; only the
-signed variant forms the dense reconstructed gradient, and sam_direction
-normalises every dense direction.  reconstruct_full_gradient and
-full_to_lowrank_perturbation are the dense SVD reference route.
+take the pseudo-inverses from one Householder QR per factor and never form
+the dense reconstructed gradient; sam_direction normalises every dense
+direction.  reconstruct_full_gradient and full_to_lowrank_perturbation are
+the dense SVD reference route.
 
 All steps mutate the network's adapter factors in place and leave w0
 untouched.  Each returns StepStats so callers can account for gradient
@@ -49,7 +49,6 @@ from .model import (
 
 OPTIMIZER_KINDS = ("lora", "lora-sam", "flat-lora", "eflat-lora")
 RHO_SCHEDULES = ("constant", "inverse-sqrt")
-DIRECTION_VARIANTS = ("standard", "signed")
 
 
 class OptimizerStateError(RuntimeError):
@@ -105,6 +104,15 @@ class StepStats:
     perturb_norm: float
 
 
+def _check_variant(variant: str) -> None:
+    """The ascent direction is rho * g / ||g|| alone.  The two-pass and EMA
+    steps keep a positional direction slot, and ExperimentConfig its
+    direction_variant field, for callers that pass them; both take
+    "standard" and nothing else."""
+    if variant != "standard":
+        raise ValueError(f"direction variant must be 'standard', got {variant!r}")
+
+
 def _check_rho(rho: float, name: str = "rho") -> None:
     """A radius is finite and >= 0: a NaN or infinite one poisons every
     loss after it, and a negative one steps downhill."""
@@ -124,25 +132,18 @@ def rho_at(rho0: float, t: int, schedule: str = "constant") -> float:
     raise ValueError(f"unknown rho schedule {schedule!r}")
 
 
-def sam_direction(
-    g: Matrix, rho: float, variant: str = "standard"
-) -> tuple[Matrix, bool]:
-    """Ascent direction of norm rho from a gradient.
+def sam_direction(g: Matrix, rho: float) -> tuple[Matrix, bool]:
+    """Ascent direction rho * g / ||g|| of norm rho from a gradient.
 
-    standard: rho * g / ||g||.  signed: rho * |g| / ||g||, i.e. the
-    elementwise sign of g times g, same norm.  A gradient with Frobenius
-    norm at or below ZERO_GRAD_EPS is degenerate: the direction is all
-    zeros and the flag is set.  rho = 0 gives zeros without the flag.
+    A gradient with Frobenius norm at or below ZERO_GRAD_EPS is
+    degenerate: the direction is all zeros and the flag is set.  rho = 0
+    gives zeros without the flag.
     """
-    if variant not in DIRECTION_VARIANTS:
-        raise ValueError(f"unknown direction variant {variant!r}")
     _check_rho(rho)
     g = np.asarray(g, dtype=np.float64)
     norm = math.sqrt(_sq_norm(g))
     if norm <= ZERO_GRAD_EPS:
         return np.zeros_like(g), True
-    if variant == "signed":
-        return (rho / norm) * np.abs(g), False
     return (rho / norm) * g, False
 
 
@@ -233,9 +234,9 @@ def gram_pseudo_inverse(m: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
     return pinv_t if tall else pinv_t.T
 
 
-def _pinv_factors(m: Matrix, tol: float) -> tuple[Matrix, Matrix, Matrix]:
-    """(q, t, m^+) with m^+ == q @ t for a wide r x k factor m: q is k x r
-    with orthonormal columns, t is r x r.
+def _pinv_factors(m: Matrix, tol: float) -> tuple[Matrix, Matrix]:
+    """(q, t) with m^+ == q @ t for a wide r x k factor m: q is k x r with
+    orthonormal columns, t is r x r.
 
     One Householder QR m^T = q R (LAPACK dgeqrf/dorgqr) and one triangular
     solve R^T t = I (dtrtrs) give m^+ = q R^-T: no Gram matrix is formed,
@@ -243,9 +244,9 @@ def _pinv_factors(m: Matrix, tol: float) -> tuple[Matrix, Matrix, Matrix]:
     Cholesky diagonal of m m^T, so the switch is gram_pseudo_inverse's:
     when its smallest entry is at or below _GRAM_GUARD times its largest
     (a zero b at init, a nearly rank-deficient a), the SVD pseudo-inverse
-    m^+ takes over and is returned as is, with q from the same QR of m^+
-    and t = q^T m^+.  A non-finite factor stays on the QR route, so its
-    NaNs reach the step's loss, which the experiment loop checks.
+    m^+ takes over, with q from the same QR of m^+ and t = q^T m^+.  A
+    non-finite factor stays on the QR route, so its NaNs reach the step's
+    loss, which the experiment loop checks.
     """
     r = m.shape[0]
     reflectors, tau, _, _ = dgeqrf(m.T)
@@ -257,16 +258,13 @@ def _pinv_factors(m: Matrix, tol: float) -> tuple[Matrix, Matrix, Matrix]:
     else:
         t = dtrtrs(reflectors[:r], np.eye(r), trans=1)[0]
     q = dorgqr(reflectors, tau, overwrite_a=1)[0]
-    if pinv is None:
-        return q, t, q @ t
-    return q, q.T @ pinv, pinv
+    return q, (t if pinv is None else q.T @ pinv)
 
 
 def perturbation_from_gradients(
     net: Network,
     grads: GradientSet,
     rho: float,
-    variant: str = "standard",
     tol: float = DEFAULT_TOL,
 ) -> PerturbationPlan:
     """Build the low-rank transfer of the normalised full-space ascent
@@ -285,8 +283,8 @@ def perturbation_from_gradients(
         F = grad_b @ (a^+)^T + (b^+)^T @ grad_a = X1 Q1^T + Q2 Z2,
         X1 = grad_b T1^T,  Z2 = T2 grad_a.
 
-    The standard variant never forms the n x m matrix F.  With W = Z2 Q1
-    and U = X1 + Q2 W, F = U Q1^T + Q2 (Z2 - W Q1^T), two parts with
+    The plan never forms the n x m matrix F.  With W = Z2 Q1 and
+    U = X1 + Q2 W, F = U Q1^T + Q2 (Z2 - W Q1^T), two parts with
     orthogonal row spaces, so
 
         ||F||^2 = ||U||^2 + ||Z2||^2 - ||W||^2,   F @ a^+ = U T1,
@@ -294,50 +292,40 @@ def perturbation_from_gradients(
             = (c / scale) * U T1,  c = rho * h / ||g_bar||,
 
     from n x r, r x m and r x r arrays only, so a layer's plan takes
-    O((n + m) * rank) memory.  The signed variant needs |g_bar| entry by
-    entry, so it builds g_bar and hands it to sam_direction.  The plan
-    holds e_b and nothing else per layer: the pseudo-inverses, the dense
-    direction and the gradients are not kept.
+    O((n + m) * rank) memory.  The plan holds e_b and nothing else per
+    layer: the pseudo-inverses, the dense direction and the gradients are
+    not kept.
     """
-    if variant not in DIRECTION_VARIANTS:
-        raise ValueError(f"unknown direction variant {variant!r}")
     _check_rho(rho)
     _check_tol(tol)
     e_b: list[Matrix] = []
     degenerate: list[int] = []
     for i, layer in enumerate(net.layers):
         # a is rank x m (wide), b is n x rank (tall); rank <= min(n, m).
-        q1, t1, a_pinv = _pinv_factors(layer.a, tol)
-        q2, t2, b_pinv_t = _pinv_factors(layer.b.T, tol)
+        q1, t1 = _pinv_factors(layer.a, tol)
+        q2, t2 = _pinv_factors(layer.b.T, tol)
         half_inv_scale = 0.5 / layer.scale
-        gb, ga = grads.grad_b[i], grads.grad_a[i]
-        if variant == "signed":
-            g_bar = half_inv_scale * (gb @ a_pinv.T + b_pinv_t @ ga)
-            direction, flat = sam_direction(g_bar, rho, variant)
-            if not flat:
-                e_b.append((1.0 / layer.scale) * (direction @ a_pinv))
-        else:
-            z2 = t2 @ ga
-            w = z2 @ q1
-            sq = _sq_norm(z2) - _sq_norm(w)
-            # Drop each m- or n-long temporary once used: they set the
-            # plan's peak.
-            del z2, q1
-            u = gb @ t1.T
-            u += q2 @ w
-            del q2
-            sq += _sq_norm(u)
-            norm = half_inv_scale * math.sqrt(max(sq, 0.0))
-            flat = norm <= ZERO_GRAD_EPS
-            if not flat:
-                c = rho * half_inv_scale / norm
-                transfer = u @ t1
-                del u
-                transfer *= c / layer.scale
-                e_b.append(transfer)
+        z2 = t2 @ grads.grad_a[i]
+        w = z2 @ q1
+        sq = _sq_norm(z2) - _sq_norm(w)
+        # Drop each m- or n-long temporary once used: they set the plan's
+        # peak.
+        del z2, q1
+        u = grads.grad_b[i] @ t1.T
+        u += q2 @ w
+        del q2
+        sq += _sq_norm(u)
+        norm = half_inv_scale * math.sqrt(max(sq, 0.0))
+        flat = norm <= ZERO_GRAD_EPS
         if flat:
             degenerate.append(i)
             e_b.append(np.zeros_like(layer.b))
+        else:
+            transfer = u @ t1
+            del u
+            c = rho * half_inv_scale / norm
+            transfer *= c / layer.scale
+            e_b.append(transfer)
     return PerturbationPlan(e_b=e_b, degenerate_layers=tuple(degenerate))
 
 
@@ -424,16 +412,17 @@ def lora_sam_step(
     per factor).  Because the factors multiply each other, the induced
     merged-weight perturbation is quadratic in rho and need not track the
     full-space ascent direction; this step exists as the baseline the
-    transfer-based steps improve on.
+    transfer-based steps improve on.  variant takes "standard" alone.
     """
+    _check_variant(variant)
 
     def shift(grads: GradientSet) -> tuple[list[Matrix], list[Matrix], float]:
         e_b: list[Matrix] = []
         e_a: list[Matrix] = []
         sq = 0.0
         for gb, ga in zip(grads.grad_b, grads.grad_a):
-            db, _ = sam_direction(gb, rho, variant)
-            da, _ = sam_direction(ga, rho, variant)
+            db, _ = sam_direction(gb, rho)
+            da, _ = sam_direction(ga, rho)
             e_b.append(db)
             e_a.append(da)
             sq += _sq_norm(db) + _sq_norm(da)
@@ -456,10 +445,12 @@ def flat_lora_step(
     Gradient at the current point, reconstruct and normalise the dense
     ascent direction, shift b so the merged weight moves along it, take
     the gradient there, revert, update with the perturbed-point gradient.
+    variant takes "standard" alone.
     """
+    _check_variant(variant)
 
     def shift(grads: GradientSet) -> tuple[list[Matrix], None, float]:
-        plan = perturbation_from_gradients(net, grads, rho, variant, tol)
+        plan = perturbation_from_gradients(net, grads, rho, tol)
         return plan.e_b, None, plan.total_norm()
 
     return _two_pass_step(net, batch, cfg, state, shift)
@@ -539,8 +530,10 @@ def eflat_lora_step(
 
     which is applied before the step returns, so the network stays
     perturbed between steps.  The very first step runs at the unperturbed
-    point (the EMA starts at zero and nothing is applied yet).
+    point (the EMA starts at zero and nothing is applied yet).  variant
+    takes "standard" alone.
     """
+    _check_variant(variant)
     if pstate.applied != (pstate.step_index > 0):
         raise OptimizerStateError(
             f"EMA state inconsistent: step_index={pstate.step_index} but "
@@ -550,7 +543,7 @@ def eflat_lora_step(
     was_applied = pstate.applied
     grads = backward(net, batch)
     rho_t = rho_at(pstate.rho0, t, schedule)
-    plan = perturbation_from_gradients(net, grads, rho_t, variant, tol)
+    plan = perturbation_from_gradients(net, grads, rho_t, tol)
     if was_applied:
         pstate.remove(net)
     base_update(net, grads, cfg, state)

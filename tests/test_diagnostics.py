@@ -94,14 +94,15 @@ def test_sharpness_sam_leaves_parameters_untouched():
         assert np.array_equal(layer.a, a)
 
 
-@pytest.mark.parametrize("variant", ["standard", "signed"])
-def test_sam_probe_loss_is_forward_loss_and_increase_is_sharpness_sam(variant):
+# The id names the ascent direction the probe takes, rho * g / ||g||.
+@pytest.mark.parametrize("rho", [0.15], ids=["standard"])
+def test_sam_probe_loss_is_forward_loss_and_increase_is_sharpness_sam(rho):
     for seed in range(4):
         net = generic_net(seed=seed)
         batch = generic_batch(net, seed=seed)
-        loss, increase = sam_probe(net, batch, 0.15, variant)
+        loss, increase = sam_probe(net, batch, rho)
         assert loss.hex() == forward(net, batch)[1].hex()
-        assert increase.hex() == sharpness_sam(net, batch, 0.15, variant).hex()
+        assert increase.hex() == sharpness_sam(net, batch, rho).hex()
 
 
 def test_sharpness_sam_zero_rho_is_zero():

@@ -105,10 +105,11 @@ def test_parse_collects_every_offender():
 
 
 def test_validate_collects_every_offender():
-    cfg = ExperimentConfig(optimizer="adam", rank=99, beta=2.0)
+    cfg = ExperimentConfig(optimizer="adam", rank=99, beta=2.0,
+                           direction_variant="signed")
     with pytest.raises(ConfigError) as err:
         cfg.validate()
-    assert {"optimizer", "rank", "beta"} <= set(err.value.fields)
+    assert {"optimizer", "rank", "beta", "direction_variant"} <= set(err.value.fields)
     for bad in (math.nan, math.inf):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(weight_decay=bad, noise_std=bad, seed=-1).validate()
@@ -152,6 +153,10 @@ def test_load_config_from_file(tmp_path):
     path.write_text("optimizer = lora\nsteps = 5\nbatch_size = 4\n")
     cfg = load_config(str(path))
     assert cfg.optimizer == "lora" and cfg.steps == 5
+    path.write_text("optimizer = lora\ndirection_variant = signed\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert err.value.fields == ["direction_variant"]
 
 
 # --------------------------------------------------------------------- tasks
@@ -305,19 +310,19 @@ def test_evaluate_runs_one_sweep_per_parameter_point(kind, steps, sweeps, monkey
     assert len(calls) == sweeps
 
 
-@pytest.mark.parametrize("kind, steps, variant", [
-    ("lora", 7, "standard"),
-    ("lora-sam", 7, "standard"),
-    ("flat-lora", 7, "standard"),
-    ("eflat-lora", 7, "standard"),
-    ("eflat-lora", 0, "standard"),
-    ("eflat-lora", 7, "signed"),
-])
-def test_evaluate_matches_separate_measurements_bit_for_bit(kind, steps, variant):
+_EVALUATE_CASES = [("lora", 7), ("lora-sam", 7), ("flat-lora", 7),
+                   ("eflat-lora", 7), ("eflat-lora", 0)]
+
+
+# Each id ends in the config's direction_variant, which takes "standard"
+# alone.
+@pytest.mark.parametrize("kind, steps", _EVALUATE_CASES, ids=[
+    f"{kind}-{steps}-standard" for kind, steps in _EVALUATE_CASES])
+def test_evaluate_matches_separate_measurements_bit_for_bit(kind, steps):
     """The record's eval columns against the measurements taken one by one
     on a clone: remove the EMA shift, forward, sharpness_sam,
     sharpness_ema, reapply.  The network comes back bit for bit."""
-    cfg = tiny_config(optimizer=kind, direction_variant=variant)
+    cfg = tiny_config(optimizer=kind)
     task, net, pstate = _stepped(cfg, steps)
     clone, clone_pstate = copy.deepcopy((net, pstate))
     batch = task.eval_batch
@@ -327,7 +332,7 @@ def test_evaluate_matches_separate_measurements_bit_for_bit(kind, steps, variant
         clone_pstate.remove(clone)
     _, eval_loss = forward(clone, batch)
     rho = rho_at(cfg.rho0, max(steps, 1), cfg.resolved_schedule())
-    s_sam = diagnostics.sharpness_sam(clone, batch, rho, variant)
+    s_sam = diagnostics.sharpness_sam(clone, batch, rho)
     if clone_pstate is not None:
         s_ema = diagnostics.sharpness_ema(clone, batch, clone_pstate)
         gap = abs(s_ema - s_sam)
@@ -422,15 +427,16 @@ def test_sweep_writes_one_file_pair_per_seed(tmp_path):
 
 @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
 def test_make_step_matches_explicit_calls_with_every_field(kind):
-    """Every optimizer field off its default; on the matrix-factorization
-    task the factors pass through the SVD fallback, so svd_tol moves the
-    trajectory as well and a dropped field breaks bit equality."""
+    """Every optimizer field off its default (direction_variant has only
+    "standard", which the twin passes in the steps' positional slot); on
+    the matrix-factorization task the factors pass through the SVD
+    fallback, so svd_tol moves the trajectory as well and a dropped field
+    breaks bit equality."""
     schedule = "constant" if kind == "eflat-lora" else "inverse-sqrt"
     cfg = ExperimentConfig(
         task="matrix-factorization", layer_dims=[6, 5], rank=2, optimizer=kind,
         learning_rate=0.05, momentum=0.5, weight_decay=0.01, rho0=0.05,
-        beta=0.6, rho_schedule=schedule, direction_variant="signed",
-        svd_tol=1e-2, steps=10, seed=3,
+        beta=0.6, rho_schedule=schedule, svd_tol=1e-2, steps=10, seed=3,
     )
     task = generate_task(cfg)
     net, twin = _build_student(cfg, task), _build_student(cfg, task)
@@ -446,11 +452,11 @@ def test_make_step_matches_explicit_calls_with_every_field(kind):
         if kind == "lora":
             lora_step(twin, batch, opt, sgd)
         elif kind == "lora-sam":
-            lora_sam_step(twin, batch, rho, opt, sgd, "signed")
+            lora_sam_step(twin, batch, rho, opt, sgd, "standard")
         elif kind == "flat-lora":
-            flat_lora_step(twin, batch, rho, opt, sgd, "signed", 1e-2)
+            flat_lora_step(twin, batch, rho, opt, sgd, "standard", 1e-2)
         else:
-            eflat_lora_step(twin, batch, twin_pstate, opt, sgd, "signed", 1e-2,
+            eflat_lora_step(twin, batch, twin_pstate, opt, sgd, "standard", 1e-2,
                             schedule)
     for got, want in zip(net.layers, twin.layers):
         assert np.array_equal(got.b, want.b)
@@ -507,8 +513,8 @@ def test_verify_all_checks_pass():
 def _pinv_factors_untransposed(m, tol, pinv_factors=optimizers._pinv_factors):
     """_pinv_factors with t = R^-1 in place of R^-T: the triangular solve
     without its transpose."""
-    q, t, pinv = pinv_factors(m, tol)
-    return q, t.T, pinv
+    q, t = pinv_factors(m, tol)
+    return q, t.T
 
 
 def _nan_backward(net, batch, want_full=False, backward=model.backward):
@@ -574,10 +580,17 @@ def test_cli_run_uses_env_out_dir(tmp_path, monkeypatch):
 
 
 def test_cli_invalid_config_exits_one(tmp_path, capsys):
+    """An unknown optimizer or direction variant ends in a config error
+    and exit 1, with no file written."""
     bad = tmp_path / "bad.cfg"
-    bad.write_text("optimizer = adam\n")
-    assert main(["run", "--config", str(bad)]) == 1
-    assert "config error" in capsys.readouterr().err
+    out = tmp_path / "out"
+    for text, field_name in (("optimizer = adam\n", "optimizer"),
+                             ("direction_variant = signed\n", "direction_variant")):
+        bad.write_text(text)
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and field_name in err
+        assert not out.exists()
 
 
 def test_cli_missing_config_exits_one(tmp_path, capsys):

@@ -106,7 +106,7 @@ def qr_pseudo_inverse(m, tol=DEFAULT_TOL):
     """m^+ as q @ t from the steps' QR route, which takes a wide factor: a
     tall m goes in as its transpose."""
     tall = m.shape[0] > m.shape[1]
-    q, t, _ = _pinv_factors(m.T if tall else m, tol)
+    q, t = _pinv_factors(m.T if tall else m, tol)
     p = q @ t
     return p.T if tall else p
 

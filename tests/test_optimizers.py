@@ -80,23 +80,12 @@ def test_sam_direction_norm_and_alignment():
     assert abs(cos - 1.0) < 1e-12
 
 
-def test_sam_direction_signed_variant():
-    g = np.array([[3.0, -4.0]])
-    d, degenerate = sam_direction(g, rho=1.0, variant="signed")
-    assert not degenerate
-    # |g| / ||g|| = (3, 4) / 5
-    assert np.max(np.abs(d - np.array([[0.6, 0.8]]))) < 1e-15
-    assert abs(np.linalg.norm(d) - 1.0) < 1e-15
-
-
 def test_sam_direction_degenerate_and_zero_rho():
     d, degenerate = sam_direction(np.zeros((3, 3)), rho=0.5)
     assert degenerate and np.array_equal(d, np.zeros((3, 3)))
     g = np.ones((2, 2))
     d, degenerate = sam_direction(g, rho=0.0)
     assert not degenerate and np.array_equal(d, np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        sam_direction(g, 0.1, variant="absolute")
 
 
 # ------------------------------------------------------------- reconstruction
@@ -172,14 +161,14 @@ def test_plan_matches_composed_reference_route():
     assert plan.degenerate_layers == ()
 
 
-def _oracle_plan(net, grads, rho, variant):
+def _oracle_plan(net, grads, rho):
     """Dense route: reconstruct, normalise, transfer, layer by layer."""
     e_w_bar, e_b, degenerate = [], [], []
     for i, layer in enumerate(net.layers):
         g_bar = reconstruct_full_gradient(
             grads.grad_b[i], grads.grad_a[i], layer.a, layer.b, layer.scale
         )
-        direction, flat = sam_direction(g_bar, rho, variant)
+        direction, flat = sam_direction(g_bar, rho)
         if flat:
             degenerate.append(i)
         e_w_bar.append(direction)
@@ -194,7 +183,7 @@ def test_plan_normalizes_each_layer_to_rho():
     rho = 0.37
     grads = backward(net, batch)
     plan = perturbation_from_gradients(net, grads, rho)
-    e_w_bar, e_b, _ = _oracle_plan(net, grads, rho, "standard")
+    e_w_bar, e_b, _ = _oracle_plan(net, grads, rho)
     for e in e_w_bar:
         assert abs(np.linalg.norm(e) - rho) < 1e-10
     for got, want in zip(plan.e_b, e_b):
@@ -211,7 +200,7 @@ def test_plan_flags_degenerate_layers_at_exact_minimum():
     batch = Batch(inputs=inputs, targets=preds)
     grads = backward(net, batch)
     plan = perturbation_from_gradients(net, grads, rho=0.5)
-    e_w_bar, _, _ = _oracle_plan(net, grads, 0.5, "standard")
+    e_w_bar, _, _ = _oracle_plan(net, grads, 0.5)
     assert plan.degenerate_layers == tuple(range(len(net.layers)))
     for e_w, e_b in zip(e_w_bar, plan.e_b):
         assert np.array_equal(e_w, np.zeros_like(e_w))
@@ -219,15 +208,31 @@ def test_plan_flags_degenerate_layers_at_exact_minimum():
     assert plan.total_norm() == 0.0
 
 
-def test_plan_rejects_a_bad_variant_or_tol():
-    """tol is checked up front, also when no factor falls back to SVD."""
+def test_plan_rejects_a_bad_variant_or_tol(monkeypatch):
+    """The plan checks tol up front, also when no factor falls back to SVD.
+    The steps' direction slot takes "standard" alone: any other value
+    raises before the step runs a backward sweep or touches a factor."""
     net = make_net(seed=10)
-    grads = backward(net, make_batch(net, seed=10))
-    with pytest.raises(ValueError):
-        perturbation_from_gradients(net, grads, 0.1, variant="sideways")
+    batch = make_batch(net, seed=10)
+    grads = backward(net, batch)
     for bad in (5.0, -1.0, 0.0):
         with pytest.raises(ValueError):
             perturbation_from_gradients(net, grads, 0.1, tol=bad)
+    monkeypatch.setattr(optimizers, "backward", lambda *args: pytest.fail("backward ran"))
+    cfg = BaseUpdateConfig(learning_rate=0.05)
+    pstate = init_perturb_state(net, rho0=0.1, beta=0.9)
+    before = [(layer.b.tobytes(), layer.a.tobytes()) for layer in net.layers]
+    for variant in ("signed", "sideways"):
+        for step in (
+            lambda: lora_sam_step(net, batch, 0.1, cfg, init_sgd_state(net), variant),
+            lambda: flat_lora_step(net, batch, 0.1, cfg, init_sgd_state(net), variant),
+            lambda: eflat_lora_step(net, batch, pstate, cfg, init_sgd_state(net),
+                                    variant),
+        ):
+            with pytest.raises(ValueError, match="direction variant"):
+                step()
+    assert [(layer.b.tobytes(), layer.a.tobytes()) for layer in net.layers] == before
+    assert pstate.step_index == 0 and not pstate.applied
 
 
 def test_plan_handles_zero_b_factor_at_init():
@@ -237,7 +242,7 @@ def test_plan_handles_zero_b_factor_at_init():
     batch = make_batch(net, seed=9)
     grads = backward(net, batch)
     plan = perturbation_from_gradients(net, grads, rho=0.1)
-    e_w_bar, _, _ = _oracle_plan(net, grads, 0.1, "standard")
+    e_w_bar, _, _ = _oracle_plan(net, grads, 0.1)
     for e_w, e_b in zip(e_w_bar, plan.e_b):
         assert np.all(np.isfinite(e_w))
         assert np.all(np.isfinite(e_b))
@@ -261,11 +266,11 @@ _GUARD_FACTORS.update(
     {f"a-at-{f}x-guard": f for f in (0.25, 0.9, 0.999, 1.001, 1.1, 4.0)})
 
 
-@pytest.mark.parametrize("variant", ["standard", "signed"])
+# Each id ends in the ascent direction the plan takes, rho * g / ||g||.
 @pytest.mark.parametrize("case", [
     "wide", "full-rank-square", "zero-b", "exact-minimum", *_GUARD_FACTORS,
-])
-def test_factored_plan_matches_dense_oracle(case, variant, monkeypatch):
+], ids=lambda case: f"{case}-standard")
+def test_factored_plan_matches_dense_oracle(case, monkeypatch):
     """The plan's e_b and its degenerate layers agree with the dense SVD reconstruct -> sam_direction -> transfer
     route, on both sides of the QR -> SVD switch for a, which fires
     exactly below the guard."""
@@ -292,14 +297,14 @@ def test_factored_plan_matches_dense_oracle(case, variant, monkeypatch):
         batch = Batch(inputs=batch.inputs, targets=forward(net, batch)[0])
     grads = backward(net, batch)
     fallbacks.clear()
-    plan = perturbation_from_gradients(net, grads, 0.3, variant)
+    plan = perturbation_from_gradients(net, grads, 0.3)
     want_fallbacks = []
     if case == "zero-b":
         want_fallbacks = [layer.b.T.shape for layer in net.layers]
     elif _GUARD_FACTORS.get(case, 1.0) < 1.0:
         want_fallbacks = [layer.a.shape for layer in net.layers]
     assert fallbacks == want_fallbacks
-    _, e_b, degenerate = _oracle_plan(net, grads, 0.3, variant)
+    _, e_b, degenerate = _oracle_plan(net, grads, 0.3)
     assert plan.degenerate_layers == degenerate
     assert degenerate == (
         tuple(range(len(net.layers))) if case == "exact-minimum" else ())
@@ -664,7 +669,7 @@ def test_perturb_state_validation():
 
 def _shift_then_eflat_step(net, batch, pstate, cfg, state):
     """The step's e_t, built its way on the live network just before an
-    eflat_lora_step with the default variant and schedule runs."""
+    eflat_lora_step with the default schedule runs."""
     rho_t = rho_at(pstate.rho0, pstate.step_index + 1, "inverse-sqrt")
     e_t = perturbation_from_gradients(net, backward(net, batch), rho_t).e_b
     eflat_lora_step(net, batch, pstate, cfg, state)

@@ -31,7 +31,7 @@ def test_replay_digests_prints_every_named_digest(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     names = [f"{kind}.{config}{suffix}"
              for kind in KINDS
-             for config in ("default", "signed", "wide", "zero", "wide-2threads")
+             for config in ("default", "wide", "zero", "wide-2threads")
              for suffix in (".csv", ".summary.json")]
     names += [f"{name}.stdout" for name in
               ("verify", "balancedness_flow", "optimizer_comparison", "transfer_identity")]

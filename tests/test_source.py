@@ -1,11 +1,13 @@
 """Source hygiene: every name a module of the package, the tests, the
 scripts or the demos imports is used, no package module reduces through a
-BLAS dot, the self-checks reduce no residual through the builtin max, and
-every name the benchmark's tracer wraps is bound where it looks it up."""
+BLAS dot, the self-checks reduce no residual through the builtin max,
+every name the benchmark's tracer wraps is bound where it looks it up, and
+the benchmark's own step calls still run."""
 
 import ast
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -14,6 +16,17 @@ import flatlora
 PACKAGE_DIR = pathlib.Path(flatlora.__file__).parent
 REPO_DIR = pathlib.Path(__file__).resolve().parents[1]
 TRACER = REPO_DIR / "perfbench" / "tracer.py"
+WORKLOADS = REPO_DIR / "perfbench" / "workloads.py"
+
+
+def load_perfbench_module(name: str, path: pathlib.Path):
+    """Import one perfbench file by path, registered under name, as
+    dataclasses needs its module in sys.modules."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def unused_imports(source: str) -> list[str]:
@@ -128,10 +141,24 @@ def test_tracer_patch_targets_are_bound():
     """perfbench/tracer.py looks each wrapped name up with
     vars(owner)[attr]; a name it wraps that a module no longer binds (say
     optimizers.cho_factor) would crash a traced benchmark run."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench_module("perfbench_tracer", TRACER)
     unbound = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _ in tracer.patch_targets(flatlora)
                if not callable(vars(owner).get(attr))]
     assert unbound == []
+
+
+def test_benchmark_step_calls_run(tmp_path):
+    """perfbench/workloads.py calls each step positionally, passing the
+    config's direction_variant and svd_tol (Bench._step_args); one
+    wide-steps round per kind runs with no failed operation."""
+    workloads = load_perfbench_module("perfbench_workloads", WORKLOADS)
+    bench = workloads.Bench(flatlora, workloads.WORKLOADS["wide-steps"], 1, tmp_path)
+    try:
+        bench.setup()
+        for kind in workloads.KINDS:
+            bench.step_round(kind)
+        assert (bench.attempted, bench.failed, bench.failures) == (
+            len(workloads.KINDS) * bench.w.round_steps, 0, [])
+    finally:
+        bench.close()
