@@ -5,11 +5,11 @@ Each of the four optimizer kinds runs at three configs: the default and a
 wide network ([256,256,64], rank 8, batch 64), both at seed 0 for 2000
 steps, and the default at 0 steps (the summary of an untrained student).
 Every run, the self-check and each demo is its own child process with
-OPENBLAS_NUM_THREADS=1.  The wide runs then run again with
-OPENBLAS_NUM_THREADS=2, as config `wide-2threads`: their lines equal the
-`wide` ones, because a run's bytes depend on its config and seed alone,
-not on the BLAS thread count.  The output is one line per file or stream,
-36 in all:
+OPENBLAS_NUM_THREADS=1.  The default and wide runs then run again with
+OPENBLAS_NUM_THREADS=2, as configs `default-2threads` and `wide-2threads`:
+their lines equal the `default` and `wide` ones, because a run's bytes
+depend on its config and seed alone, not on the BLAS thread count.  The
+output is one line per file or stream, 44 in all:
 
     <sha256>  <kind>.<config>.csv
     <sha256>  <kind>.<config>.summary.json
@@ -47,7 +47,7 @@ CONFIGS = {
     "zero": {"steps": 0},
 }
 # (config, BLAS threads) of each kind's runs, in print order.
-RUNS = [(config, 1) for config in CONFIGS] + [("wide", 2)]
+RUNS = [(config, 1) for config in CONFIGS] + [("default", 2), ("wide", 2)]
 DEMOS = ("balancedness_flow", "optimizer_comparison", "transfer_identity")
 SEED = 0
 STEPS = 2000

@@ -112,7 +112,11 @@ def gradient_fidelity(rng: Rng, n_nets: int) -> tuple[float, float]:
     n_nets random 2-3 layer networks cycling tanh/relu/identity and
     mse/softmax-CE.  Every entry of both factors is compared with a central
     difference; the chain rule ties the factor gradients to the
-    merged-weight gradient."""
+    merged-weight gradient.  On a layer of the factored route backward
+    builds the two apart, so the residual checks one against the other;
+    on a layer of the merged route it takes the factor gradients through
+    the merged-weight gradient, so the identity holds by construction
+    there and the central differences are that layer's check."""
     fd_rel = chain = 0.0
     eps = 1e-6
     for trial in range(n_nets):

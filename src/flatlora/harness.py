@@ -615,7 +615,10 @@ def bench(cfg: ExperimentConfig, repeats: int = 3) -> BenchReport:
     machine speed, even one shorter than a run, cannot systematically
     favour one kind; the first tenth of each run's steps (at least one) is
     discarded as warmup before taking medians.  Too few repeats or steps
-    raise ConfigError.
+    raise ConfigError.  The steps run under the np.errstate of
+    run_experiment, so a diverging config raises ExperimentAbort naming
+    the optimizer and the step, with no warnings and no timings of
+    non-finite steps.
     """
     warmup = _bench_warmup(cfg, repeats)
     task = generate_task(cfg)
@@ -629,9 +632,13 @@ def bench(cfg: ExperimentConfig, repeats: int = 3) -> BenchReport:
         for t in range(1, cfg.steps + 1):
             batch = task.train_batch(t)
             for kind, step in steps.items():
-                t0 = time.perf_counter()
-                stats = step(batch, t)
-                elapsed_ms = (time.perf_counter() - t0) * 1e3
+                try:
+                    with np.errstate(over="raise", invalid="raise", divide="raise"):
+                        t0 = time.perf_counter()
+                        stats = step(batch, t)
+                        elapsed_ms = (time.perf_counter() - t0) * 1e3
+                except FloatingPointError as exc:
+                    raise ExperimentAbort(t, f"{kind}: {exc}") from exc
                 eval_counts[kind] += stats.grad_evals
                 if t > warmup:
                     times[kind].append(elapsed_ms)

@@ -9,6 +9,7 @@ the batch) or softmax cross-entropy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,7 +251,14 @@ def _blas_operand(m: Matrix) -> tuple[Matrix, int]:
     return (m, 1) if m.flags.f_contiguous else (m.T, 0)
 
 
-def _add_product(x: Matrix, y: Matrix, out: Matrix) -> Matrix:
+def _overflow_raises() -> bool:
+    """Whether numpy's error state raises on overflow, as run_experiment
+    and bench set it."""
+    return np.geterr()["over"] == "raise"
+
+
+def _add_product(x: Matrix, y: Matrix, out: Matrix,
+                 check: bool | None = None) -> Matrix:
     """out += x @ y in place, with no array for x @ y.
 
     One dgemm with beta = 1 on out.T: column-major BLAS computes
@@ -273,7 +281,13 @@ def _add_product(x: Matrix, y: Matrix, out: Matrix) -> Matrix:
     Raises AccumulationError rather than drop the sum or round it
     otherwise: when out is not a C-ordered float64 array, since BLAS
     would then add into a copy, and when x @ y is not float64 (complex
-    or float32 operands, say).
+    or float32 operands, say).  numpy's error state does not see inside
+    dgemm, so under np.errstate(over="raise"), as run_experiment trains,
+    a non-finite entry left in out raises FloatingPointError, as numpy's
+    matmul raises on its overflow; out.max() and out.min() find it with
+    no array the size of out.  check, when given, stands for that
+    reading of the error state (_overflow_raises), which a caller adding
+    many products takes once.
     """
     if x.dtype != _FLOAT64 or y.dtype != _FLOAT64:
         product = np.result_type(x.dtype, y.dtype)
@@ -295,6 +309,10 @@ def _add_product(x: Matrix, y: Matrix, out: Matrix) -> Matrix:
             f"cannot add a product into a {out.dtype} array that is not "
             "C-ordered"
         )
+    if check is None:
+        check = _overflow_raises()
+    if check and not (math.isfinite(out.max()) and math.isfinite(out.min())):
+        raise FloatingPointError("non-finite entry in a product added by BLAS")
     return out
 
 
@@ -335,10 +353,10 @@ def _forward_cache(
     layer that produced it, so a cache serves one pass.  A hidden
     layer's a @ h (rank x k) is dropped once b @ (a @ h) is built, so it
     is not held under backward's peaks; backward rebuilds it from the
-    input, as it does for a layer of the merged route, which never makes
-    it.  The last layer's is kept on the factored route, since backward
-    reads it right after the loss.  The last output, which forward
-    returns, is an array nothing else holds.
+    input.  A layer of the merged route never makes it, and backward
+    does not need it there.  The last layer's is kept on the factored
+    route, since backward reads it right after the loss.  The last
+    output, which forward returns, is an array nothing else holds.
     """
     _check_batch(net, batch)
     if len(offsets) != len(net.layers):
@@ -347,10 +365,14 @@ def _forward_cache(
         )
     last = len(net.layers) - 1
     h = batch.inputs
+    routes = [_merged_route(layer, h.shape[1]) for layer in net.layers]
+    # The error state is read once, and only by a sweep that adds by BLAS.
+    check = (not all(routes) or any(off is not None for off in offsets)) \
+        and _overflow_raises()
     cache = []
     for i, (layer, off) in enumerate(zip(net.layers, offsets)):
         ax = None
-        if _merged_route(layer, h.shape[1]):
+        if routes[i]:
             z = layer.merged_weight() @ h
         else:
             ax = layer.a @ h
@@ -359,13 +381,13 @@ def _forward_cache(
                 ax = None  # backward rebuilds it from h
             if layer.scale != 1.0:
                 z *= layer.scale
-            _add_product(layer.w0, h, z)
+            _add_product(layer.w0, h, z, check)
         if off is not None:
             if off.shape != layer.w0.shape:
                 raise ShapeError(
                     f"offset {i} must be {layer.w0.shape}, got {off.shape}"
                 )
-            _add_product(off, h, z)
+            _add_product(off, h, z, check)
         if i < last:
             _activate(z, net.activation)
         if hold or i == last:
@@ -418,10 +440,25 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
     """Adapter gradients (and optionally merged-weight gradients) by
     reverse accumulation over the forward sweep's cache.
 
-    grad_b and grad_a come out of the factored chain rule directly, never
-    through the merged-weight gradient, on either of the sweep's routes,
-    so the factored and merged routes stay independent checks of each
-    other.  No n x k array is allocated: the last layer's output becomes
+    Each layer takes its gradients on its sweep route.  A layer of the
+    merged route, whose n x m weight is no larger than rank x k, builds
+    its weight gradient gw = g @ x_in.T once and takes
+    grad_b = scale * (gw @ a.T) and grad_a = scale * (b.T @ gw) from it,
+    one k-long product in place of four; gw is grad_w when want_full.
+    There the chain identity between the factor and weight gradients
+    holds by construction, so what checks a merged layer's factor
+    gradients is the central finite differences (verify's
+    gradient_finite_difference) and their agreement with the factored
+    chain rule below to a tight relative tolerance
+    (test_merged_route_factor_gradients_agree_with_the_factored_chain_rule).
+    A layer of the factored route takes them from the chain rule through
+    its factors, grad_b = scale * (g @ (a @ x_in).T) and
+    grad_a = scale * ((b.T @ g) @ x_in.T), and grad_w = g @ x_in.T apart.
+    An a @ x_in the sweep does not keep (a hidden layer's) is rebuilt
+    from x_in before x_in is overwritten, the same product on the same
+    operands, so grad_b gets the same bits.
+
+    No n x k array is allocated: the last layer's output becomes
     the loss gradient (_loss_and_grad), and once layer i + 1 has read its
     input y (layer i's output) for its own gradients, y becomes layer i's
     gradient, (w.T @ g) * act'(y) with w = w0 + scale * b @ a: y is
@@ -435,15 +472,11 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
     a.T; b.T @ g is scaled in its own buffer once grad_a is built, so
     every scale takes this one order.  A layer of the merged route
     builds it as w.T[rows] @ g, one product with layer.merged_weight(),
-    the weight the sweep ran it through; b.T @ g is dropped once grad_a
-    is built, before the blocks.  Every multiplication by scale, here and
-    in the sweep, is skipped at scale 1.0, where it changes no bit.  The
-    roundings are those of the formula written one array per operation,
-    on each layer's route.  Cache entries are dropped once read; an
-    a @ x_in the sweep does not keep (a hidden layer's, or any layer's on
-    the merged route) is rebuilt from x_in before x_in is overwritten,
-    the same product on the same operands, so grad_b gets the same bits.
-    The batch is never written.
+    the weight the sweep ran it through, and makes no rank x k array.
+    Every multiplication by scale, here and in the sweep, is skipped at
+    scale 1.0, where it changes no bit.  The roundings are those of the
+    formula written one array per operation, on each layer's route.
+    Cache entries are dropped once read.  The batch is never written.
     """
     cache = _forward_cache(net, batch, [None] * len(net.layers))
     last = len(net.layers) - 1
@@ -452,22 +485,32 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
     grad_b: list[Matrix | None] = [None] * len(net.layers)
     grad_a: list[Matrix | None] = [None] * len(net.layers)
     grad_w: list[Matrix | None] = [None] * len(net.layers) if want_full else None
+    routes = [_merged_route(layer, k) for layer in net.layers]
+    check = not all(routes) and _overflow_raises()
     for i in range(last, -1, -1):
         layer = net.layers[i]
         x_in, ax = cache[i][:2]
         cache[i] = None
-        if ax is None:
-            ax = layer.a @ x_in
         scale = layer.scale
-        grad_b[i] = g @ ax.T if scale == 1.0 else scale * (g @ ax.T)
-        del ax
-        bt_g = layer.b.T @ g
-        grad_a[i] = bt_g @ x_in.T if scale == 1.0 else scale * (bt_g @ x_in.T)
-        merged = _merged_route(layer, k)
+        merged = routes[i]
         if merged:
+            gw = g @ x_in.T
+            gb, ga = gw @ layer.a.T, layer.b.T @ gw
             bt_g = None
+        else:
+            if ax is None:
+                ax = layer.a @ x_in
+            gb = g @ ax.T
+            del ax
+            bt_g = layer.b.T @ g
+            ga = bt_g @ x_in.T
+            gw = g @ x_in.T if want_full else None
+        if scale != 1.0:
+            gb *= scale
+            ga *= scale
+        grad_b[i], grad_a[i] = gb, ga
         if want_full:
-            grad_w[i] = g @ x_in.T
+            grad_w[i] = gw
         if i > 0:
             # x_in is layer i - 1's output, read for the last time above.
             act = _activation_grad(x_in, net.activation)
@@ -480,7 +523,7 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
             for rows in _row_blocks(act):
                 part = w_t[rows] @ g
                 if not merged:
-                    _add_product(a_t[rows], bt_g, part)
+                    _add_product(a_t[rows], bt_g, part, check)
                 block = act[rows]
                 np.multiply(block, part, out=block)
                 del part, block

@@ -496,6 +496,20 @@ def test_bench_validation():
         bench(tiny_config(steps=30), repeats=0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bench_aborts_on_a_diverging_config():
+    """bench steps under run_experiment's np.errstate, so a diverging
+    config raises ExperimentAbort naming the step and the optimizer,
+    with numpy's error as the cause and no warning."""
+    cfg = tiny_config(optimizer="lora", learning_rate=1e6, steps=30)
+    with pytest.raises(ExperimentAbort) as err:
+        bench(cfg, repeats=1)
+    assert 1 <= err.value.step <= 30
+    assert any(str(err.value).startswith(f"aborted at step {err.value.step}: {kind}: ")
+               for kind in OPTIMIZER_KINDS)
+    assert isinstance(err.value.__cause__, FloatingPointError)
+
+
 # -------------------------------------------------------------------- verify
 
 def test_verify_all_checks_pass():
@@ -704,6 +718,17 @@ def test_cli_bench_writes_json(tmp_path, capsys):
     bench_path = os.path.join(out, f"{cfg.config_hash()}.bench.json")
     assert os.path.exists(bench_path)
     assert "optimizer" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_bench_divergence_exits_two_and_writes_no_report(tmp_path, capsys):
+    cfg_path, _ = write_cfg(tmp_path, optimizer="lora", learning_rate=1e6,
+                            steps=30)
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", cfg_path, "--repeats", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("numerical abort: aborted at step")
+    assert not list(out.glob("*.bench.json"))
 
 
 def test_cli_bench_argument_errors_exit_one(tmp_path, capsys):

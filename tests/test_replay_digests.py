@@ -1,5 +1,5 @@
 """scripts/replay_digests.py: one sha256 line per run output file, and the
-wide runs' bytes at one and two BLAS threads."""
+default and wide runs' bytes at one and two BLAS threads."""
 
 import importlib.util
 import pathlib
@@ -22,16 +22,17 @@ def load_script():
 
 def test_replay_digests_prints_every_named_digest(monkeypatch, capsys):
     """Two-step runs stand in for the 2000-step ones; every kind at every
-    config, then at the wide config on two BLAS threads, prints a CSV and
-    a summary digest, in order, followed by the stdout digests of verify
-    and the three demos."""
+    config, then at the default and the wide config on two BLAS threads,
+    prints a CSV and a summary digest, in order, followed by the stdout
+    digests of verify and the three demos."""
     replay = load_script()
     monkeypatch.setattr(replay, "STEPS", 2)
     assert replay.main([]) == 0
     lines = capsys.readouterr().out.splitlines()
     names = [f"{kind}.{config}{suffix}"
              for kind in KINDS
-             for config in ("default", "wide", "zero", "wide-2threads")
+             for config in ("default", "wide", "zero", "default-2threads",
+                            "wide-2threads")
              for suffix in (".csv", ".summary.json")]
     names += [f"{name}.stdout" for name in
               ("verify", "balancedness_flow", "optimizer_comparison", "transfer_identity")]
@@ -49,4 +50,17 @@ def test_wide_run_replays_at_one_and_two_blas_threads(kind):
     with ThreadPoolExecutor(2) as pool:
         one, two = pool.map(
             lambda threads: replay.run_digests(ROOT, kind, "wide", threads), (1, 2))
+    assert [digest for digest, _ in one] == [digest for digest, _ in two]
+
+
+def test_default_run_replays_at_one_and_two_blas_threads():
+    """The full eflat-lora run at the default config, where every layer
+    takes its factor gradients through the k-long product g @ x_in.T,
+    writes the same CSV and summary bytes at OPENBLAS_NUM_THREADS 1 and
+    2, as the wide runs do."""
+    replay = load_script()
+    with ThreadPoolExecutor(2) as pool:
+        one, two = pool.map(
+            lambda threads: replay.run_digests(ROOT, "eflat-lora", "default", threads),
+            (1, 2))
     assert [digest for digest, _ in one] == [digest for digest, _ in two]
