@@ -285,7 +285,7 @@ def _add_product(x: Matrix, y: Matrix, out: Matrix,
     dgemm, so under np.errstate(over="raise"), as run_experiment trains,
     a non-finite entry left in out raises FloatingPointError, as numpy's
     matmul raises on its overflow; out.max() and out.min() find it with
-    no array the size of out.  check, when given, stands for that
+    no array the size of out.  check, when not None, stands for that
     reading of the error state (_overflow_raises), which a caller adding
     many products takes once.
     """
@@ -365,14 +365,11 @@ def _forward_cache(
         )
     last = len(net.layers) - 1
     h = batch.inputs
-    routes = [_merged_route(layer, h.shape[1]) for layer in net.layers]
-    # The error state is read once, and only by a sweep that adds by BLAS.
-    check = (not all(routes) or any(off is not None for off in offsets)) \
-        and _overflow_raises()
+    check = None  # numpy's error state, read at the first BLAS sum
     cache = []
     for i, (layer, off) in enumerate(zip(net.layers, offsets)):
         ax = None
-        if routes[i]:
+        if _merged_route(layer, h.shape[1]):
             z = layer.merged_weight() @ h
         else:
             ax = layer.a @ h
@@ -381,6 +378,8 @@ def _forward_cache(
                 ax = None  # backward rebuilds it from h
             if layer.scale != 1.0:
                 z *= layer.scale
+            if check is None:
+                check = _overflow_raises()
             _add_product(layer.w0, h, z, check)
         if off is not None:
             if off.shape != layer.w0.shape:
@@ -485,14 +484,13 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
     grad_b: list[Matrix | None] = [None] * len(net.layers)
     grad_a: list[Matrix | None] = [None] * len(net.layers)
     grad_w: list[Matrix | None] = [None] * len(net.layers) if want_full else None
-    routes = [_merged_route(layer, k) for layer in net.layers]
-    check = not all(routes) and _overflow_raises()
+    check = None  # numpy's error state, read at the first BLAS sum
     for i in range(last, -1, -1):
         layer = net.layers[i]
         x_in, ax = cache[i][:2]
         cache[i] = None
         scale = layer.scale
-        merged = routes[i]
+        merged = _merged_route(layer, k)
         if merged:
             gw = g @ x_in.T
             gb, ga = gw @ layer.a.T, layer.b.T @ gw
@@ -511,6 +509,7 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
         grad_b[i], grad_a[i] = gb, ga
         if want_full:
             grad_w[i] = gw
+        del gw
         if i > 0:
             # x_in is layer i - 1's output, read for the last time above.
             act = _activation_grad(x_in, net.activation)
@@ -520,6 +519,8 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
                 w_t, a_t = layer.w0.T, layer.a.T
                 if scale != 1.0:
                     bt_g *= scale
+                if check is None:
+                    check = _overflow_raises()
             for rows in _row_blocks(act):
                 part = w_t[rows] @ g
                 if not merged:
