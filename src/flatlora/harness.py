@@ -25,7 +25,7 @@ import numpy as np
 
 from . import diagnostics
 from .linalg import _sq_norm, make_rng
-from .model import Batch, Network, apply_b_perturbation, build_network, forward
+from .model import Batch, Network, build_network, forward
 from .optimizers import (
     OPTIMIZER_KINDS,
     RHO_SCHEDULES,
@@ -503,15 +503,19 @@ def _evaluate(
     unperturbed parameters; the network is put back exactly as found,
     also when a measurement raises.
 
-    One sweep per distinct parameter point.  An applied EMA shift comes
-    off first.  The sharpness probe's backward at the unperturbed point
-    gives eval_loss, and its one offset forward the SAM point; one
-    forward with the EMA shift held gives the EMA point, b + ema_e_b, the
-    same sum PerturbState.apply makes.  The EMA sharpness is that loss
-    minus eval_loss, the subtraction diagnostics.sharpness_ema makes.  So
-    an evaluation costs two sweeps, three for eflat-lora at every step
-    count.  sharpness_ema and gap are NaN without an EMA state.
+    One sweep per distinct parameter point.  With an EMA state, one
+    forward on the network as the step left it gives the EMA point
+    first: the step applied its shift, b + ema_e_b, the sum
+    apply_b_perturbation would build, and at step 0 nothing is applied
+    and the EMA is zero.  Then an applied shift comes off, the
+    sharpness probe's backward at the unperturbed point gives
+    eval_loss, and its one offset forward the SAM point.  The EMA
+    sharpness is the EMA loss minus eval_loss, the subtraction
+    diagnostics.sharpness_ema makes.  So an evaluation costs two sweeps,
+    three for eflat-lora at every step count.  sharpness_ema and gap are
+    NaN without an EMA state.
     """
+    ema_loss = None if pstate is None else forward(net, task.eval_batch)[1]
     was_applied = pstate is not None and pstate.applied
     if was_applied:
         pstate.remove(net)
@@ -521,9 +525,8 @@ def _evaluate(
         if not math.isfinite(eval_loss):
             raise ExperimentAbort(step, f"eval loss is {eval_loss}")
         s_ema = gap = math.nan
-        if pstate is not None:
-            with apply_b_perturbation(net, pstate.ema_e_b):
-                s_ema = forward(net, task.eval_batch)[1] - eval_loss
+        if ema_loss is not None:
+            s_ema = ema_loss - eval_loss
             gap = abs(s_ema - s_sam)
         return eval_loss, s_sam, s_ema, gap, diagnostics.network_balancedness(net)
     finally:

@@ -369,8 +369,14 @@ def _forward_cache(
     cache = []
     for i, (layer, off) in enumerate(zip(net.layers, offsets)):
         ax = None
+        if off is not None and off.shape != layer.w0.shape:
+            raise ShapeError(f"offset {i} must be {layer.w0.shape}, got {off.shape}")
         if _merged_route(layer, h.shape[1]):
-            z = layer.merged_weight() @ h
+            w = layer.merged_weight()
+            if off is not None:
+                w += off
+            z = w @ h
+            del w
         else:
             ax = layer.a @ h
             z = layer.b @ ax
@@ -381,12 +387,8 @@ def _forward_cache(
             if check is None:
                 check = _overflow_raises()
             _add_product(layer.w0, h, z, check)
-        if off is not None:
-            if off.shape != layer.w0.shape:
-                raise ShapeError(
-                    f"offset {i} must be {layer.w0.shape}, got {off.shape}"
-                )
-            _add_product(off, h, z, check)
+            if off is not None:
+                _add_product(off, h, z, check)
         if i < last:
             _activate(z, net.activation)
         if hold or i == last:

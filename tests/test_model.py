@@ -292,20 +292,26 @@ def _merged(layer, k):
     return n * m <= layer.rank * k
 
 
-def _oracle_sweep(net, batch, offsets, merged=_merged):
+def _oracle_sweep(net, batch, offsets, merged=_merged, offset_merged=None):
     """The sweep written out of place, one fresh array per operation: a
     layer of the merged route (merged(layer, k)) as merged_weight() @ h,
-    any other as w0 @ h + scale * (b @ (a @ h))."""
+    with an offset (merged_weight() + offset) @ h, any other as
+    w0 @ h + scale * (b @ (a @ h)), with an offset plus offset @ h.
+    offset_merged(layer, k), when given, picks a layer's offset formula
+    in place of its route."""
+    offset_merged = offset_merged or merged
     last = len(net.layers) - 1
     h = batch.inputs
     cache = []
     for i, (layer, off) in enumerate(zip(net.layers, offsets)):
         ax = layer.a @ h
-        if merged(layer, h.shape[1]):
-            z = layer.merged_weight() @ h
+        fold = off is not None and offset_merged(layer, h.shape[1])
+        if merged(layer, h.shape[1]) or fold:
+            w = layer.merged_weight()
+            z = (w + off if fold else w) @ h
         else:
             z = layer.w0 @ h + layer.scale * (layer.b @ ax)
-        if off is not None:
+        if off is not None and not fold:
             z = z + off @ h
         if i < last:
             if net.activation == "tanh":
@@ -381,8 +387,11 @@ def test_in_place_sweep_is_bit_identical_to_out_of_place_formulas(activation, lo
     three-layer net whose first two layers take the factored route and
     whose last, 3 x 4 against rank x k = 2 x 7, the merged route, at
     scale 0.7 and at scale 1.0, where every multiplication by the scale
-    is skipped; backward leaves batch.inputs alone, and a prediction
-    held from forward survives a later backward unchanged."""
+    is skipped; the offsets on the first and last layer miss the bits of
+    the other route's offset formula, offset @ h added apart on the
+    merged layer and folded into the merged weight on the factored one;
+    backward leaves batch.inputs alone, and a prediction held from
+    forward survives a later backward unchanged."""
     for scale in (0.7, 1.0):
         net = small_net(seed=9, dims=(5, 6, 4, 3), activation=activation,
                         loss=loss, scale=scale)
@@ -397,6 +406,10 @@ def test_in_place_sweep_is_bit_identical_to_out_of_place_formulas(activation, lo
             want_loss, _ = _oracle_loss_and_grad(want_pred, batch.targets, loss)
             pred, got_loss = forward_with_offsets(net, batch, offs)
             assert _same_bytes(pred, want_pred) and got_loss == want_loss
+        for flipped in net.layers[0], net.layers[2]:
+            other = _oracle_sweep(net, batch, offsets, offset_merged=lambda layer, k:
+                                  _merged(layer, k) != (layer is flipped))
+            assert not _same_bytes(pred, other[-1][2]), scale
         held, held_loss = forward(net, batch)
         held_bytes = held.tobytes()
         assert _same_bytes(held, _oracle_sweep(net, batch, [None] * 3)[-1][2])
