@@ -1,7 +1,8 @@
 """Append perfbench end-to-end results to the committed BENCH_<workload>.json
-trajectory at the repository root.
+trajectory at the repository root, or traced per-layer results to
+BENCH_<workload>.trace.json.
 
-For each workload, runs `python3 perfbench/run.py --trace 0` in a checkout
+For each workload, runs `python3 perfbench/run.py --trace T` in a checkout
 (this repository by default, or any other checkout of it, e.g. a clone of
 an older commit), takes the JSON object on the last line of its standard
 output plus the machine slowdown and malloc mode the report prints, and
@@ -10,13 +11,18 @@ appends one record per run:
     {"commit", "workload", "seed", "seconds", "trace", "slowdown",
      "malloc", "metrics": {name: value}}
 
-`commit` is `git describe --always --dirty` of the checkout, taken once
-before anything runs; a checkout git cannot describe is a usage error.  A
-run with a failed operation is reported and not recorded.  Run from
+`--trace 0`, the default, records the end-to-end metrics in
+BENCH_<workload>.json; `--trace 1` records the per-layer metrics of the
+traced pass in BENCH_<workload>.trace.json, with the slowdown and malloc
+mode of that pass (not of its reference child).  `commit` is
+`git describe --always --dirty` of the checkout, taken once before
+anything runs; a checkout git cannot describe is a usage error.  A run
+with a failed operation is reported and not recorded.  Run from
 anywhere:
 
     python3 scripts/bench_record.py --seeds 1,2,3 --seconds 30
     python3 scripts/bench_record.py --checkout ../parent --seeds 1,2,3 --seconds 30
+    python3 scripts/bench_record.py --workloads eval-run --seeds 7 --seconds 30 --trace 1
 
 `--compare PARENT CHANGE` runs nothing: it reads the recorded runs of two
 commits, pairs them by seed, and prints for each workload and each
@@ -47,7 +53,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-SLOWDOWN = re.compile(r"= ([0-9.]+) x the reference")
+# The machine slowdown as the end-to-end and the traced report print it.
+SLOWDOWN = (re.compile(r"= ([0-9.]+) x the reference"),
+            re.compile(r"machine slowdown \(times are divided by it\)\s+([0-9.]+)"))
 MALLOC = re.compile(r"malloc=(\S+)")
 
 # Units of the end-to-end metrics perfbench divides by the machine slowdown.
@@ -62,8 +70,8 @@ def workload_names() -> list[str]:
     return [w["name"] for w in benchmark_spec()["workloads"]]
 
 
-def bench_path(workload: str) -> Path:
-    return ROOT / f"BENCH_{workload}.json"
+def bench_path(workload: str, trace: int = 0) -> Path:
+    return ROOT / f"BENCH_{workload}{'.trace' if trace else ''}.json"
 
 
 def describe(checkout: Path) -> str:
@@ -75,13 +83,15 @@ def describe(checkout: Path) -> str:
 
 def parse_report(stdout: str) -> tuple[dict, float, str]:
     """The last-line JSON result, the machine slowdown and the malloc mode
-    of one `--trace 0` report."""
+    of one report; in a traced one, the first of each is the measured
+    pass's."""
     lines = stdout.strip().splitlines()
     result = json.loads(lines[-1])
     slowdown = malloc = None
     for line in lines[:-1]:
-        if slowdown is None and (m := SLOWDOWN.search(line)):
-            slowdown = float(m.group(1))
+        for pattern in SLOWDOWN:
+            if slowdown is None and (m := pattern.search(line)):
+                slowdown = float(m.group(1))
         if malloc is None and (m := MALLOC.search(line)):
             malloc = m.group(1)
     if slowdown is None or malloc is None:
@@ -90,10 +100,10 @@ def parse_report(stdout: str) -> tuple[dict, float, str]:
 
 
 def record(checkout: Path, commit: str, workload: str, seed: int,
-           seconds: float) -> dict:
+           seconds: float, trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"],
+         "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -106,7 +116,7 @@ def record(checkout: Path, commit: str, workload: str, seed: int,
         "workload": workload,
         "seed": seed,
         "seconds": seconds,
-        "trace": 0,
+        "trace": trace,
         "slowdown": slowdown,
         "malloc": malloc,
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
@@ -114,7 +124,7 @@ def record(checkout: Path, commit: str, workload: str, seed: int,
 
 
 def append(rec: dict) -> None:
-    path = bench_path(rec["workload"])
+    path = bench_path(rec["workload"], rec["trace"])
     records = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
     records.append(rec)
     path.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
@@ -213,12 +223,17 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
                       help="compare the recorded runs of two commits; runs nothing")
     p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                   help="1: record the traced per-layer metrics in "
+                        "BENCH_<workload>.trace.json")
     args = p.parse_args(argv)
     workloads = args.workloads.split(",")
     unknown = sorted(set(workloads) - set(workload_names()))
     if unknown:
         p.error(f"unknown workloads {unknown}; choose from {workload_names()}")
     if args.compare:
+        if args.trace:
+            p.error("--compare reads the end-to-end records; --trace 1 only records")
         return compare(p, workloads, *args.compare)
     if not (args.seconds > 0 and math.isfinite(args.seconds)):
         p.error(f"--seconds must be positive and finite, got {args.seconds!r}")
@@ -237,7 +252,8 @@ def main(argv: list[str] | None = None) -> int:
     for seed in seeds:
         for workload in workloads:
             try:
-                rec = record(checkout, commit, workload, seed, args.seconds)
+                rec = record(checkout, commit, workload, seed, args.seconds,
+                             args.trace)
             except (RuntimeError, ValueError) as exc:
                 print(f"{workload} seed {seed}: not recorded: {exc}", file=sys.stderr)
                 status = 1

@@ -73,9 +73,12 @@ def sam_probe(net: Network, batch: Batch, rho: float) -> tuple[float, float]:
     One backward sweep at the current parameters gives the loss and each
     layer's merged-weight gradient; each gradient is scaled to norm rho
     and added as a dense offset, and one forward sweep with those offsets
-    gives the perturbed loss.  Returns the loss at the current parameters
-    (the bits forward would return there) and the perturbed loss minus
-    it.  Layers with vanishing gradient contribute a zero offset.
+    gives the perturbed loss.  On a layer of the merged route the offset
+    goes into the merged weight, (merged_weight() + offset) @ h, so that
+    sweep costs one plain forward there (forward_with_offsets).  Returns
+    the loss at the current parameters (the bits forward would return
+    there) and the perturbed loss minus it.  Layers with vanishing
+    gradient contribute a zero offset.
     """
     grads = backward(net, batch, want_full=True)
     offsets: list[Matrix | None] = []

@@ -334,19 +334,23 @@ def _forward_cache(
     the last layer's entry is kept, so each hidden output is dropped once
     the next layer has read it.
 
-    Layer i computes (w0 + scale * b @ a) @ h, plus offsets[i] @ h when
-    that offset is not None, and applies the activation on every layer
-    but the last.  The batch is checked before the offsets.  Each layer
-    takes one of two routes, chosen from its shape and the batch width k
-    alone (_merged_route).  A layer whose n x m weight is no larger than
-    rank x k takes the merged route: its output is
-    layer.merged_weight() @ h, one product.  Every other layer takes the
+    Layer i computes (w0 + scale * b @ a + offsets[i]) @ h, with no
+    offset term when offsets[i] is None, and applies the activation on
+    every layer but the last.  The batch is checked before the offsets.
+    Each layer takes one of two routes, chosen from its shape and the
+    batch width k alone (_merged_route).  A layer whose n x m weight is
+    no larger than rank x k takes the merged route: its output is
+    layer.merged_weight() @ h, one product, and with an offset
+    (layer.merged_weight() + offsets[i]) @ h, the offset added into the
+    fresh merged weight, still one product.  Every other layer takes the
     factored route, w0 @ h + scale * (b @ (a @ h)): the low-rank product,
     scaled in place unless scale is 1.0, where x * 1.0 == x bit for bit,
-    then w0 @ h added into it by BLAS (_add_product).  On either route
-    offsets[i] @ h is added by BLAS too, so each layer's output is built
-    in one fresh array and no other n x k array is made, with the
-    roundings of the sum written out (_add_product says when).  Layer i's
+    then w0 @ h added into it by BLAS (_add_product), and then
+    offsets[i] @ h added by BLAS too, since folding the offset there
+    would build an n x m weight larger than the rank x k product.  So
+    each layer's output is built in one fresh array and no other n x k
+    array is made, with the roundings of the formula written out
+    (_add_product says when).  Layer i's
     output is layer i + 1's input, the same array.  backward reuses the
     output buffers for its gradients: the last output becomes the loss
     gradient and each hidden output the gradient passed down into the
@@ -376,7 +380,7 @@ def _forward_cache(
             if off is not None:
                 w += off
             z = w @ h
-            del w
+            del w  # not held under the next layer's arrays
         else:
             ax = layer.a @ h
             z = layer.b @ ax
@@ -410,6 +414,10 @@ def forward_with_offsets(
     offsets[i] is added to layer i's effective weight (None skips a layer);
     the stored parameters are never touched.  This is how full-space
     perturbations are evaluated without materialising a perturbed network.
+    A layer of the merged route adds its offset into the merged weight
+    it builds anyway, so the sweep costs what forward's does there; a
+    layer of the factored route adds offsets[i] @ h into its output
+    (_forward_cache).
     """
     pred = _forward_cache(net, batch, offsets, hold=False)[-1][2]
     loss, _ = _loss_and_grad(pred.copy(), batch.targets, net.loss_kind)

@@ -1,19 +1,23 @@
 """The committed BENCH_<workload>.json trajectory: every file parses, and
-each record carries exactly the end-to-end metrics BENCHMARK.json gates."""
+each record carries exactly the end-to-end metrics BENCHMARK.json gates;
+each BENCH_<workload>.trace.json record, exactly its per-layer metrics."""
 
 import importlib.util
 import json
 import pathlib
+import subprocess
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 END_TO_END = {m["name"] for m in SPEC["end_to_end"]}
+PER_LAYER = {m["name"] for m in SPEC["per_layer"]}
 WORKLOADS = {w["name"] for w in SPEC["workloads"]}
 RECORD_KEYS = {"commit", "workload", "seed", "seconds", "trace", "slowdown",
                "malloc", "metrics"}
-BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+TRACE_FILES = sorted(ROOT.glob("BENCH_*.trace.json"))
+BENCH_FILES = sorted(set(ROOT.glob("BENCH_*.json")) - set(TRACE_FILES))
 
 
 def test_every_workload_has_a_trajectory():
@@ -30,6 +34,20 @@ def test_bench_file_records_the_gated_metrics(path):
         assert rec["workload"] == workload
         assert rec["trace"] == 0
         assert set(rec["metrics"]) == END_TO_END
+        assert all(isinstance(v, (int, float)) for v in rec["metrics"].values())
+
+
+@pytest.mark.parametrize("path", TRACE_FILES, ids=lambda p: p.name)
+def test_trace_file_records_the_per_layer_metrics(path):
+    records = json.loads(path.read_text(encoding="utf-8"))
+    assert isinstance(records, list) and records
+    workload = path.name.removeprefix("BENCH_").removesuffix(".trace.json")
+    assert workload in WORKLOADS
+    for rec in records:
+        assert set(rec) == RECORD_KEYS
+        assert rec["workload"] == workload
+        assert rec["trace"] == 1
+        assert set(rec["metrics"]) == PER_LAYER
         assert all(isinstance(v, (int, float)) for v in rec["metrics"].values())
 
 
@@ -191,3 +209,52 @@ def test_compare_marks_a_gain_and_a_median_over_its_bound(tmp_path, monkeypatch,
     assert recorder.verdict(lower, 2.0, 2.51, 0.0, 0, 10) == "over bound"
     assert recorder.verdict(higher, 2.0, 2.5, 0.4, 10, 10) == "gain"
     assert recorder.verdict(higher, 2.0, 1.49, 0.0, 0, 10) == "over bound"
+
+
+def test_recorder_appends_a_traced_report_to_the_trace_file(tmp_path, monkeypatch):
+    """--trace 1 runs perfbench's traced pass and appends its per-layer
+    metrics, with the measured pass's slowdown and malloc mode (the
+    first of the two the report prints), to BENCH_<workload>.trace.json;
+    the end-to-end file is not touched."""
+    recorder = load_recorder()
+    values = {name: float(i) for i, name in enumerate(sorted(PER_LAYER))}
+    setting = "OPENBLAS_NUM_THREADS={} malloc={} nproc=2"
+    report = "\n".join([
+        "workload eval-run seed 7: traced pass, 812 spans in "
+        ".perfbench_out/spans-eval-run.jsonl",
+        f"  {'metric':<52}{setting.format(1, 'fixed'):>46}  "
+        f"{setting.format('unset', 'adaptive')}",
+        f"  {'machine slowdown (times are divided by it)':<52}{1.0421:>46.4f}  1.0421",
+        *(f"  {name:<52}{value:>46.6g}  {value:.6g} ms" for name, value in values.items()),
+        "  operations: attempted 12 failed 0",
+        json.dumps({"correct": True, "attempted": 12, "failed": 0,
+                    "metrics": {name: {"value": value, "unit": "ms"}
+                                for name, value in values.items()}}),
+    ])
+    commands = []
+
+    def fake_run(cmd, **kwargs):
+        commands.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout=report + "\n", stderr="")
+
+    monkeypatch.setattr(recorder, "describe", lambda checkout: "abc1234")
+    monkeypatch.setattr(recorder.subprocess, "run", fake_run)
+    named = recorder.bench_path
+    monkeypatch.setattr(recorder, "bench_path",
+                        lambda workload, trace=0: tmp_path / named(workload, trace).name)
+    assert recorder.main(["--seeds", "7", "--seconds", "8", "--workloads", "eval-run",
+                          "--trace", "1"]) == 0
+    assert commands[0][-2:] == ["--trace", "1"]
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_eval-run.trace.json"]
+    records = json.loads((tmp_path / "BENCH_eval-run.trace.json").read_text())
+    assert records == [{"commit": "abc1234", "workload": "eval-run", "seed": 7,
+                        "seconds": 8.0, "trace": 1, "slowdown": 1.0421,
+                        "malloc": "fixed", "metrics": values}]
+
+
+def test_recorder_refuses_to_compare_traced_records(capsys):
+    recorder = load_recorder()
+    with pytest.raises(SystemExit) as exc:
+        recorder.main(["--compare", "p", "c", "--trace", "1"])
+    assert exc.value.code == 2
+    assert "--trace 1 only records" in capsys.readouterr().err

@@ -471,16 +471,19 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("dims, rank, k, scale, backward_bound, forward_bound",
-                         [((16, 16, 4), 4, 3072, 0.5, 1.52, 1.26),
-                          ((256, 256, 64), 8, 64, 0.5, 1.74, 1.3),
-                          ((256, 256, 64), 8, 64, 1.0, 1.74, 1.3),
-                          ((16, 16, 16, 4), 4, 3072, 0.5, 2.52, 2.01)],
+@pytest.mark.parametrize("dims, rank, k, scale, backward_bound, forward_bound, "
+                         "offset",
+                         [((16, 16, 4), 4, 3072, 0.5, 1.52, 1.26, False),
+                          ((256, 256, 64), 8, 64, 0.5, 1.74, 1.3, False),
+                          ((256, 256, 64), 8, 64, 1.0, 1.74, 1.3, False),
+                          ((16, 16, 16, 4), 4, 3072, 0.5, 2.52, 2.01, False),
+                          ((16, 16, 4), 4, 3072, 0.5, 1.52, 1.26, True)],
                          ids=["default-dims", "wide-dims", "wide-dims-scale-1",
-                              "three-layer"])
+                              "three-layer", "default-dims-offsets"])
 def test_sweep_peak_memory_stays_within_a_few_activations(dims, rank, k, scale,
                                                           backward_bound,
-                                                          forward_bound):
+                                                          forward_bound,
+                                                          offset):
     """The sweep reuses the arrays it owns, runs each layer no larger
     than rank x k through its merged weight, and holds only the last
     factored layer's a @ h for backward: in units of the largest n x k
@@ -496,16 +499,23 @@ def test_sweep_peak_memory_stays_within_a_few_activations(dims, rank, k, scale,
     layers (2.51; 2.76 factored), and forward, which drops each hidden
     output once the next layer has read it, at no more than 1.26, 1.3,
     1.3 and 2.01 (1.25, 1.29, 1.29 and 2.01; 1.50 and 2.25 factored).
+    With a dense offset on every layer, forward_with_offsets at the
+    default dims, where each offset is added into the merged weight,
+    peaks at no more than 1.26 too (1.25).
     A fresh array for the gradient passed down read 2.76 at the default
     dims; building the products apart and adding them about 3.5; one
     fresh array per operation about 5."""
     net = small_net(seed=13, dims=dims, rank=rank, scale=scale)
     batch = random_batch(net, seed=13, k=k)
+    rng = make_rng(13)
+    offsets = [rng.standard_normal(layer.w0.shape) * 0.2 if offset else None
+               for layer in net.layers]
     activation_bytes = max(dims) * k * 8
     assert (_traced_peak(lambda: backward(net, batch))
             <= backward_bound * activation_bytes)
-    assert (_traced_peak(lambda: forward(net, batch))
-            <= forward_bound * activation_bytes)
+    sweep = ((lambda: forward_with_offsets(net, batch, offsets)) if offset
+             else (lambda: forward(net, batch)))
+    assert _traced_peak(sweep) <= forward_bound * activation_bytes
 
 
 WIDE_DIMS = {"layer_dims": [256, 256, 64], "rank": 8, "batch_size": 64}
@@ -819,6 +829,29 @@ def test_forward_raises_on_an_overflow_in_a_factored_tanh_layer():
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             forward(net, batch)
+
+
+@pytest.mark.parametrize("overflow", ["product", "sum"])
+def test_forward_raises_on_an_overflow_in_a_merged_layer_offset(overflow):
+    """A merged-route layer adds its offset into the merged weight and
+    runs one numpy product, so under np.errstate(over="raise") an
+    overflow in the product (a 1e300 offset on inputs of 1e10) or in the
+    sum (an offset of 1.7e308 on a weight of 1.7e308) raises
+    FloatingPointError from numpy itself; with every floating-point
+    error ignored the inf goes on into the activation."""
+    net = small_net(seed=53, dims=(5, 4, 3), activation="tanh")
+    batch = random_batch(net, seed=53, k=12)
+    assert all(_merged(layer, 12) for layer in net.layers)
+    offsets = [np.full(net.layers[0].w0.shape, 1e300), None]
+    if overflow == "sum":
+        net.layers[0].w0[:] = offsets[0][:] = 1.7e308
+    else:
+        batch.inputs[:] = 1e10
+    with np.errstate(all="ignore"):
+        forward_with_offsets(net, batch, offsets)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            forward_with_offsets(net, batch, offsets)
 
 
 def test_backward_default_skips_full_gradients():
