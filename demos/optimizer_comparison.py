@@ -12,11 +12,9 @@ The sharpness probe uses one fixed radius for every run so the numbers
 compare like for like.
 """
 
-import dataclasses
-
 import numpy as np
 
-from flatlora.harness import ExperimentConfig, generate_task, make_step, _build_student
+from flatlora.harness import ExperimentConfig, generate_task, train_kinds
 from flatlora.model import forward
 from flatlora.optimizers import OPTIMIZER_KINDS
 from flatlora.diagnostics import sharpness_sam
@@ -44,23 +42,14 @@ print()
 print(f"{'optimizer':<12} {'train loss':>10} {'eval loss':>10} "
       f"{'sharpness':>10} {'grad evals':>10}")
 
-for kind in OPTIMIZER_KINDS:
-    cfg = dataclasses.replace(base, optimizer=kind)
-    net = _build_student(cfg, task)
-    step, pstate = make_step(cfg, net)
-
-    evals = 0
-    for t in range(1, cfg.steps + 1):
-        evals += step(task.train_batch(t), t).grad_evals
-
-    # Measure everything at the unperturbed parameters.
-    if pstate is not None and pstate.applied:
-        pstate.remove(net)
-    train_loss = float(np.mean([forward(net, b)[1] for b in task.train_batches]))
-    _, eval_loss = forward(net, task.eval_batch)
-    sharp = sharpness_sam(net, task.eval_batch, RHO)
+# Every kind trains on the same batches; each network comes back with any
+# EMA shift removed, so everything is measured at the unperturbed parameters.
+for kind, run in train_kinds(base, task, OPTIMIZER_KINDS).items():
+    train_loss = float(np.mean([forward(run.net, b)[1] for b in task.train_batches]))
+    _, eval_loss = forward(run.net, task.eval_batch)
+    sharp = sharpness_sam(run.net, task.eval_batch, RHO)
     print(f"{kind:<12} {train_loss:>10.4f} {eval_loss:>10.4f} "
-          f"{sharp:>10.4f} {evals:>10d}")
+          f"{sharp:>10.4f} {run.grad_evals:>10d}")
 
 print()
 print("Among the runs that actually fit the data (plain, transferred, EMA:")

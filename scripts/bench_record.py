@@ -16,7 +16,9 @@ BENCH_<workload>.json; `--trace 1` records the per-layer metrics of the
 traced pass in BENCH_<workload>.trace.json, with the slowdown and malloc
 mode of that pass (not of its reference child).  `commit` is
 `git describe --always --dirty` of the checkout, taken once before
-anything runs; a checkout git cannot describe is a usage error.  A run
+anything runs; a checkout git cannot describe is a usage error, and so
+is a seed listed twice or one the commit already has in the target
+file, since `--compare` needs one record per commit and seed.  A run
 with a failed operation is reported and not recorded.  Run from
 anywhere:
 
@@ -123,9 +125,13 @@ def record(checkout: Path, commit: str, workload: str, seed: int,
     }
 
 
+def load_records(path: Path) -> list[dict]:
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+
+
 def append(rec: dict) -> None:
     path = bench_path(rec["workload"], rec["trace"])
-    records = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+    records = load_records(path)
     records.append(rec)
     path.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
 
@@ -241,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
         p.error(f"--seeds needs comma-separated integers, got {args.seeds!r}")
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        p.error(f"--seeds repeats {', '.join(map(str, repeated))}")
     checkout = args.checkout.resolve()
     try:
         commit = describe(checkout)
@@ -248,6 +257,13 @@ def main(argv: list[str] | None = None) -> int:
         p.error(f"cannot describe --checkout {checkout}: {exc.stderr.strip()}")
     except OSError as exc:
         p.error(f"cannot describe --checkout {checkout}: {exc}")
+    for workload in workloads:
+        path = bench_path(workload, args.trace)
+        taken = sorted({rec["seed"] for rec in load_records(path)
+                        if rec["commit"] == commit} & set(seeds))
+        if taken:
+            p.error(f"{path.name} already has {commit} at seeds "
+                    f"{', '.join(map(str, taken))}")
     status = 0
     for seed in seeds:
         for workload in workloads:
@@ -271,10 +287,9 @@ def compare(p: argparse.ArgumentParser, workloads: list[str], parent: str,
     metrics = benchmark_spec()["end_to_end"]
     matched = {}
     for workload in workloads:
-        path = bench_path(workload)
-        records = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
         try:
-            matched[workload] = matched_pairs(records, parent, change)
+            matched[workload] = matched_pairs(load_records(bench_path(workload)),
+                                              parent, change)
         except ValueError as exc:
             p.error(f"{workload}: {exc}")
         if not matched[workload]:

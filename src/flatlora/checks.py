@@ -18,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .harness import (CSV_HEADER, ExperimentConfig, _build_student, generate_task, make_step,
-                      run_experiment, run_paths)
+from .harness import (CSV_HEADER, ExperimentConfig, _build_student, _raising_errstate,
+                      generate_task, make_step, run_experiment, run_paths, train_kinds)
 from .linalg import (DEFAULT_TOL, Rng, _sq_norm, col_space_projector, make_rng,
                      pseudo_inverse, row_space_projector)
 from .model import (Batch, LoRALinear, Network, apply_b_perturbation, backward, build_network,
                     forward)
-from .optimizers import (BaseUpdateConfig, _pinv_factors, base_update,
+from .optimizers import (OPTIMIZER_KINDS, BaseUpdateConfig, _pinv_factors, base_update,
                          full_to_lowrank_perturbation, init_sgd_state,
                          perturbation_from_gradients, reconstruct_full_gradient, rho_at,
                          sam_direction)
@@ -146,30 +146,16 @@ def gradient_fidelity(rng: Rng, n_nets: int) -> tuple[float, float]:
     return fd_rel, chain
 
 
-def _train(cfg: ExperimentConfig, task, net: Network, steps: int):
-    """make_step on net, stepped through the task's batches in order; the
-    step's PerturbState (None unless eflat-lora) is returned."""
-    step, pstate = make_step(cfg, net)
-    for t in range(1, steps + 1):
-        step(task.train_batch(t), t)
-    return pstate
-
-
 def zero_radius_degeneration(cfg: ExperimentConfig) -> float:
     """Worst factor difference after cfg.steps steps at rho0 = 0 between
     plain training and each sharpness-aware kind from the same seed (the
     EMA shift is removed before comparing)."""
     cfg = dataclasses.replace(cfg, rho0=0.0)
-    task = generate_task(cfg)
-    ref = _build_student(cfg, task)
-    _train(dataclasses.replace(cfg, optimizer="lora"), task, ref, cfg.steps)
+    runs = train_kinds(cfg, generate_task(cfg), OPTIMIZER_KINDS)
+    ref = runs.pop("lora").net
     worst = 0.0
-    for kind in ("lora-sam", "flat-lora", "eflat-lora"):
-        net = _build_student(cfg, task)
-        pstate = _train(dataclasses.replace(cfg, optimizer=kind), task, net, cfg.steps)
-        if pstate is not None:
-            pstate.remove(net)
-        for lr_, ln in zip(ref.layers, net.layers):
+    for run in runs.values():
+        for lr_, ln in zip(ref.layers, run.net.layers):
             worst = _worst(worst, _worst_abs(lr_.b - ln.b, lr_.a - ln.a))
     return worst
 
@@ -199,23 +185,22 @@ def ema_closed_form(cfg: ExperimentConfig) -> tuple[float, float]:
     task = generate_task(cfg)
     net = _build_student(cfg, task)
     step, pstate = make_step(cfg, net)
-    per_step = [_shift_then_step(cfg, net, step, task.train_batch(t), t)
-                for t in range(1, cfg.steps + 1)]
-    closed = 0.0
+    cfg1 = dataclasses.replace(cfg, beta=1.0)
+    net1 = _build_student(cfg1, task)
+    step1, pstate1 = make_step(cfg1, net1)
+    closed = beta_one = 0.0
+    with _raising_errstate():
+        per_step = [_shift_then_step(cfg, net, step, task.train_batch(t), t)
+                    for t in range(1, cfg.steps + 1)]
+        for t in range(1, 5):
+            last = _shift_then_step(cfg1, net1, step1, task.train_batch(t), t)
+            for ema, e in zip(pstate1.ema_e_b, last):
+                beta_one = _worst(beta_one, _worst_abs(ema - e))
     for li, ema in enumerate(pstate.ema_e_b):
         want = np.zeros_like(ema)
         for k, e_list in enumerate(per_step, start=1):
             want += cfg.beta * (1.0 - cfg.beta) ** (cfg.steps - k) * e_list[li]
         closed = _worst(closed, _worst_abs(want - ema))
-
-    cfg1 = dataclasses.replace(cfg, beta=1.0)
-    net1 = _build_student(cfg1, task)
-    step1, pstate1 = make_step(cfg1, net1)
-    beta_one = 0.0
-    for t in range(1, 5):
-        last = _shift_then_step(cfg1, net1, step1, task.train_batch(t), t)
-        for ema, e in zip(pstate1.ema_e_b, last):
-            beta_one = _worst(beta_one, _worst_abs(ema - e))
     return closed, beta_one
 
 
@@ -388,10 +373,9 @@ def verify() -> VerifyReport:
     # in-place perturb/revert (catches a skipped or wrong revert).
     cfg_c = _tiny(optimizer="flat-lora", steps=1)
     task = generate_task(cfg_c)
-    net_live = _build_student(cfg_c, task)
-    net_ref = copy.deepcopy(net_live)
+    net_live = train_kinds(cfg_c, task, ("flat-lora",))["flat-lora"].net
+    net_ref = _build_student(cfg_c, task)
     b0 = task.train_batches[0]
-    _train(cfg_c, task, net_live, 1)
     plan = perturbation_from_gradients(net_ref, backward(net_ref, b0), 0.05)
     probe = copy.deepcopy(net_ref)
     for layer, e in zip(probe.layers, plan.e_b):
@@ -402,26 +386,19 @@ def verify() -> VerifyReport:
                      for ll, lr_ in zip(net_live.layers, net_ref.layers)))
     add("step_composition_equivalence", worst, 1e-14)
 
-    # Frozen base weights never move, whatever the optimizer does.
-    cfg_w = _tiny(optimizer="eflat-lora", steps=20)
+    # Over 20 steps of each kind, the frozen base weights never move and
+    # the gradient evaluations per step are exactly 1, 2, 2, 1.
+    cfg_w = _tiny(steps=20)
     task = generate_task(cfg_w)
-    net_w = _build_student(cfg_w, task)
-    w0_before = [layer.w0.copy() for layer in net_w.layers]
-    _train(cfg_w, task, net_w, 20)
+    runs = train_kinds(cfg_w, task, OPTIMIZER_KINDS)
     add_flag("base_weights_frozen", all(
-        np.array_equal(layer.w0, w0) for layer, w0 in zip(net_w.layers, w0_before)
+        np.array_equal(layer.w0, w0)
+        for run in runs.values() for layer, w0 in zip(run.net.layers, task.w0_list)
     ))
-
-    # Gradient evaluations per step are exactly 1, 2, 2, 1.
     expected_evals = {"lora": 1, "lora-sam": 2, "flat-lora": 2, "eflat-lora": 1}
-    cfg_g = _tiny(steps=3)
-    task = generate_task(cfg_g)
-    eval_ok = True
-    for kind, want in expected_evals.items():
-        kind_cfg = dataclasses.replace(cfg_g, optimizer=kind)
-        step_g, _ = make_step(kind_cfg, _build_student(kind_cfg, task))
-        eval_ok = eval_ok and step_g(task.train_batches[0], 1).grad_evals == want
-    add_flag("grad_eval_counts", eval_ok)
+    add_flag("grad_eval_counts", all(
+        runs[kind].grad_evals == 20 * want for kind, want in expected_evals.items()
+    ))
 
     # Sharpness probe on an exactly quadratic objective has a closed form.
     worst = 0.0

@@ -30,7 +30,7 @@ from .model import (
     forward,
     forward_with_offsets,
 )
-from .optimizers import PerturbState, _check_rho, sam_direction
+from .optimizers import PerturbState, _check_beta, _check_rho, sam_direction
 
 # estimate_assumption_constants draws TAU_PROBES random factor shifts of
 # entrywise scale TAU_PROBE_SCALE; neighborhood_max_oracle tries
@@ -131,8 +131,7 @@ def ema_sam_gap_bound(
     if t < 2:
         raise ValueError(f"the gap bound needs t >= 2, got {t}")
     _check_rho(rho0, "rho0")
-    if not (0.0 < beta <= 1.0):
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    _check_beta(beta)
     lhs = consts.tau_hat * rho0 / math.sqrt(t - 1) + consts.grad_bound_hat + consts.noise_var_hat
     rhs = rho0 / math.sqrt(t) + rho0 * (1.0 - beta) ** (t - 1) + rho0
     return lhs * rhs

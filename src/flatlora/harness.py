@@ -6,7 +6,7 @@ config seed through named substreams, every norm is numpy's pairwise sum
 (linalg._sq_norm) rather than a BLAS dot whose bits follow the thread
 count, and the metrics CSV is written with round-trip float formatting, so
 an identical config and seed reproduces the file byte for byte.  The
-training loop reads no clock; only the benchmark times each step call.
+training loop reads no clock; only train_kinds times each step call.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ import math
 import os
 import statistics
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import diagnostics
-from .linalg import _sq_norm, make_rng
+from .linalg import _check_tol, _sq_norm, make_rng
 from .model import Batch, Network, build_network, forward
 from .optimizers import (
     OPTIMIZER_KINDS,
@@ -32,6 +32,8 @@ from .optimizers import (
     BaseUpdateConfig,
     PerturbState,
     StepStats,
+    _check_beta,
+    _check_rho,
     _check_variant,
     eflat_lora_step,
     flat_lora_step,
@@ -63,6 +65,12 @@ class ExperimentAbort(RuntimeError):
     def __init__(self, step: int, message: str):
         self.step = step
         super().__init__(f"aborted at step {step}: {message}")
+
+
+def _raising_errstate() -> np.errstate:
+    """The error state every training loop runs under: overflow, invalid
+    and divide raise, and harmless underflow stays quiet."""
+    return np.errstate(over="raise", invalid="raise", divide="raise")
 
 
 @dataclass
@@ -115,16 +123,16 @@ class ExperimentConfig:
             problems["momentum"] = "must lie in [0, 1)"
         if not (self.weight_decay >= 0.0 and math.isfinite(self.weight_decay)):
             problems["weight_decay"] = "must be >= 0 and finite"
-        if self.rho0 < 0.0 or not math.isfinite(self.rho0):
-            problems["rho0"] = "must be >= 0 and finite"
-        if not (0.0 < self.beta <= 1.0):
-            problems["beta"] = "must lie in (0, 1]"
         if self.rho_schedule not in RHO_SCHEDULES + ("auto",):
             problems["rho_schedule"] = f"must be 'auto' or one of {RHO_SCHEDULES}"
-        try:
-            _check_variant(self.direction_variant)
-        except ValueError as exc:
-            problems["direction_variant"] = str(exc)
+        for name, check in (("rho0", lambda: _check_rho(self.rho0, "rho0")),
+                            ("beta", lambda: _check_beta(self.beta)),
+                            ("direction_variant", lambda: _check_variant(self.direction_variant)),
+                            ("svd_tol", lambda: _check_tol(self.svd_tol))):
+            try:
+                check()
+            except ValueError as exc:
+                problems[name] = str(exc)
         if self.batch_size < 1:
             problems["batch_size"] = "must be >= 1"
         if self.n_batches < 1:
@@ -137,8 +145,6 @@ class ExperimentConfig:
             problems["eval_every"] = "must be >= 1"
         if self.seed < 0:
             problems["seed"] = "must be >= 0"
-        if not (0.0 < self.svd_tol < 1.0):
-            problems["svd_tol"] = "must lie in (0, 1)"
         if problems:
             raise ConfigError(problems)
 
@@ -438,11 +444,10 @@ def run_experiment(
 
     Returns the metrics records and the summary; when out_dir is given the
     CSV and summary JSON are also written there, into a directory made
-    before any training.  Raises ExperimentAbort
-    (with the offending step) if any loss turns non-finite.  Training and
-    evaluation run under np.errstate raising on overflow, invalid and
-    divide, so divergence stops at the first such numpy operation, with
-    no warnings, and is reported as an abort at that step.
+    before any training.  Raises ExperimentAbort (with the offending
+    step) if any loss turns non-finite.  Training and evaluation run
+    under _raising_errstate(), so divergence stops at its first numpy
+    operation, with no warnings, as an abort at that step.
     """
     cfg.validate()
     if out_dir is not None:
@@ -455,7 +460,7 @@ def run_experiment(
     grad_evals = 0
     t = 0
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with _raising_errstate():
             for t in range(1, cfg.steps + 1):
                 stats = step(task.train_batch(t), t)
                 grad_evals += stats.grad_evals
@@ -574,6 +579,48 @@ def sweep(
 
 
 @dataclass
+class TrainedKind:
+    net: Network
+    grad_evals: int
+    step_ms: list[float]
+
+
+def train_kinds(
+    cfg: ExperimentConfig, task: Task, kinds: Sequence[str]
+) -> dict[str, TrainedKind]:
+    """cfg.steps steps of each kind in kinds, each on a fresh student of
+    task, interleaved: step t of every kind runs on task.train_batch(t)
+    before step t + 1 of any, so a drift in machine speed cannot
+    systematically favour one kind.  Each step(batch, t) call is timed
+    from outside, under run_experiment's error state; divergence raises
+    ExperimentAbort naming the kind and the step, with no warnings.
+    Returns per kind the network with its EMA shift removed, its gradient
+    evaluations and its step times in ms.
+    """
+    runs = {}
+    for kind in kinds:
+        run_cfg = dataclasses.replace(cfg, optimizer=kind)
+        net = _build_student(run_cfg, task)
+        runs[kind] = (TrainedKind(net, 0, []), *make_step(run_cfg, net))
+    t = 0
+    try:
+        with _raising_errstate():
+            for t in range(1, cfg.steps + 1):
+                batch = task.train_batch(t)
+                for kind, (run, step, _) in runs.items():
+                    t0 = time.perf_counter()
+                    stats = step(batch, t)
+                    run.step_ms.append((time.perf_counter() - t0) * 1e3)
+                    run.grad_evals += stats.grad_evals
+    except FloatingPointError as exc:
+        raise ExperimentAbort(t, f"{kind}: {exc}") from exc
+    for run, _, pstate in runs.values():
+        if pstate is not None and pstate.applied:
+            pstate.remove(run.net)
+    return {kind: run for kind, (run, _, _) in runs.items()}
+
+
+@dataclass
 class BenchEntry:
     optimizer: str
     median_step_ms: float
@@ -609,62 +656,32 @@ def _bench_warmup(cfg: ExperimentConfig, repeats: int) -> int:
 def bench(cfg: ExperimentConfig, repeats: int = 3) -> BenchReport:
     """Median per-step wall time for each optimizer on the config's task,
     with diagnostics disabled (bare steps, no evaluation in the loop).
-    Each step(batch, t) call is timed here with time.perf_counter.
 
-    Every optimizer runs the same schedule of batches from the same task
-    and its own freshly built student.  Each repeat builds all four
-    students, then the optimizers are interleaved step by step (step t of
-    each kind on the same batch, then step t + 1, ...), so a drift in
-    machine speed, even one shorter than a run, cannot systematically
-    favour one kind; the first tenth of each run's steps (at least one) is
-    discarded as warmup before taking medians.  Too few repeats or steps
-    raise ConfigError.  The steps run under the np.errstate of
-    run_experiment, so a diverging config raises ExperimentAbort naming
-    the optimizer and the step, with no warnings and no timings of
-    non-finite steps.
+    Each repeat trains every kind through train_kinds: fresh students of
+    one task, interleaved step by step, each step call timed from outside
+    under run_experiment's error state, so a diverging config raises
+    ExperimentAbort naming the optimizer and the step.  The first tenth
+    of each run's steps (at least one) is cut as warmup before taking
+    medians.  Too few repeats or steps raise ConfigError.
     """
     warmup = _bench_warmup(cfg, repeats)
     task = generate_task(cfg)
-    times: dict[str, list[float]] = {kind: [] for kind in OPTIMIZER_KINDS}
-    eval_counts = dict.fromkeys(OPTIMIZER_KINDS, 0)
-    for _ in range(repeats):
-        steps = {}
-        for kind in OPTIMIZER_KINDS:
-            run_cfg = dataclasses.replace(cfg, optimizer=kind)
-            steps[kind] = make_step(run_cfg, _build_student(run_cfg, task))[0]
-        for t in range(1, cfg.steps + 1):
-            batch = task.train_batch(t)
-            for kind, step in steps.items():
-                try:
-                    with np.errstate(over="raise", invalid="raise", divide="raise"):
-                        t0 = time.perf_counter()
-                        stats = step(batch, t)
-                        elapsed_ms = (time.perf_counter() - t0) * 1e3
-                except FloatingPointError as exc:
-                    raise ExperimentAbort(t, f"{kind}: {exc}") from exc
-                eval_counts[kind] += stats.grad_evals
-                if t > warmup:
-                    times[kind].append(elapsed_ms)
-    medians = {kind: statistics.median(times[kind]) for kind in OPTIMIZER_KINDS}
-    evals = {kind: n / (repeats * cfg.steps) for kind, n in eval_counts.items()}
-    net_for_counts = _build_student(cfg, task)
+    runs = [train_kinds(cfg, task, OPTIMIZER_KINDS) for _ in range(repeats)]
+    medians = {kind: statistics.median([ms for r in runs for ms in r[kind].step_ms[warmup:]])
+               for kind in OPTIMIZER_KINDS}
+    evals = {kind: sum(r[kind].grad_evals for r in runs) / (repeats * cfg.steps)
+             for kind in OPTIMIZER_KINDS}
     entries = []
     for kind in OPTIMIZER_KINDS:
-        counts = param_and_memory_counts(net_for_counts, kind)
-        entries.append(
-            BenchEntry(
-                optimizer=kind,
-                median_step_ms=medians[kind],
-                ratio_vs_lora=medians[kind] / medians["lora"],
-                grad_evals_per_step=evals[kind],
-                grad_eval_ratio_vs_lora=evals[kind] / evals["lora"],
-                trainable_params=counts.trainable,
-                extra_memory_elements=counts.extra,
-            )
-        )
-    return BenchReport(
-        config_hash=cfg.config_hash(),
-        repeats=repeats,
-        steps_timed=cfg.steps - warmup,
-        entries=entries,
-    )
+        counts = param_and_memory_counts(runs[0][kind].net, kind)
+        entries.append(BenchEntry(
+            optimizer=kind,
+            median_step_ms=medians[kind],
+            ratio_vs_lora=medians[kind] / medians["lora"],
+            grad_evals_per_step=evals[kind],
+            grad_eval_ratio_vs_lora=evals[kind] / evals["lora"],
+            trainable_params=counts.trainable,
+            extra_memory_elements=counts.extra,
+        ))
+    return BenchReport(config_hash=cfg.config_hash(), repeats=repeats,
+                       steps_timed=cfg.steps - warmup, entries=entries)

@@ -120,6 +120,12 @@ def _check_rho(rho: float, name: str = "rho") -> None:
         raise ValueError(f"{name} must be >= 0 and finite, got {rho}")
 
 
+def _check_beta(beta: float) -> None:
+    """An EMA weight lies in (0, 1]: at 0 the EMA would never move."""
+    if not (0.0 < beta <= 1.0):
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+
+
 def rho_at(rho0: float, t: int, schedule: str = "constant") -> float:
     """Perturbation radius at 1-based step t."""
     if t < 1:
@@ -477,8 +483,7 @@ class PerturbState:
     _handle: PerturbationHandle | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.beta <= 1.0):
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
+        _check_beta(self.beta)
         _check_rho(self.rho0, "rho0")
 
     @property

@@ -18,8 +18,8 @@ from flatlora.harness import (
     _build_student,
     bench,
     generate_task,
-    make_step,
     run_experiment,
+    train_kinds,
 )
 from flatlora.linalg import make_rng, row_space_projector, col_space_projector
 from flatlora.model import PerturbationHandle, backward, build_network, forward
@@ -206,20 +206,13 @@ def test_sharpness_reduction_at_matched_fit():
             batch_size=8, n_batches=4, noise_std=0.2, steps=2000, seed=seed,
         )
         task = generate_task(base)
-        for kind in kinds:
-            cfg = dataclasses.replace(base, optimizer=kind)
-            net = _build_student(cfg, task)
-            step, pstate = make_step(cfg, net)
-            for t in range(1, cfg.steps + 1):
-                step(task.train_batches[(t - 1) % len(task.train_batches)], t)
-            if pstate is not None and pstate.applied:
-                pstate.remove(net)
+        for kind, run in train_kinds(base, task, kinds).items():
             losses[kind].append(
-                float(np.mean([forward(net, b)[1] for b in task.train_batches]))
+                float(np.mean([forward(run.net, b)[1] for b in task.train_batches]))
             )
             # One fixed probe radius for every optimizer, so the numbers
             # compare like for like.
-            sharp[kind].append(diagnostics.sharpness_sam(net, task.eval_batch,
+            sharp[kind].append(diagnostics.sharpness_sam(run.net, task.eval_batch,
                                                          rho_probe))
     mean_sharp = {k: float(np.mean(v)) for k, v in sharp.items()}
     mean_loss = {k: float(np.mean(v)) for k, v in losses.items()}

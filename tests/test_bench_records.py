@@ -80,6 +80,7 @@ def test_recorder_parses_a_report():
     ["--seeds", "1,,2"],
     ["--seeds", "1", "--workloads", "eval-run,no-such-workload"],
     *(["--seeds", "1", "--seconds", s] for s in ("nan", "inf", "0", "-1")),
+    ["--seeds", "3,1,3"],
 ])
 def test_recorder_rejects_a_bad_list_before_running(args, monkeypatch, capsys):
     recorder = load_recorder()
@@ -111,6 +112,46 @@ def test_recorder_rejects_a_checkout_git_cannot_describe(where, tmp_path,
         recorder.main(["--seeds", "1", "--checkout", str(checkout)])
     assert exc.value.code == 2
     assert f"error: cannot describe --checkout {checkout}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_recorder_rejects_a_seed_the_commit_already_has(trace, tmp_path, monkeypatch,
+                                                         capsys):
+    """A second record of one commit at one seed would stop --compare on
+    that workload, so a seed the described commit already has in the
+    target file is refused before anything runs; other commits' seeds
+    and the other file do not count."""
+    recorder = load_recorder()
+
+    def no_run(*_):
+        raise AssertionError("perfbench ran before the recorded seeds were checked")
+
+    monkeypatch.setattr(recorder, "record", no_run)
+    monkeypatch.setattr(recorder, "describe", lambda checkout: "abc1234")
+    named = recorder.bench_path
+    monkeypatch.setattr(recorder, "bench_path",
+                        lambda workload, trace=0: tmp_path / named(workload, trace).name)
+    recorder.bench_path("eval-run", trace).write_text(json.dumps(
+        [{"commit": "abc1234", "seed": 7}, {"commit": "other", "seed": 8}]))
+    recorder.bench_path("eval-run", 1 - trace).write_text(json.dumps(
+        [{"commit": "abc1234", "seed": 8}]))
+    args = ["--workloads", "eval-run", "--trace", str(trace), "--seeds"]
+    with pytest.raises(SystemExit) as exc:
+        recorder.main(args + ["8,7"])
+    assert exc.value.code == 2
+    name = recorder.bench_path("eval-run", trace).name
+    assert f"error: {name} already has abc1234 at seeds 7\n" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="perfbench ran"):
+        recorder.main(args + ["8"])
+
+
+@pytest.mark.parametrize("path", BENCH_FILES + TRACE_FILES, ids=lambda p: p.name)
+def test_bench_file_holds_one_record_per_commit_and_seed(path):
+    """--compare stops on a workload whose file has two records of one
+    commit at one seed."""
+    keys = [(rec["commit"], rec["seed"])
+            for rec in json.loads(path.read_text(encoding="utf-8"))]
+    assert len(keys) == len(set(keys))
 
 
 def synthetic(commit, seed, step_ms, slowdown, peak=1000):

@@ -30,6 +30,7 @@ from flatlora.harness import (
     run_experiment,
     run_paths,
     sweep,
+    train_kinds,
 )
 from flatlora.model import PerturbationHandle, forward
 from flatlora.optimizers import (
@@ -504,6 +505,60 @@ def test_bench_aborts_on_a_diverging_config():
     cfg = tiny_config(optimizer="lora", learning_rate=1e6, steps=30)
     with pytest.raises(ExperimentAbort) as err:
         bench(cfg, repeats=1)
+    assert 1 <= err.value.step <= 30
+    assert any(str(err.value).startswith(f"aborted at step {err.value.step}: {kind}: ")
+               for kind in OPTIMIZER_KINDS)
+    assert isinstance(err.value.__cause__, FloatingPointError)
+
+
+# --------------------------------------------------------------- train_kinds
+
+def _same_factors(got, want):
+    return all(np.array_equal(g.b, w.b) and np.array_equal(g.a, w.a)
+               for g, w in zip(got.layers, want.layers))
+
+
+def test_train_kinds_alone_matches_interleaved():
+    """Each kind trained alone gives the factor bytes and gradient
+    evaluations of that kind in the all-kinds interleaved call."""
+    cfg = tiny_config(steps=12)
+    task = generate_task(cfg)
+    together = train_kinds(cfg, task, OPTIMIZER_KINDS)
+    assert list(together) == list(OPTIMIZER_KINDS)
+    for kind in OPTIMIZER_KINDS:
+        alone = train_kinds(cfg, task, (kind,))[kind]
+        assert _same_factors(alone.net, together[kind].net)
+        assert alone.grad_evals == together[kind].grad_evals
+        assert len(alone.step_ms) == cfg.steps
+
+
+def test_train_kinds_returns_networks_with_the_ema_shift_off():
+    """Every returned network equals its kind stepped by hand through
+    make_step with any applied EMA shift then removed; for eflat-lora the
+    network as the last step left it differs, so the shift did come off."""
+    cfg = tiny_config(steps=12)
+    task = generate_task(cfg)
+    runs = train_kinds(cfg, task, OPTIMIZER_KINDS)
+    for kind in OPTIMIZER_KINDS:
+        kind_cfg = dataclasses.replace(cfg, optimizer=kind)
+        net = _build_student(kind_cfg, task)
+        step, pstate = make_step(kind_cfg, net)
+        for t in range(1, cfg.steps + 1):
+            step(task.train_batch(t), t)
+        if pstate is not None:
+            assert pstate.applied and not _same_factors(runs[kind].net, net)
+            pstate.remove(net)
+        assert _same_factors(runs[kind].net, net)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_radius_check_aborts_on_a_diverging_config():
+    """The zero-radius check trains through train_kinds, under
+    run_experiment's error state: a diverging config raises
+    ExperimentAbort naming the kind and the step, with no warning."""
+    cfg = tiny_config(optimizer="lora", learning_rate=1e6, steps=30)
+    with pytest.raises(ExperimentAbort) as err:
+        checks.zero_radius_degeneration(cfg)
     assert 1 <= err.value.step <= 30
     assert any(str(err.value).startswith(f"aborted at step {err.value.step}: {kind}: ")
                for kind in OPTIMIZER_KINDS)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from flatlora.checks import random_net
-from flatlora.harness import ExperimentConfig, make_step
+from flatlora.harness import ExperimentConfig, _raising_errstate, make_step
 from flatlora.linalg import ShapeError, make_rng
 from flatlora.model import (
     AccumulationError,
@@ -811,6 +811,23 @@ def test_add_product_checks_finiteness_without_an_array_the_size_of_out():
     out = np.zeros((256, 64))
     with np.errstate(over="raise"):
         assert _traced_peak(lambda: _add_product(x, y, out)) < out.nbytes // 16
+
+
+def test_factored_forward_past_one_blas_panel_stays_within_rounding():
+    """A 512-wide input puts w0 @ h past one BLAS panel (384 inner), where
+    dgemm adds each panel's partial sum into the output in turn and so
+    may round otherwise than w0 @ h + scale * (b @ (a @ h)).  Under the
+    training error state forward raises nothing there and matches the
+    out-of-place oracle to 1e-13 relative: a wide input is no error.  (At
+    one OpenBLAS thread 480 of the 2048 hidden entries here take other
+    bits.)"""
+    net = small_net(seed=59, dims=(512, 32, 3))
+    batch = random_batch(net, seed=59, k=64)
+    assert not _merged(net.layers[0], 64)
+    with _raising_errstate():
+        pred, _ = forward(net, batch)
+    want = _oracle_sweep(net, batch, [None, None])[-1][2]
+    assert np.max(np.abs(pred - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_forward_raises_on_an_overflow_in_a_factored_tanh_layer():
