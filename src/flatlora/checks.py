@@ -20,25 +20,14 @@ import numpy as np
 from . import diagnostics
 from .harness import (CSV_HEADER, ExperimentConfig, _build_student, _raising_errstate,
                       generate_task, make_step, run_experiment, run_paths, train_kinds)
-from .linalg import (DEFAULT_TOL, Rng, _sq_norm, col_space_projector, make_rng,
-                     pseudo_inverse, row_space_projector)
+from .linalg import (DEFAULT_TOL, Rng, _sq_norm, _worst, _worst_abs, col_space_projector,
+                     make_rng, pseudo_inverse, row_space_projector)
 from .model import (Batch, LoRALinear, Network, apply_b_perturbation, backward, build_network,
                     forward)
 from .optimizers import (OPTIMIZER_KINDS, BaseUpdateConfig, _pinv_factors, base_update,
                          full_to_lowrank_perturbation, init_sgd_state,
                          perturbation_from_gradients, reconstruct_full_gradient, rho_at,
                          sam_direction)
-
-
-def _worst(*values: float) -> float:
-    """The largest value, NaN when any is NaN: every residual reduction
-    goes through it, since the builtin max keeps a number against a NaN
-    that comes after it, and a NaN residual would then read as a pass."""
-    return float(np.max(values))
-
-
-def _worst_abs(*diffs: np.ndarray) -> float:
-    return _worst(*(np.max(np.abs(d)) for d in diffs))
 
 
 def random_net(rng: Rng, dims, rank: int, scale: float = 1.0,

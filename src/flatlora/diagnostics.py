@@ -18,12 +18,14 @@ from .linalg import (
     Matrix,
     NumericalError,
     _sq_norm,
+    _worst,
     make_rng,
     row_space_projector,
 )
 from .model import (
     Batch,
     Network,
+    _check_scale,
     apply_b_perturbation,
     apply_perturbation,
     backward,
@@ -176,7 +178,7 @@ def estimate_assumption_constants(
     noise_sq = 0.0
     for b in batches:
         g_b = _flat_merged_gradient(net, b)
-        grad_bound = max(grad_bound, math.sqrt(_sq_norm(g_b)))
+        grad_bound = _worst(grad_bound, math.sqrt(_sq_norm(g_b)))
         noise_sq += _sq_norm(g_b - g_pool)
     noise_var = noise_sq / len(batches)
 
@@ -194,7 +196,7 @@ def estimate_assumption_constants(
         dist = math.sqrt(_sq_norm(w_probe - w_base))
         if dist <= ZERO_GRAD_EPS:
             continue
-        tau = max(tau, math.sqrt(_sq_norm(g_probe - g_pool)) / dist)
+        tau = _worst(tau, math.sqrt(_sq_norm(g_probe - g_pool)) / dist)
     return AssumptionConstants(
         tau_hat=tau, grad_bound_hat=grad_bound, noise_var_hat=noise_var
     )
@@ -222,7 +224,7 @@ def neighborhood_max_oracle(
             direction, degenerate = sam_direction(rng.standard_normal(layer.w0.shape), rho)
             offsets.append(None if degenerate else direction)
         _, loss_p = forward_with_offsets(net, batch, offsets)
-        best = max(best, loss_p - loss0)
+        best = _worst(best, loss_p - loss0)
     return best
 
 
@@ -276,9 +278,9 @@ def run_scale_invariant_flow(
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     _check_rho(rho)
-    for name, value in (("scale", scale), ("eta", eta)):
-        if not (value > 0.0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be > 0 and finite, got {value}")
+    _check_scale(scale)
+    if not (eta > 0.0 and math.isfinite(eta)):
+        raise ValueError(f"eta must be > 0 and finite, got {eta}")
     n, m = target.shape
     rng = make_rng(seed)
     x = init_scale * rng.standard_normal(n)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import diagnostics
 from .linalg import _check_tol, _sq_norm, make_rng
-from .model import Batch, Network, build_network, forward
+from .model import Batch, Network, _check_rank, _check_scale, build_network, forward
 from .optimizers import (
     OPTIMIZER_KINDS,
     RHO_SCHEDULES,
@@ -33,8 +33,11 @@ from .optimizers import (
     PerturbState,
     StepStats,
     _check_beta,
+    _check_learning_rate,
+    _check_momentum,
     _check_rho,
     _check_variant,
+    _check_weight_decay,
     eflat_lora_step,
     flat_lora_step,
     init_perturb_state,
@@ -109,23 +112,18 @@ class ExperimentConfig:
             problems["layer_dims"] = "matrix-factorization uses exactly [in, out]"
         elif self.task == "two-cluster" and self.layer_dims[-1] != 2:
             problems["layer_dims"] = "two-cluster needs output dim 2"
-        if len(self.layer_dims) >= 2 and not (
-            1 <= self.rank <= min(min(a, b) for a, b in zip(self.layer_dims, self.layer_dims[1:]))
-        ):
-            problems["rank"] = "must satisfy 1 <= rank <= min layer dim"
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            problems["scale"] = "must be positive and finite"
         if self.optimizer not in OPTIMIZER_KINDS:
             problems["optimizer"] = f"must be one of {OPTIMIZER_KINDS}"
-        if not (self.learning_rate > 0.0 and math.isfinite(self.learning_rate)):
-            problems["learning_rate"] = "must be positive"
-        if not (0.0 <= self.momentum < 1.0):
-            problems["momentum"] = "must lie in [0, 1)"
-        if not (self.weight_decay >= 0.0 and math.isfinite(self.weight_decay)):
-            problems["weight_decay"] = "must be >= 0 and finite"
         if self.rho_schedule not in RHO_SCHEDULES + ("auto",):
             problems["rho_schedule"] = f"must be 'auto' or one of {RHO_SCHEDULES}"
-        for name, check in (("rho0", lambda: _check_rho(self.rho0, "rho0")),
+        # Each rule below is the check its runtime owner makes on the way in,
+        # and the message is the owner's.
+        for name, check in (("rank", self._check_layer_ranks),
+                            ("scale", lambda: _check_scale(self.scale)),
+                            ("learning_rate", lambda: _check_learning_rate(self.learning_rate)),
+                            ("momentum", lambda: _check_momentum(self.momentum)),
+                            ("weight_decay", lambda: _check_weight_decay(self.weight_decay)),
+                            ("rho0", lambda: _check_rho(self.rho0, "rho0")),
                             ("beta", lambda: _check_beta(self.beta)),
                             ("direction_variant", lambda: _check_variant(self.direction_variant)),
                             ("svd_tol", lambda: _check_tol(self.svd_tol))):
@@ -147,6 +145,12 @@ class ExperimentConfig:
             problems["seed"] = "must be >= 0"
         if problems:
             raise ConfigError(problems)
+
+    def _check_layer_ranks(self) -> None:
+        """Check the rank against each layer of layer_dims in build order,
+        as build_network's LoRALinear does."""
+        for m, n in zip(self.layer_dims, self.layer_dims[1:]):
+            _check_rank(self.rank, n, m)
 
     def resolved_schedule(self) -> str:
         """eflat-lora defaults to a decaying radius, the two-pass variants

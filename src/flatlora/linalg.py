@@ -53,6 +53,17 @@ def _sq_norm(x: np.ndarray) -> float:
     return float((x * x).sum())
 
 
+def _worst(*values: float) -> float:
+    """The largest value, NaN when any is NaN: the builtin max keeps a
+    number against a NaN that comes after it, so a NaN residual or
+    measurement reduced through it would read as a clean one."""
+    return float(np.max(values))
+
+
+def _worst_abs(*diffs: np.ndarray) -> float:
+    return _worst(*(np.max(np.abs(d)) for d in diffs))
+
+
 def _check_tol(tol: float) -> float:
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol}")

@@ -30,6 +30,17 @@ class AccumulationError(RuntimeError):
     return a copy, or the product is not float64."""
 
 
+def _check_rank(rank: int, n: int, m: int) -> None:
+    """An adapter of an n x m layer has rank 1 .. min(n, m)."""
+    if rank < 1 or rank > min(n, m):
+        raise ShapeError(f"rank {rank} invalid for a {n} x {m} layer")
+
+
+def _check_scale(scale: float) -> None:
+    if not (scale > 0.0 and math.isfinite(scale)):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+
+
 @dataclass
 class LoRALinear:
     """One adapted layer: frozen w0 (n x m), trainable b (n x r), a (r x m);
@@ -46,14 +57,12 @@ class LoRALinear:
         self.a = as_matrix(self.a)
         n, m = self.w0.shape
         r = self.rank
-        if r < 1 or r > min(n, m):
-            raise ShapeError(f"rank {r} invalid for a {n} x {m} layer")
+        _check_rank(r, n, m)
         if self.b.shape != (n, r):
             raise ShapeError(f"b must be {(n, r)}, got {self.b.shape}")
         if self.a.shape != (r, m):
             raise ShapeError(f"a must be {(r, m)}, got {self.a.shape}")
-        if not (self.scale > 0.0 and np.isfinite(self.scale)):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        _check_scale(self.scale)
 
     @property
     def rank(self) -> int:

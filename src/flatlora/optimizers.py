@@ -65,12 +65,24 @@ class BaseUpdateConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.learning_rate > 0.0 and math.isfinite(self.learning_rate)):
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not (self.weight_decay >= 0.0 and math.isfinite(self.weight_decay)):
-            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        _check_learning_rate(self.learning_rate)
+        _check_momentum(self.momentum)
+        _check_weight_decay(self.weight_decay)
+
+
+def _check_learning_rate(learning_rate: float) -> None:
+    if not (learning_rate > 0.0 and math.isfinite(learning_rate)):
+        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+
+
+def _check_momentum(momentum: float) -> None:
+    if not (0.0 <= momentum < 1.0):
+        raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
+
+
+def _check_weight_decay(weight_decay: float) -> None:
+    if not (weight_decay >= 0.0 and math.isfinite(weight_decay)):
+        raise ValueError(f"weight_decay must be >= 0 and finite, got {weight_decay}")
 
 
 @dataclass

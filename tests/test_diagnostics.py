@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from flatlora import diagnostics
 from flatlora.checks import random_batch, random_net
 from flatlora.linalg import NumericalError, ShapeError, make_rng
 from flatlora.model import (
@@ -16,6 +17,7 @@ from flatlora.model import (
     backward,
     build_network,
     forward,
+    forward_with_offsets,
 )
 from flatlora.diagnostics import (
     AssumptionConstants,
@@ -163,6 +165,22 @@ def test_neighborhood_oracle_dominates_ascent_probe():
         assert oracle >= probe - 1e-12
 
 
+def test_neighborhood_oracle_keeps_a_nan_loss(monkeypatch):
+    """A NaN perturbed loss makes the oracle NaN, not its clean maximum
+    (call 1 is sam_probe's, so call 6 is the 5th random direction)."""
+    calls = []
+
+    def nan_on_sixth(net, batch, offsets):
+        calls.append(None)
+        out, loss = forward_with_offsets(net, batch, offsets)
+        return out, math.nan if len(calls) == 6 else loss
+
+    net = generic_net(seed=1)
+    batch = generic_batch(net, seed=1)
+    monkeypatch.setattr(diagnostics, "forward_with_offsets", nan_on_sixth)
+    assert math.isnan(neighborhood_max_oracle(net, batch, 0.15, seed=1))
+
+
 # ----------------------------------------------------------------- gap bound
 
 def test_gap_bound_hand_value():
@@ -221,6 +239,27 @@ def test_assumption_constants_zero_noise_for_identical_batches():
     grads = backward(net, batch, want_full=True)
     pooled_norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.grad_w))
     assert consts.grad_bound_hat == pytest.approx(pooled_norm, rel=1e-12)
+
+
+@pytest.mark.parametrize("nan_call, field", [(2, "grad_bound_hat"), (7, "tau_hat")],
+                         ids=["minibatch", "probe"])
+def test_assumption_constants_keep_a_nan_gradient(monkeypatch, nan_call, field):
+    """A NaN gradient makes the constant reduced over it NaN.  With three
+    batches, call 1 is the pooled gradient, calls 2-4 the minibatches and
+    calls 5 on the probes."""
+    calls = []
+    clean = diagnostics._flat_merged_gradient
+
+    def nan_on_call(net, batch):
+        calls.append(None)
+        g = clean(net, batch)
+        return np.full_like(g, math.nan) if len(calls) == nan_call else g
+
+    net = generic_net(seed=6)
+    batches = [generic_batch(net, seed=s) for s in range(3)]
+    monkeypatch.setattr(diagnostics, "_flat_merged_gradient", nan_on_call)
+    consts = estimate_assumption_constants(net, batches, seed=3)
+    assert math.isnan(getattr(consts, field))
 
 
 def test_assumption_constants_validation():

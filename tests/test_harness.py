@@ -32,6 +32,7 @@ from flatlora.harness import (
     sweep,
     train_kinds,
 )
+from flatlora.linalg import ShapeError
 from flatlora.model import PerturbationHandle, forward
 from flatlora.optimizers import (
     OPTIMIZER_KINDS,
@@ -115,6 +116,54 @@ def test_validate_collects_every_offender():
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(weight_decay=bad, noise_std=bad, seed=-1).validate()
         assert err.value.fields == ["noise_std", "seed", "weight_decay"]
+
+
+def _base_update(name):
+    return lambda value: BaseUpdateConfig(**{"learning_rate": 0.05, name: value})
+
+
+def _network(name):
+    """build_network at the default layer_dims, where LoRALinear checks
+    every layer's rank and scale."""
+    def build(value):
+        kwargs = {"layer_dims": [16, 16, 4], "rank": 4, "scale": 1.0, name: value}
+        model.build_network(**kwargs, rng=np.random.default_rng(0))
+    return build
+
+
+def _flow(scale):
+    diagnostics.run_scale_invariant_flow(np.eye(2), rho=0.0, scale=scale, eta=0.1, steps=1)
+
+
+# Per input rule: the field, its runtime owners, and boundary values either
+# side.  The default layer_dims [16, 16, 4] cap the rank at 4.
+RULES = [
+    ("learning_rate", [_base_update("learning_rate")],
+     [0.0, -1.0, math.nan, math.inf], [5e-324, 0.05]),
+    ("momentum", [_base_update("momentum")], [1.0, -1e-9, math.nan], [0.0, 0.999]),
+    ("weight_decay", [_base_update("weight_decay")],
+     [-1e-9, math.nan, math.inf], [0.0, 1e300]),
+    ("scale", [_network("scale"), _flow], [0.0, -1.0, math.nan, math.inf], [5e-324, 1.0]),
+    ("rank", [_network("rank")], [0, 5], [1, 4]),
+]
+
+
+@pytest.mark.parametrize("name, owners, rejected, accepted", RULES, ids=[r[0] for r in RULES])
+def test_validate_and_the_owners_apply_one_rule(name, owners, rejected, accepted):
+    """validate accepts or rejects each boundary value as the rule's runtime
+    owners do, and its message for the field is the owner's."""
+    error_type = ShapeError if name == "rank" else ValueError
+    for value in rejected:
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**{name: value}).validate()
+        for owner in owners:
+            with pytest.raises(error_type) as owned:
+                owner(value)
+            assert str(err.value) == f"invalid config ({name}: {owned.value})"
+    for value in accepted:
+        ExperimentConfig(**{name: value}).validate()
+        for owner in owners:
+            owner(value)
 
 
 def test_task_specific_validation():

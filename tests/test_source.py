@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package, the tests, the
 scripts or the demos imports is used, no package module reduces through a
-BLAS dot, the self-checks reduce no residual through the builtin max,
+BLAS dot, the self-checks and diagnostics reduce nothing through the
+builtin max,
 every name the benchmark's tracer wraps is bound where it looks it up, and
 the benchmark's own step calls still run."""
 
@@ -132,9 +133,14 @@ def test_builtin_max_scan_flags_only_the_builtin():
 
 
 def test_self_checks_reduce_through_no_builtin_max():
-    """Every residual reduction in checks.py goes through checks._worst,
-    which keeps a NaN, so a NaN residual reads as a failed check."""
-    assert builtin_max_calls((PACKAGE_DIR / "checks.py").read_text(encoding="utf-8")) == []
+    """Every residual reduction in checks.py and every worst-case estimate
+    in diagnostics.py goes through linalg._worst, which keeps a NaN, so a
+    NaN residual reads as a failed check and a NaN estimate as NaN.
+    optimizers.py is left out: _pinv_factors takes the builtin min and max
+    of |diag R| on purpose, so that a non-finite factor fails the switch
+    to the SVD and stays on the QR route, where its NaNs reach the loss."""
+    for name in ("checks.py", "diagnostics.py"):
+        assert builtin_max_calls((PACKAGE_DIR / name).read_text(encoding="utf-8")) == [], name
 
 
 def test_tracer_patch_targets_are_bound():
