@@ -39,8 +39,12 @@ def make_rng(seed) -> Rng:
 
 
 def as_matrix(values) -> Matrix:
-    """Coerce to a 2-D float64 array, rejecting anything else."""
-    m = np.asarray(values, dtype=np.float64)
+    """Coerce to a 2-D float64 array, rejecting anything else: complex
+    input raises TypeError rather than lose its imaginary part."""
+    m = np.asarray(values)
+    if np.iscomplexobj(m):
+        raise TypeError(f"expected a real matrix, got dtype {m.dtype}")
+    m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
     return m

@@ -325,6 +325,17 @@ def _add_product(x: Matrix, y: Matrix, out: Matrix,
     return out
 
 
+def _check_shift(shift, shape: tuple[int, int], what: str) -> None:
+    """A factor shift or weight offset is a real ndarray of the shape it
+    is added to; its dtype and layout are left as they are."""
+    if not isinstance(shift, np.ndarray):
+        raise TypeError(f"{what} must be an ndarray, got {type(shift).__name__}")
+    if shift.dtype.kind not in "biuf":
+        raise TypeError(f"{what} must be real, got dtype {shift.dtype}")
+    if shift.shape != shape:
+        raise ShapeError(f"{what} must be {shape}, got {shift.shape}")
+
+
 def _merged_route(layer: LoRALinear, k: int) -> bool:
     """Whether the sweep runs layer through its merged weight for a batch
     of k columns: when the n x m weight holds no more entries than the
@@ -336,12 +347,11 @@ def _merged_route(layer: LoRALinear, k: int) -> bool:
 
 def _forward_cache(
     net: Network, batch: Batch, offsets: list[Matrix | None], hold: bool = True
-) -> list[tuple[Matrix, Matrix | None, Matrix]]:
-    """The one forward sweep: (input, a @ input, output) per layer, with
-    None for a @ input on every layer but the last and on a layer of the
-    merged route.  With hold False, for a sweep no backward follows, only
-    the last layer's entry is kept, so each hidden output is dropped once
-    the next layer has read it.
+) -> list[Matrix]:
+    """The one forward sweep: the activations [x, h_1, ..., h_L], the
+    batch's inputs and then each layer's output.  With hold False, for a
+    sweep no backward follows, it returns only [h_L], so each hidden
+    output is dropped once the next layer has read it.
 
     Layer i computes (w0 + scale * b @ a + offsets[i]) @ h, with no
     offset term when offsets[i] is None, and applies the activation on
@@ -359,17 +369,13 @@ def _forward_cache(
     would build an n x m weight larger than the rank x k product.  So
     each layer's output is built in one fresh array and no other n x k
     array is made, with the roundings of the formula written out
-    (_add_product says when).  Layer i's
-    output is layer i + 1's input, the same array.  backward reuses the
-    output buffers for its gradients: the last output becomes the loss
-    gradient and each hidden output the gradient passed down into the
-    layer that produced it, so a cache serves one pass.  A hidden
-    layer's a @ h (rank x k) is dropped once b @ (a @ h) is built, so it
-    is not held under backward's peaks; backward rebuilds it from the
-    input.  A layer of the merged route never makes it, and backward
-    does not need it there.  The last layer's is kept on the factored
-    route, since backward reads it right after the loss.  The last
-    output, which forward returns, is an array nothing else holds.
+    (_add_product says when), and a @ h (rank x k) is dropped once
+    b @ (a @ h) is built.  Layer i's output is layer i + 1's input, the
+    same array.  backward reuses the output buffers for its gradients:
+    the last output becomes the loss gradient and each hidden output the
+    gradient passed down into the layer that produced it, so a sweep
+    serves one pass.  The last output, which forward returns, is an
+    array nothing else holds.
     """
     _check_batch(net, batch)
     if len(offsets) != len(net.layers):
@@ -379,11 +385,10 @@ def _forward_cache(
     last = len(net.layers) - 1
     h = batch.inputs
     check = None  # numpy's error state, read at the first BLAS sum
-    cache = []
+    acts = [h] if hold else []
     for i, (layer, off) in enumerate(zip(net.layers, offsets)):
-        ax = None
-        if off is not None and off.shape != layer.w0.shape:
-            raise ShapeError(f"offset {i} must be {layer.w0.shape}, got {off.shape}")
+        if off is not None:
+            _check_shift(off, layer.w0.shape, f"offset {i}")
         if _merged_route(layer, h.shape[1]):
             w = layer.merged_weight()
             if off is not None:
@@ -391,10 +396,7 @@ def _forward_cache(
             z = w @ h
             del w  # not held under the next layer's arrays
         else:
-            ax = layer.a @ h
-            z = layer.b @ ax
-            if i < last:
-                ax = None  # backward rebuilds it from h
+            z = layer.b @ (layer.a @ h)
             if layer.scale != 1.0:
                 z *= layer.scale
             if check is None:
@@ -405,9 +407,9 @@ def _forward_cache(
         if i < last:
             _activate(z, net.activation)
         if hold or i == last:
-            cache.append((h, ax, z))
+            acts.append(z)
         h = z
-    return cache
+    return acts
 
 
 def forward(net: Network, batch: Batch) -> tuple[Matrix, float]:
@@ -420,15 +422,17 @@ def forward_with_offsets(
 ) -> tuple[Matrix, float]:
     """Forward pass with a dense additive offset on each merged weight.
 
-    offsets[i] is added to layer i's effective weight (None skips a layer);
-    the stored parameters are never touched.  This is how full-space
+    offsets[i], a real ndarray of the weight's shape (_check_shift), is
+    added to layer i's effective weight (None skips a layer); the stored
+    parameters are never touched.  This is how full-space
     perturbations are evaluated without materialising a perturbed network.
     A layer of the merged route adds its offset into the merged weight
     it builds anyway, so the sweep costs what forward's does there; a
     layer of the factored route adds offsets[i] @ h into its output
-    (_forward_cache).
+    (_forward_cache).  The prediction is the sweep's last activation, the
+    one it keeps with hold False.
     """
-    pred = _forward_cache(net, batch, offsets, hold=False)[-1][2]
+    pred = _forward_cache(net, batch, offsets, hold=False)[-1]
     loss, _ = _loss_and_grad(pred.copy(), batch.targets, net.loss_kind)
     return pred, loss
 
@@ -456,7 +460,7 @@ def _row_blocks(y: Matrix) -> list[slice]:
 
 def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet:
     """Adapter gradients (and optionally merged-weight gradients) by
-    reverse accumulation over the forward sweep's cache.
+    reverse accumulation over the forward sweep's activations.
 
     Each layer takes its gradients on its sweep route.  A layer of the
     merged route, whose n x m weight is no larger than rank x k, builds
@@ -471,10 +475,10 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
     (test_merged_route_factor_gradients_agree_with_the_factored_chain_rule).
     A layer of the factored route takes them from the chain rule through
     its factors, grad_b = scale * (g @ (a @ x_in).T) and
-    grad_a = scale * ((b.T @ g) @ x_in.T), and grad_w = g @ x_in.T apart.
-    An a @ x_in the sweep does not keep (a hidden layer's) is rebuilt
-    from x_in before x_in is overwritten, the same product on the same
-    operands, so grad_b gets the same bits.
+    grad_a = scale * ((b.T @ g) @ x_in.T), and grad_w = g @ x_in.T apart;
+    the sweep hands over only the activations, so a @ x_in is rebuilt
+    from x_in before x_in is overwritten: the sweep's own product, on the
+    same operands, with the same bits.
 
     No n x k array is allocated: the last layer's output becomes
     the loss gradient (_loss_and_grad), and once layer i + 1 has read its
@@ -494,20 +498,20 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
     Every multiplication by scale, here and in the sweep, is skipped at
     scale 1.0, where it changes no bit.  The roundings are those of the
     formula written one array per operation, on each layer's route.
-    Cache entries are dropped once read.  The batch is never written.
+    Each activation is dropped from the sweep's list once read.  The
+    batch is never written.
     """
-    cache = _forward_cache(net, batch, [None] * len(net.layers))
+    acts = _forward_cache(net, batch, [None] * len(net.layers))
     last = len(net.layers) - 1
     k = batch.inputs.shape[1]
-    loss, g = _loss_and_grad(cache[last][2], batch.targets, net.loss_kind)
+    loss, g = _loss_and_grad(acts.pop(), batch.targets, net.loss_kind)
     grad_b: list[Matrix | None] = [None] * len(net.layers)
     grad_a: list[Matrix | None] = [None] * len(net.layers)
     grad_w: list[Matrix | None] = [None] * len(net.layers) if want_full else None
     check = None  # numpy's error state, read at the first BLAS sum
     for i in range(last, -1, -1):
         layer = net.layers[i]
-        x_in, ax = cache[i][:2]
-        cache[i] = None
+        x_in = acts.pop()
         scale = layer.scale
         merged = _merged_route(layer, k)
         if merged:
@@ -515,10 +519,7 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
             gb, ga = gw @ layer.a.T, layer.b.T @ gw
             bt_g = None
         else:
-            if ax is None:
-                ax = layer.a @ x_in
-            gb = g @ ax.T
-            del ax
+            gb = g @ (layer.a @ x_in).T
             bt_g = layer.b.T @ g
             ga = bt_g @ x_in.T
             gw = g @ x_in.T if want_full else None
@@ -594,9 +595,11 @@ def apply_perturbation(
 ) -> PerturbationHandle:
     """Shift adapter factors in place: b += e_b[i], a += e_a[i] per layer.
 
-    Either list may be None (or hold None entries) to leave factors alone.
-    Every entry is checked and every shifted array built before any factor
-    is replaced, so a call that raises leaves the network as it was.
+    Either list may be None (or hold None entries) to leave factors alone;
+    any other entry must be a real ndarray of its factor's shape
+    (_check_shift).  Every entry is checked and every shifted array built
+    before any factor is replaced, so a call that raises leaves the
+    network as it was.
     Returns the handle that restores the pre-perturbation arrays.
     """
     n_layers = len(net.layers)
@@ -610,8 +613,7 @@ def apply_perturbation(
             if shift is None:
                 continue
             factor = getattr(layer, name)
-            if shift.shape != factor.shape:
-                raise ShapeError(f"e_{name}[{i}] must be {factor.shape}, got {shift.shape}")
+            _check_shift(shift, factor.shape, f"e_{name}[{i}]")
             moves.append((layer, name, factor, factor + shift))
     for layer, name, _, shifted in moves:
         setattr(layer, name, shifted)

@@ -1,12 +1,17 @@
 """Pseudo-inverse and projector invariants, checked against
 brute-force oracles on randomly drawn matrices."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from flatlora.linalg import (
     DEFAULT_TOL,
     NumericalError,
+    _worst,
+    _worst_abs,
+    as_matrix,
     col_space_projector,
     make_rng,
     pseudo_inverse,
@@ -74,13 +79,12 @@ def test_pseudo_inverse_moore_penrose_conditions():
     for m in random_cases(rng, 60):
         p = pseudo_inverse(m)
         assert p.shape == (m.shape[1], m.shape[0])
-        worst = max(
-            worst,
-            np.max(np.abs(m @ p @ m - m)),
-            np.max(np.abs(p @ m @ p - p)),
-            np.max(np.abs(m @ p - (m @ p).T)),
-            np.max(np.abs(p @ m - (p @ m).T)),
-        )
+        worst = _worst(worst, _worst_abs(
+            m @ p @ m - m,
+            p @ m @ p - p,
+            m @ p - (m @ p).T,
+            p @ m - (p @ m).T,
+        ))
     assert worst < MP_TOL
 
 
@@ -120,7 +124,7 @@ def test_gram_pseudo_inverse_agrees_with_svd_route(route):
     rng = make_rng(6)
     worst = 0.0
     for m in random_cases(rng, 60):
-        worst = max(worst, np.max(np.abs(route(m) - pseudo_inverse(m))))
+        worst = _worst(worst, _worst_abs(route(m) - pseudo_inverse(m)))
     assert worst < MP_TOL
 
 
@@ -155,15 +159,14 @@ def test_projector_properties():
         p_row = row_space_projector(a)
         b = rng.standard_normal((c, r))
         p_col = col_space_projector(b)
-        worst = max(
-            worst,
-            np.max(np.abs(p_row @ p_row - p_row)),
-            np.max(np.abs(p_row - p_row.T)),
-            np.max(np.abs(a @ p_row - a)),
-            np.max(np.abs(p_col @ p_col - p_col)),
-            np.max(np.abs(p_col - p_col.T)),
-            np.max(np.abs(p_col @ b - b)),
-        )
+        worst = _worst(worst, _worst_abs(
+            p_row @ p_row - p_row,
+            p_row - p_row.T,
+            a @ p_row - a,
+            p_col @ p_col - p_col,
+            p_col - p_col.T,
+            p_col @ b - b,
+        ))
     assert worst < PROJ_TOL
 
 
@@ -171,6 +174,20 @@ def test_projector_of_full_rank_square_is_identity():
     rng = make_rng(9)
     a = rng.standard_normal((4, 4))
     assert np.max(np.abs(row_space_projector(a) - np.eye(4))) < 1e-10
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_as_matrix_refuses_complex_input(dtype):
+    """A complex matrix raises TypeError naming its dtype, with no
+    ComplexWarning first, rather than lose its imaginary part; a real one
+    of another dtype is converted to float64."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match=f"got dtype {np.dtype(dtype)}"):
+            as_matrix(np.ones((3, 2), dtype=dtype))
+        with pytest.raises(TypeError, match="got dtype complex128"):
+            as_matrix([[1.0, 2.0 + 0j]])
+    assert as_matrix(np.ones((3, 2), dtype=np.float32)).dtype == np.float64
 
 
 def test_make_rng_reproducible():

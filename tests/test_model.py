@@ -28,6 +28,7 @@ from flatlora.model import (
     _add_product,
     _row_blocks,
 )
+from flatlora.optimizers import init_perturb_state
 from flatlora import model
 
 FD_STEP = 1e-6
@@ -91,6 +92,16 @@ def test_batch_validation():
     with pytest.raises(ShapeError):
         Batch(inputs=np.zeros((3, 0)), targets=np.zeros((2, 0)))
     Batch(inputs=np.zeros((3, 4)), targets=np.zeros((2, 4)))
+
+
+def test_batch_and_layer_refuse_complex_input():
+    """A complex batch or factor raises TypeError naming its dtype, where
+    it used to be taken as its real part with a ComplexWarning."""
+    with pytest.raises(TypeError, match="got dtype complex128"):
+        Batch(inputs=np.ones((3, 2)) * (1 + 1j), targets=np.zeros((2, 2)))
+    with pytest.raises(TypeError, match="got dtype complex128"):
+        LoRALinear(w0=np.eye(2), b=np.ones((2, 1)) * 1j, a=np.ones((1, 2)),
+                   scale=1.0)
 
 
 def test_initial_adapter_is_identity_on_base():
@@ -203,6 +214,29 @@ def test_forward_with_offsets_validation():
     bad = [np.zeros((1, 1))] + [None] * (len(net.layers) - 1)
     with pytest.raises(ShapeError):
         forward_with_offsets(net, batch, bad)
+
+
+# A shift or offset that is not a real ndarray: the function builds it
+# from a real one of the right shape, and the message it must raise.
+NOT_REAL_ARRAYS = {
+    "complex": (lambda x: x * (1 + 1j), "must be real, got dtype complex128"),
+    "list": (lambda x: x.tolist(), "must be an ndarray, got list"),
+}
+
+
+@pytest.mark.parametrize("k", [3, 20], ids=["factored", "merged"])
+@pytest.mark.parametrize("bad", sorted(NOT_REAL_ARRAYS))
+def test_forward_with_offsets_refuses_a_complex_or_list_offset(bad, k):
+    """A complex or list offset raises TypeError on either route, where a
+    list raised AttributeError and a complex offset a cast or
+    AccumulationError from inside the sweep."""
+    net = small_net()
+    batch = random_batch(net, k=k)
+    assert {_merged(layer, k) for layer in net.layers} == {k == 20}
+    make, message = NOT_REAL_ARRAYS[bad]
+    offsets = [None, make(np.ones_like(net.layers[1].w0))]
+    with pytest.raises(TypeError, match=f"offset 1 {message}"):
+        forward_with_offsets(net, batch, offsets)
 
 
 # ------------------------------------------------------------------ backward
@@ -485,11 +519,11 @@ def test_sweep_peak_memory_stays_within_a_few_activations(dims, rank, k, scale,
                                                           forward_bound,
                                                           offset):
     """The sweep reuses the arrays it owns, runs each layer no larger
-    than rank x k through its merged weight, and holds only the last
-    factored layer's a @ h for backward: in units of the largest n x k
-    float64 activation, backward, which builds each hidden gradient in
-    row blocks inside the hidden output, rebuilds every a @ h it needs
-    and, on the merged route, drops b.T @ g before the blocks, peaks at
+    than rank x k through its merged weight, and hands backward only its
+    activations: in units of the largest n x k float64 activation,
+    backward, which builds each hidden gradient in row blocks inside the
+    hidden output, rebuilds every a @ h it needs and, on the merged
+    route, drops b.T @ g before the blocks, peaks at
     no more than 1.52 at the default dims, where every layer takes the
     merged route (it reads 1.51; 1.76 on the factored route), 1.74 at
     the wide dims, factored, at scale 0.5 and 1.0, where each block
@@ -501,7 +535,9 @@ def test_sweep_peak_memory_stays_within_a_few_activations(dims, rank, k, scale,
     1.3 and 2.01 (1.25, 1.29, 1.29 and 2.01; 1.50 and 2.25 factored).
     With a dense offset on every layer, forward_with_offsets at the
     default dims, where each offset is added into the merged weight,
-    peaks at no more than 1.26 too (1.25).
+    peaks at no more than 1.26 too (1.25).  Re-measured once the sweep
+    kept no a @ h: backward 1.5071, 1.7320 and 2.5076, forward 1.2538,
+    1.2889 and 2.0078, with offsets 1.2538.
     A fresh array for the gradient passed down read 2.76 at the default
     dims; building the products apart and adding them about 3.5; one
     fresh array per operation about 5."""
@@ -957,3 +993,32 @@ def test_apply_perturbation_is_all_or_nothing(bad):
         apply_perturbation(net, **shifts)
     for layer, (b, a) in zip(net.layers, originals):
         assert layer.b is b and layer.a is a
+
+
+@pytest.mark.parametrize("k", [3, 20], ids=["factored", "merged"])
+@pytest.mark.parametrize("bad", sorted(NOT_REAL_ARRAYS))
+def test_apply_perturbation_refuses_a_complex_or_list_shift(bad, k):
+    """A complex or list shift raises TypeError before any factor moves,
+    also through PerturbState.apply, and the next forward reads the loss
+    it read before.  A complex shift used to make b complex, so that the
+    merged route returned a real loss from a complex network and the
+    factored route raised AccumulationError at the next forward; a list
+    raised AttributeError."""
+    net = small_net()
+    batch = random_batch(net, k=k)
+    assert {_merged(layer, k) for layer in net.layers} == {k == 20}
+    _, loss = forward(net, batch)
+    originals = [(layer.b, layer.a) for layer in net.layers]
+    make, message = NOT_REAL_ARRAYS[bad]
+    e_b = [np.ones_like(layer.b) for layer in net.layers]
+    e_a = [np.ones_like(net.layers[0].a), make(np.ones_like(net.layers[1].a))]
+    with pytest.raises(TypeError, match=f"e_a\\[1\\] {message}"):
+        apply_perturbation(net, e_b=e_b, e_a=e_a)
+    pstate = init_perturb_state(net, rho0=0.1, beta=0.5)
+    pstate.ema_e_b[1] = make(pstate.ema_e_b[1])
+    with pytest.raises(TypeError, match=f"e_b\\[1\\] {message}"):
+        pstate.apply(net)
+    assert not pstate.applied
+    for layer, (b, a) in zip(net.layers, originals):
+        assert layer.b is b and layer.a is a
+    assert forward(net, batch)[1] == loss

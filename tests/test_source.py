@@ -1,7 +1,7 @@
 """Source hygiene: every name a module of the package, the tests, the
 scripts or the demos imports is used, no package module reduces through a
 BLAS dot, the self-checks and diagnostics reduce nothing through the
-builtin max,
+builtin max, and no test takes its running worst residual through it,
 every name the benchmark's tracer wraps is bound where it looks it up, and
 the benchmark's own step calls still run."""
 
@@ -114,13 +114,17 @@ def test_package_modules_reduce_through_no_blas_dot(path):
     assert blas_reductions(path.read_text(encoding="utf-8")) == []
 
 
+def _builtin_max_nodes(source: str) -> list[ast.Call]:
+    return [node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "max"]
+
+
 def builtin_max_calls(source: str) -> list[str]:
     """Calls of the builtin max, which keeps a number against a NaN that
     comes after it: max(0.0, nan) is 0.0."""
     return [f"{ast.unparse(node)} (line {node.lineno})"
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "max"]
+            for node in _builtin_max_nodes(source)]
 
 
 def test_builtin_max_scan_flags_only_the_builtin():
@@ -141,6 +145,34 @@ def test_self_checks_reduce_through_no_builtin_max():
     to the SVD and stays on the QR route, where its NaNs reach the loss."""
     for name in ("checks.py", "diagnostics.py"):
         assert builtin_max_calls((PACKAGE_DIR / name).read_text(encoding="utf-8")) == [], name
+
+
+def builtin_max_of_a_worst(source: str) -> list[str]:
+    """Calls of the builtin max whose first argument is a name starting
+    with "worst": a running worst residual taken that way keeps a number
+    against a NaN residual that comes after it."""
+    return [f"{ast.unparse(node)} (line {node.lineno})"
+            for node in _builtin_max_nodes(source)
+            if node.args and isinstance(node.args[0], ast.Name)
+            and node.args[0].id.startswith("worst")]
+
+
+def test_worst_scan_flags_only_a_running_worst():
+    source = (
+        "worst = max(worst, np.max(d))\nworst_mp = max(worst_mp, e)\n"
+        "best = max(best, e)\nn = max(1, worst)\nworst = _worst(worst, e)\n"
+    )
+    assert builtin_max_of_a_worst(source) == [
+        "max(worst, np.max(d)) (line 1)", "max(worst_mp, e) (line 2)"]
+
+
+def test_tests_reduce_no_worst_through_the_builtin_max():
+    """Every running worst residual in the tests goes through
+    linalg._worst or _worst_abs, which keep a NaN, so a NaN residual fails
+    its bound."""
+    hits = [f"{path.name}: {hit}" for path in sorted((REPO_DIR / "tests").glob("*.py"))
+            for hit in builtin_max_of_a_worst(path.read_text(encoding="utf-8"))]
+    assert hits == []
 
 
 def test_tracer_patch_targets_are_bound():
