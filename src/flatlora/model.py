@@ -385,8 +385,10 @@ def _forward_cache(
     last = len(net.layers) - 1
     h = batch.inputs
     check = None  # numpy's error state, read at the first BLAS sum
-    acts = [h] if hold else []
+    acts = []
     for i, (layer, off) in enumerate(zip(net.layers, offsets)):
+        if hold:
+            acts.append(h)
         if off is not None:
             _check_shift(off, layer.w0.shape, f"offset {i}")
         if _merged_route(layer, h.shape[1]):
@@ -406,9 +408,8 @@ def _forward_cache(
                 _add_product(off, h, z, check)
         if i < last:
             _activate(z, net.activation)
-        if hold or i == last:
-            acts.append(z)
         h = z
+    acts.append(h)
     return acts
 
 

@@ -95,8 +95,8 @@ def test_batch_validation():
 
 
 def test_batch_and_layer_refuse_complex_input():
-    """A complex batch or factor raises TypeError naming its dtype, where
-    it used to be taken as its real part with a ComplexWarning."""
+    """A complex batch or factor raises TypeError naming its dtype rather
+    than be taken as its real part with a ComplexWarning."""
     with pytest.raises(TypeError, match="got dtype complex128"):
         Batch(inputs=np.ones((3, 2)) * (1 + 1j), targets=np.zeros((2, 2)))
     with pytest.raises(TypeError, match="got dtype complex128"):
@@ -227,9 +227,9 @@ NOT_REAL_ARRAYS = {
 @pytest.mark.parametrize("k", [3, 20], ids=["factored", "merged"])
 @pytest.mark.parametrize("bad", sorted(NOT_REAL_ARRAYS))
 def test_forward_with_offsets_refuses_a_complex_or_list_offset(bad, k):
-    """A complex or list offset raises TypeError on either route, where a
-    list raised AttributeError and a complex offset a cast or
-    AccumulationError from inside the sweep."""
+    """A complex or list offset raises TypeError on either route, before
+    the sweep reads it: not an AttributeError for a list, nor a cast or
+    AccumulationError from inside the sweep for a complex array."""
     net = small_net()
     batch = random_batch(net, k=k)
     assert {_merged(layer, k) for layer in net.layers} == {k == 20}
@@ -536,7 +536,7 @@ def test_sweep_peak_memory_stays_within_a_few_activations(dims, rank, k, scale,
     With a dense offset on every layer, forward_with_offsets at the
     default dims, where each offset is added into the merged weight,
     peaks at no more than 1.26 too (1.25).  Re-measured once the sweep
-    kept no a @ h: backward 1.5071, 1.7320 and 2.5076, forward 1.2538,
+    kept no a @ h: backward 1.5071, 1.7320 and 2.5075, forward 1.2538,
     1.2889 and 2.0078, with offsets 1.2538.
     A fresh array for the gradient passed down read 2.76 at the default
     dims; building the products apart and adding them about 3.5; one
@@ -1000,10 +1000,9 @@ def test_apply_perturbation_is_all_or_nothing(bad):
 def test_apply_perturbation_refuses_a_complex_or_list_shift(bad, k):
     """A complex or list shift raises TypeError before any factor moves,
     also through PerturbState.apply, and the next forward reads the loss
-    it read before.  A complex shift used to make b complex, so that the
-    merged route returned a real loss from a complex network and the
-    factored route raised AccumulationError at the next forward; a list
-    raised AttributeError."""
+    it read before.  A complex b would make the merged route return a
+    real loss from a complex network and the factored route raise
+    AccumulationError at the next forward."""
     net = small_net()
     batch = random_batch(net, k=k)
     assert {_merged(layer, k) for layer in net.layers} == {k == 20}
