@@ -1,7 +1,7 @@
 """Source hygiene: every name a module of the package, the tests, the
 scripts or the demos imports is used, no package module reduces through a
-BLAS dot, the self-checks and diagnostics reduce nothing through the
-builtin max, and no test takes its running worst residual through it,
+BLAS dot, the self-checks, the diagnostics and the tests' running worst
+residuals reduce nothing through the builtin max,
 every name the benchmark's tracer wraps is bound where it looks it up, and
 the benchmark's own step calls still run."""
 
