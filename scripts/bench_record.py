@@ -26,6 +26,14 @@ anywhere:
     python3 scripts/bench_record.py --checkout ../parent --seeds 1,2,3 --seconds 30
     python3 scripts/bench_record.py --workloads eval-run --seeds 7 --seconds 30 --trace 1
 
+`--parent DIR` records an A/B: at each seed and workload it runs the
+parent checkout DIR and the `--checkout` one back to back, the parent
+first on odd seeds and second on even ones, so that neither side always
+runs first on a host whose speed drifts.  The two checkouts must
+describe as different commits:
+
+    python3 scripts/bench_record.py --parent ../parent --seeds 11,12 --seconds 30
+
 `--compare PARENT CHANGE` runs nothing: it reads the recorded runs of two
 commits, pairs them by seed, and prints for each workload and each
 end-to-end metric of BENCHMARK.json the two medians, the parent's
@@ -222,6 +230,8 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--checkout", type=Path, default=ROOT,
                    help="checkout whose perfbench/ and src/ run (default: this one)")
+    p.add_argument("--parent", type=Path,
+                   help="also run this checkout at each seed, first on odd seeds")
     p.add_argument("--workloads", default=",".join(workload_names()),
                    help="comma-separated workload names (default: all)")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -240,6 +250,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.compare:
         if args.trace:
             p.error("--compare reads the end-to-end records; --trace 1 only records")
+        if args.parent:
+            p.error("--compare runs nothing; --parent only records")
         return compare(p, workloads, *args.compare)
     if not (args.seconds > 0 and math.isfinite(args.seconds)):
         p.error(f"--seconds must be positive and finite, got {args.seconds!r}")
@@ -250,33 +262,43 @@ def main(argv: list[str] | None = None) -> int:
     repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
     if repeated:
         p.error(f"--seeds repeats {', '.join(map(str, repeated))}")
-    checkout = args.checkout.resolve()
-    try:
-        commit = describe(checkout)
-    except subprocess.CalledProcessError as exc:
-        p.error(f"cannot describe --checkout {checkout}: {exc.stderr.strip()}")
-    except OSError as exc:
-        p.error(f"cannot describe --checkout {checkout}: {exc}")
+    checkouts = [args.checkout] + ([args.parent] if args.parent else [])
+    commits = {}
+    for option, checkout in zip(("--checkout", "--parent"), checkouts):
+        checkout = checkout.resolve()
+        try:
+            commits[checkout] = describe(checkout)
+        except subprocess.CalledProcessError as exc:
+            p.error(f"cannot describe {option} {checkout}: {exc.stderr.strip()}")
+        except OSError as exc:
+            p.error(f"cannot describe {option} {checkout}: {exc}")
+    if args.parent and len(set(commits.values())) == 1:
+        p.error(f"--parent and --checkout both describe as {set(commits.values()).pop()}")
     for workload in workloads:
         path = bench_path(workload, args.trace)
-        taken = sorted({rec["seed"] for rec in load_records(path)
-                        if rec["commit"] == commit} & set(seeds))
-        if taken:
-            p.error(f"{path.name} already has {commit} at seeds "
-                    f"{', '.join(map(str, taken))}")
+        for commit in commits.values():
+            taken = sorted({rec["seed"] for rec in load_records(path)
+                            if rec["commit"] == commit} & set(seeds))
+            if taken:
+                p.error(f"{path.name} already has {commit} at seeds "
+                        f"{', '.join(map(str, taken))}")
     status = 0
     for seed in seeds:
         for workload in workloads:
-            try:
-                rec = record(checkout, commit, workload, seed, args.seconds,
-                             args.trace)
-            except (RuntimeError, ValueError) as exc:
-                print(f"{workload} seed {seed}: not recorded: {exc}", file=sys.stderr)
-                status = 1
-                continue
-            append(rec)
-            print(f"{rec['commit']} {workload} seed {seed}: slowdown "
-                  f"{rec['slowdown']:.4f} malloc={rec['malloc']}")
+            # The parent, last in checkouts, runs first on odd seeds.
+            order = list(commits.items())
+            for checkout, commit in order[::-1] if seed % 2 else order:
+                try:
+                    rec = record(checkout, commit, workload, seed, args.seconds,
+                                 args.trace)
+                except (RuntimeError, ValueError) as exc:
+                    print(f"{commit} {workload} seed {seed}: not recorded: {exc}",
+                          file=sys.stderr)
+                    status = 1
+                    continue
+                append(rec)
+                print(f"{rec['commit']} {workload} seed {seed}: slowdown "
+                      f"{rec['slowdown']:.4f} malloc={rec['malloc']}")
     return status
 
 

@@ -53,8 +53,10 @@ def as_matrix(values) -> Matrix:
 def _sq_norm(x: np.ndarray) -> float:
     """Squared Frobenius norm by numpy's pairwise sum (the bits of
     np.sum(x * x)), the package's one norm: a BLAS dot splits long
-    vectors across threads, so its last bits would follow the thread count."""
-    return float((x * x).sum())
+    vectors across threads, so its last bits would follow the thread count.
+    np.add.reduce is the reduction ndarray.sum() reaches, called without
+    the Python frame numpy puts in front of it."""
+    return float(np.add.reduce(x * x, axis=None))
 
 
 def _worst(*values: float) -> float:

@@ -9,6 +9,7 @@ the batch) or softmax cross-entropy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,8 +78,14 @@ class LoRALinear:
         return self.w0.shape[1]
 
     def merged_weight(self) -> Matrix:
-        """The effective dense weight w0 + scale * b @ a."""
-        return self.w0 + self.scale * (self.b @ self.a)
+        """The effective dense weight w0 + scale * b @ a, a fresh array:
+        b @ a, scaled in place unless scale is 1.0 (where x * 1.0 == x),
+        then w0 added in place, one n x m array with the formula's bits."""
+        w = self.b @ self.a
+        if self.scale != 1.0:
+            w *= self.scale
+        w += self.w0
+        return w
 
 
 @dataclass
@@ -444,19 +451,25 @@ def forward_with_offsets(
 _BLOCK_BYTES = 80 * 1024
 
 
-def _row_blocks(y: Matrix) -> list[slice]:
+def _row_blocks(y: Matrix) -> tuple[slice, ...]:
     """Row slices splitting y into y.nbytes // _BLOCK_BYTES blocks of
     near-equal rows, and at least four once y is larger than half of
     _BLOCK_BYTES.  y stays whole when it has one column or is no larger
     than that, and no block has fewer than two rows: a product with one
     row or one column takes numpy's matrix-vector route, whose roundings
     depend on the rows it covers, while a block's matrix products give
-    the bits of the same rows of the whole array's."""
-    rows, cols = y.shape
-    split = cols > 1 and 2 * y.nbytes > _BLOCK_BYTES
-    n = max(1, min(max(4, y.nbytes // _BLOCK_BYTES), rows // 2)) if split else 1
+    the bits of the same rows of the whole array's.  The slices depend
+    on y's shape, its size and the block size alone, so they are built
+    once per such triple."""
+    return _row_slices(*y.shape, y.nbytes, _BLOCK_BYTES)
+
+
+@functools.lru_cache(maxsize=256)
+def _row_slices(rows: int, cols: int, nbytes: int, block_bytes: int) -> tuple[slice, ...]:
+    split = cols > 1 and 2 * nbytes > block_bytes
+    n = max(1, min(max(4, nbytes // block_bytes), rows // 2)) if split else 1
     bounds = [rows * j // n for j in range(n + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
 
 
 def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet:

@@ -19,6 +19,7 @@ evaluations without instrumenting the internals; callers time the call.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -252,6 +253,15 @@ def gram_pseudo_inverse(m: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
     return pinv_t if tall else pinv_t.T
 
 
+@functools.cache
+def _identity(r: int) -> Matrix:
+    """The r x r identity, built once per rank and read-only: dtrtrs
+    solves into its own copy of the right-hand side."""
+    eye = np.eye(r)
+    eye.flags.writeable = False
+    return eye
+
+
 def _pinv_factors(m: Matrix, tol: float) -> tuple[Matrix, Matrix]:
     """(q, t) with m^+ == q @ t for a wide r x k factor m: q is k x r with
     orthonormal columns, t is r x r.
@@ -274,7 +284,7 @@ def _pinv_factors(m: Matrix, tol: float) -> tuple[Matrix, Matrix]:
         pinv = pseudo_inverse(m, tol)
         reflectors, tau, _, _ = dgeqrf(pinv)
     else:
-        t = dtrtrs(reflectors[:r], np.eye(r), trans=1)[0]
+        t = dtrtrs(reflectors[:r], _identity(r), trans=1)[0]
     q = dorgqr(reflectors, tau, overwrite_a=1)[0]
     return q, (t if pinv is None else q.T @ pinv)
 

@@ -299,3 +299,54 @@ def test_recorder_refuses_to_compare_traced_records(capsys):
         recorder.main(["--compare", "p", "c", "--trace", "1"])
     assert exc.value.code == 2
     assert "--trace 1 only records" in capsys.readouterr().err
+
+
+def test_recorder_alternates_parent_and_change_with_parent_first_on_odd_seeds(
+        tmp_path, monkeypatch, capsys):
+    """--parent runs both checkouts at each seed and workload, back to
+    back, the parent first on odd seeds and the change first on even
+    ones, and appends every record; two checkouts that describe as one
+    commit, a seed either commit already has, or --parent with
+    --compare are refused before anything runs."""
+    recorder = load_recorder()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    names = {parent: "p1", change: "c1"}
+    calls = []
+
+    def fake_record(checkout, commit, workload, seed, seconds, trace=0):
+        calls.append((commit, workload, seed))
+        return synthetic(commit, seed, 1.0, 1.0) | {"workload": workload}
+
+    monkeypatch.setattr(recorder, "describe", lambda checkout: names[checkout])
+    monkeypatch.setattr(recorder, "record", fake_record)
+    named = recorder.bench_path
+    monkeypatch.setattr(recorder, "bench_path",
+                        lambda workload, trace=0: tmp_path / named(workload, trace).name)
+    args = ["--parent", str(parent), "--checkout", str(change), "--seconds", "2",
+            "--workloads", "eval-run,wide-steps", "--seeds"]
+    assert recorder.main(args + ["3,4"]) == 0
+    assert calls == [("p1", "eval-run", 3), ("c1", "eval-run", 3),
+                     ("p1", "wide-steps", 3), ("c1", "wide-steps", 3),
+                     ("c1", "eval-run", 4), ("p1", "eval-run", 4),
+                     ("c1", "wide-steps", 4), ("p1", "wide-steps", 4)]
+    for workload in ("eval-run", "wide-steps"):
+        records = json.loads(recorder.bench_path(workload).read_text())
+        assert [(r["commit"], r["seed"]) for r in records] == [
+            ("p1", 3), ("c1", 3), ("c1", 4), ("p1", 4)]
+        assert {r["workload"] for r in records} == {workload}
+    capsys.readouterr()
+    calls.clear()
+    names[parent] = "c1"
+    for extra, message in (
+            (["--seeds", "5"], "--parent and --checkout both describe as c1"),
+            (["--compare", "p1", "c1"], "--parent only records")):
+        with pytest.raises(SystemExit) as exc:
+            recorder.main(args[:-1] + extra)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    names[parent] = "p2"
+    with pytest.raises(SystemExit) as exc:
+        recorder.main(args + ["5,4"])
+    assert exc.value.code == 2
+    assert "BENCH_eval-run.json already has c1 at seeds 4" in capsys.readouterr().err
+    assert calls == []

@@ -9,6 +9,7 @@ import pytest
 from flatlora.linalg import (
     DEFAULT_TOL,
     NumericalError,
+    _sq_norm,
     _worst,
     _worst_abs,
     as_matrix,
@@ -196,3 +197,20 @@ def test_make_rng_reproducible():
     assert np.array_equal(a, b)
     c = make_rng([123, 1]).standard_normal(5)
     assert not np.array_equal(a, c)
+
+
+def test_sq_norm_has_the_bits_of_np_sum():
+    """_sq_norm calls the reduction np.sum reaches, so it gives
+    float(np.sum(x * x)) bit for bit on C- and F-ordered input, on a
+    strided row block of a transposed weight, and on a 1 x 1 input."""
+    rng = make_rng(37)
+    w0 = rng.standard_normal((300, 70))
+    cases = {
+        "C": rng.standard_normal((64, 300)),
+        "F": np.asfortranarray(rng.standard_normal((300, 64))),
+        "strided": w0.T[10:40],
+        "1x1": np.array([[1.7]]),
+    }
+    assert not cases["strided"].flags.c_contiguous | cases["strided"].flags.f_contiguous
+    for name, x in cases.items():
+        assert _sq_norm(x).hex() == float(np.sum(x * x)).hex(), name

@@ -707,6 +707,45 @@ def test_add_product_refuses_a_product_that_is_not_float64(left, right):
     assert not out.any()
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.7])
+def test_merged_weight_has_the_bits_of_the_written_formula(scale):
+    """merged_weight() builds b @ a, scales it in place and adds w0 into
+    it, with the bits and dtype of w0 + scale * (b @ a); the array is
+    fresh, so writing into it, as the sweep does with an offset, leaves
+    w0, b and a as they were."""
+    net = small_net(seed=31, dims=(40, 30, 20), rank=4, scale=scale)
+    for layer in net.layers:
+        before = [p.copy() for p in (layer.w0, layer.b, layer.a)]
+        w = layer.merged_weight()
+        want = layer.w0 + scale * (layer.b @ layer.a)
+        assert w.dtype == np.float64 and _same_bytes(w, want)
+        if scale != 1.0:  # another order rounds differently
+            assert not _same_bytes(w, layer.w0 + (scale * layer.b) @ layer.a)
+        w += np.ones_like(w)
+        for got, was in zip((layer.w0, layer.b, layer.a), before):
+            assert _same_bytes(got, was)
+        assert _same_bytes(layer.merged_weight(), want)
+
+
+def test_row_blocks_are_an_immutable_tuple_that_follows_the_block_size(monkeypatch):
+    """The slices are built once per shape, size and block size and handed
+    out as one tuple; a monkeypatched _BLOCK_BYTES or another dtype of the
+    same shape gets its own split."""
+    def sizes(y):
+        return [s.stop - s.start for s in _row_blocks(y)]
+
+    blocks = _row_blocks(np.empty((17, 3072)))
+    assert isinstance(blocks, tuple) and blocks is _row_blocks(np.empty((17, 3072)))
+    with pytest.raises(TypeError):
+        blocks[0] = slice(0, 1)
+    assert sizes(np.empty((17, 3072))) == [3, 3, 4, 3, 4]
+    assert sizes(np.empty((17, 3072), dtype=np.float32)) == [4, 4, 4, 5]
+    monkeypatch.setattr(model, "_BLOCK_BYTES", 1)
+    assert sizes(np.empty((17, 3072))) == [2] * 7 + [3]
+    monkeypatch.undo()
+    assert sizes(np.empty((17, 3072))) == [3, 3, 4, 3, 4]
+
+
 def test_row_blocks_split_outputs_over_half_a_block_in_at_least_four():
     """An output larger than half of _BLOCK_BYTES takes at least four
     blocks of at least two rows; a smaller one, or one column, stays

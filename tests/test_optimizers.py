@@ -735,3 +735,23 @@ def test_memory_counts_unknown_kind():
     with pytest.raises(ValueError):
         param_and_memory_counts(net, "adamw")
     assert set(OPTIMIZER_KINDS) == {"lora", "lora-sam", "flat-lora", "eflat-lora"}
+
+
+def test_cached_identity_stays_the_identity_through_flat_and_eflat_rounds():
+    """_pinv_factors hands dtrtrs one read-only identity per rank; after a
+    flat-lora round and an eflat-lora round at ranks 1 to 8 it is still
+    np.eye(r), the same array, and refuses a write."""
+    cfg = BaseUpdateConfig(learning_rate=0.02)
+    for r in range(1, 9):
+        net = make_net(seed=50 + r, dims=(10, 9, 8), rank=r)
+        batch = make_batch(net, seed=r)
+        flat_lora_step(net, batch, 0.05, cfg, init_sgd_state(net))
+        pstate = init_perturb_state(net, rho0=0.05, beta=0.9)
+        state = init_sgd_state(net)
+        for _ in range(2):
+            eflat_lora_step(net, batch, pstate, cfg, state)
+        eye = optimizers._identity(r)
+        assert eye is optimizers._identity(r) and not eye.flags.writeable
+        assert np.array_equal(eye, np.eye(r)) and eye.dtype == np.float64
+        with pytest.raises(ValueError):
+            eye[0, 0] = 2.0
