@@ -283,10 +283,10 @@ def main(argv: list[str] | None = None) -> int:
                 p.error(f"{path.name} already has {commit} at seeds "
                         f"{', '.join(map(str, taken))}")
     status = 0
+    order = list(commits.items())
     for seed in seeds:
         for workload in workloads:
-            # The parent, last in checkouts, runs first on odd seeds.
-            order = list(commits.items())
+            # The parent, last in order, runs first on odd seeds.
             for checkout, commit in order[::-1] if seed % 2 else order:
                 try:
                     rec = record(checkout, commit, workload, seed, args.seconds,
