@@ -19,7 +19,9 @@ mode of that pass (not of its reference child).  `commit` is
 anything runs; a checkout git cannot describe is a usage error, and so
 is a seed listed twice or one the commit already has in the target
 file, since `--compare` needs one record per commit and seed.  A run
-with a failed operation is reported and not recorded.  Run from
+with a failed operation, or whose report is empty or has no result on
+its last line, is reported and not recorded, and the session goes on.
+Run from
 anywhere:
 
     python3 scripts/bench_record.py --seeds 1,2,3 --seconds 30
@@ -67,6 +69,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SLOWDOWN = (re.compile(r"= ([0-9.]+) x the reference"),
             re.compile(r"machine slowdown \(times are divided by it\)\s+([0-9.]+)"))
 MALLOC = re.compile(r"malloc=(\S+)")
+# What record reads of the result on the report's last line.
+RESULT_KEYS = frozenset({"attempted", "failed", "metrics"})
 
 # Units of the end-to-end metrics perfbench divides by the machine slowdown.
 TIME_UNITS = ("s", "ms")
@@ -94,9 +98,14 @@ def describe(checkout: Path) -> str:
 def parse_report(stdout: str) -> tuple[dict, float, str]:
     """The last-line JSON result, the machine slowdown and the malloc mode
     of one report; in a traced one, the first of each is the measured
-    pass's."""
+    pass's.  An empty report, or a last line that is not a result with
+    its operation counts and metrics, is a ValueError."""
     lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("report is empty")
     result = json.loads(lines[-1])
+    if not (isinstance(result, dict) and RESULT_KEYS <= result.keys()):
+        raise ValueError(f"report's last line is no result with {sorted(RESULT_KEYS)}")
     slowdown = malloc = None
     for line in lines[:-1]:
         for pattern in SLOWDOWN:

@@ -13,6 +13,7 @@ import numpy as np
 
 # A matrix is always a 2-D float64 ndarray.
 Matrix = np.ndarray
+_FLOAT64 = np.dtype(np.float64)
 
 # Seeded PCG64 generator; the only randomness source in the package.
 Rng = np.random.Generator
@@ -38,12 +39,23 @@ def make_rng(seed) -> Rng:
     return np.random.default_rng(seed)
 
 
+def _check_real(dtype: np.dtype, what: str) -> None:
+    """The one dtype rule for an array the package takes in: it casts
+    safely to float64 (bool, integers, floats up to 64 bits), else
+    TypeError naming the dtype.  Complex, longdouble, string, object and
+    datetime arrays would lose their imaginary part or precision, or be
+    parsed, on the way to float64.  A float64 dtype costs one comparison."""
+    if dtype != _FLOAT64 and not np.can_cast(dtype, _FLOAT64):
+        raise TypeError(f"{what} must be real, got dtype {dtype}, which does "
+                        "not cast safely to float64")
+
+
 def as_matrix(values) -> Matrix:
-    """Coerce to a 2-D float64 array, rejecting anything else: complex
-    input raises TypeError rather than lose its imaginary part."""
+    """Coerce to a 2-D float64 array, rejecting anything else: a dtype
+    that does not cast safely to float64 raises TypeError (_check_real)
+    rather than lose its imaginary part or precision, or be parsed."""
     m = np.asarray(values)
-    if np.iscomplexobj(m):
-        raise TypeError(f"expected a real matrix, got dtype {m.dtype}")
+    _check_real(m.dtype, "matrix")
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")

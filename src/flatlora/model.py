@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .linalg import Matrix, Rng, ShapeError, _sq_norm, as_matrix
+from .linalg import _FLOAT64, Matrix, Rng, ShapeError, _check_real, _sq_norm, as_matrix
 
 ACTIVATIONS = ("tanh", "relu", "identity")
 LOSS_KINDS = ("mse", "softmax-ce")
@@ -252,9 +252,6 @@ def _check_batch(net: Network, batch: Batch) -> None:
         )
 
 
-_FLOAT64 = np.dtype(np.float64)
-
-
 def _blas_operand(m: Matrix) -> tuple[Matrix, int]:
     """A float64 m as numpy's matmul hands it to column-major dgemm, with
     the trans flag: m itself for F order, m.T untransposed for C order,
@@ -333,12 +330,11 @@ def _add_product(x: Matrix, y: Matrix, out: Matrix,
 
 
 def _check_shift(shift, shape: tuple[int, int], what: str) -> None:
-    """A factor shift or weight offset is a real ndarray of the shape it
-    is added to; its dtype and layout are left as they are."""
+    """A factor shift or weight offset is a real ndarray (_check_real) of
+    the shape it is added to; its dtype and layout are left as they are."""
     if not isinstance(shift, np.ndarray):
         raise TypeError(f"{what} must be an ndarray, got {type(shift).__name__}")
-    if shift.dtype.kind not in "biuf":
-        raise TypeError(f"{what} must be real, got dtype {shift.dtype}")
+    _check_real(shift.dtype, what)
     if shift.shape != shape:
         raise ShapeError(f"{what} must be {shape}, got {shift.shape}")
 

@@ -74,6 +74,40 @@ def test_recorder_parses_a_report():
     assert result["metrics"]["run_s"]["value"] == 0.5
 
 
+def test_recorder_reports_an_empty_or_resultless_report_and_goes_on(
+        tmp_path, monkeypatch, capsys):
+    """A perfbench run that exits 0 with no output, or whose last line is
+    a result without its failed count, is reported as not recorded and
+    the remaining seeds still run: neither stops the session."""
+    recorder = load_recorder()
+    good = (
+        "workload eval-run seed 3 seconds 2  OPENBLAS_NUM_THREADS=1 "
+        "malloc=fixed nproc=2\n"
+        "  machine slowdown   calibration median 361.2 us over 40 calls = "
+        "1.0033 x the reference 360 us; times below are divided by 1.0033\n"
+        + json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                      "metrics": {"run_s": {"value": 0.5, "unit": "s"}}})
+    )
+    resultless = good.rsplit("\n", 1)[0] + '\n{"correct": true, "attempted": 3}'
+    reports = iter(["", resultless, good])
+
+    def fake_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, stdout=next(reports), stderr="")
+
+    monkeypatch.setattr(recorder, "describe", lambda checkout: "abc1234")
+    monkeypatch.setattr(recorder.subprocess, "run", fake_run)
+    named = recorder.bench_path
+    monkeypatch.setattr(recorder, "bench_path",
+                        lambda workload, trace=0: tmp_path / named(workload, trace).name)
+    assert recorder.main(["--seeds", "1,2,3", "--seconds", "2",
+                          "--workloads", "eval-run"]) == 1
+    err = capsys.readouterr().err
+    assert "abc1234 eval-run seed 1: not recorded: report is empty" in err
+    assert "abc1234 eval-run seed 2: not recorded: report's last line is no result" in err
+    records = json.loads((tmp_path / "BENCH_eval-run.json").read_text())
+    assert [(r["seed"], r["metrics"]) for r in records] == [(3, {"run_s": 0.5})]
+
+
 @pytest.mark.parametrize("args", [
     ["--seeds", "1,x"],
     ["--seeds", ""],

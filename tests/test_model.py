@@ -221,19 +221,29 @@ def test_forward_with_offsets_validation():
 NOT_REAL_ARRAYS = {
     "complex": (lambda x: x * (1 + 1j), "must be real, got dtype complex128"),
     "list": (lambda x: x.tolist(), "must be an ndarray, got list"),
+    "longdouble": (lambda x: x.astype(np.longdouble),
+                   f"must be real, got dtype {np.dtype(np.longdouble)}"),
 }
+
+
+def not_real_array(bad):
+    """NOT_REAL_ARRAYS[bad], skipped where np.longdouble is float64."""
+    if bad == "longdouble" and np.dtype(np.longdouble) == np.float64:
+        pytest.skip("np.longdouble is float64 on this platform")
+    return NOT_REAL_ARRAYS[bad]
 
 
 @pytest.mark.parametrize("k", [3, 20], ids=["factored", "merged"])
 @pytest.mark.parametrize("bad", sorted(NOT_REAL_ARRAYS))
 def test_forward_with_offsets_refuses_a_complex_or_list_offset(bad, k):
-    """A complex or list offset raises TypeError on either route, before
-    the sweep reads it: not an AttributeError for a list, nor a cast or
-    AccumulationError from inside the sweep for a complex array."""
+    """A complex, list or longdouble offset raises TypeError on either
+    route, before the sweep reads it: not an AttributeError for a list,
+    nor a cast or AccumulationError from inside the sweep for a complex
+    or longdouble array."""
     net = small_net()
     batch = random_batch(net, k=k)
     assert {_merged(layer, k) for layer in net.layers} == {k == 20}
-    make, message = NOT_REAL_ARRAYS[bad]
+    make, message = not_real_array(bad)
     offsets = [None, make(np.ones_like(net.layers[1].w0))]
     with pytest.raises(TypeError, match=f"offset 1 {message}"):
         forward_with_offsets(net, batch, offsets)
@@ -1037,17 +1047,18 @@ def test_apply_perturbation_is_all_or_nothing(bad):
 @pytest.mark.parametrize("k", [3, 20], ids=["factored", "merged"])
 @pytest.mark.parametrize("bad", sorted(NOT_REAL_ARRAYS))
 def test_apply_perturbation_refuses_a_complex_or_list_shift(bad, k):
-    """A complex or list shift raises TypeError before any factor moves,
-    also through PerturbState.apply, and the next forward reads the loss
-    it read before.  A complex b would make the merged route return a
-    real loss from a complex network and the factored route raise
-    AccumulationError at the next forward."""
+    """A complex, list or longdouble shift raises TypeError before any
+    factor moves, also through PerturbState.apply, and the next forward
+    reads the loss it read before.  A complex b would make the merged
+    route return a real loss from a complex network and the factored
+    route raise AccumulationError at the next forward; a longdouble one
+    would turn b into longdouble until reverted."""
     net = small_net()
     batch = random_batch(net, k=k)
     assert {_merged(layer, k) for layer in net.layers} == {k == 20}
     _, loss = forward(net, batch)
     originals = [(layer.b, layer.a) for layer in net.layers]
-    make, message = NOT_REAL_ARRAYS[bad]
+    make, message = not_real_array(bad)
     e_b = [np.ones_like(layer.b) for layer in net.layers]
     e_a = [np.ones_like(net.layers[0].a), make(np.ones_like(net.layers[1].a))]
     with pytest.raises(TypeError, match=f"e_a\\[1\\] {message}"):

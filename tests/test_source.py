@@ -2,8 +2,9 @@
 scripts or the demos imports is used, no package module reduces through a
 BLAS dot, the self-checks, the diagnostics and the tests' running worst
 residuals reduce nothing through the builtin max,
-every name the benchmark's tracer wraps is bound where it looks it up, and
-the benchmark's own step calls still run."""
+every name the benchmark's tracer wraps is bound where it looks it up, the
+two it alone needs are called nowhere in the package, and the benchmark's
+own step calls still run."""
 
 import ast
 import importlib.util
@@ -175,10 +176,39 @@ def test_tests_reduce_no_worst_through_the_builtin_max():
     assert hits == []
 
 
+TRACER_ONLY = ("cho_factor", "cho_solve")
+
+
+def calls_of(source: str, names) -> list[str]:
+    """Calls of any of names, bare or as an attribute."""
+    return [f"{ast.unparse(node)} (line {node.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in names]
+
+
+def test_package_calls_no_tracer_only_name():
+    """optimizers.cho_factor and cho_solve are bound only for perfbench's
+    tracer to wrap; nothing in the package calls them, so their traced
+    metrics read 0 because nothing runs there.  The scan finds a bare and
+    an attribute call, and not the binding."""
+    source = (
+        "x = cho_factor(g)\ny = scipy.linalg.cho_solve(f, m)\n"
+        "cho_factor, cho_solve = s.cho_factor, s.cho_solve\nz = solve(g)\n"
+    )
+    assert calls_of(source, TRACER_ONLY) == [
+        "cho_factor(g) (line 1)", "scipy.linalg.cho_solve(f, m) (line 2)"]
+    hits = [f"{path.name}: {hit}" for path in sorted(PACKAGE_DIR.glob("*.py"))
+            for hit in calls_of(path.read_text(encoding="utf-8"), TRACER_ONLY)]
+    assert hits == []
+
+
 def test_tracer_patch_targets_are_bound():
     """perfbench/tracer.py looks each wrapped name up with
-    vars(owner)[attr]; a name it wraps that a module no longer binds (say
-    optimizers.cho_factor) would crash a traced benchmark run."""
+    vars(owner)[attr]; a name it wraps that a module no longer binds
+    would crash a traced benchmark run.  optimizers.cho_factor and
+    optimizers.cho_solve are such names, bound for the tracer alone
+    (test_package_calls_no_tracer_only_name)."""
     tracer = load_perfbench_module("perfbench_tracer", TRACER)
     unbound = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _ in tracer.patch_targets(flatlora)
