@@ -1,4 +1,4 @@
-"""Print the sha256 of the CSV and summary JSON of the 16 replay runs, and
+"""Print the sha256 of the CSV and summary JSON of the 20 replay runs, and
 of the stdout of `flatlora verify` and of each demo.
 
 Each of the four optimizer kinds runs at three configs: the default and a

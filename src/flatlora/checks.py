@@ -4,6 +4,11 @@ Each shared check draws its own cases and returns its worst residuals:
 verify() runs it small for `flatlora verify`, and the acceptance suite
 runs it on many more cases under its own seeds and tolerances.  Checks
 only verify() runs live in its body.
+
+Four oracles are defined here once, for verify() and the tests alike:
+central_difference, reference_plan (the dense reconstruct ->
+sam_direction -> transfer route), qr_pseudo_inverse and
+pinv_factors_agreement.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from .harness import (CSV_HEADER, ExperimentConfig, _build_student, _raising_err
                       generate_task, make_step, run_experiment, run_paths, train_kinds)
 from .linalg import (DEFAULT_TOL, Rng, _sq_norm, _worst, _worst_abs, col_space_projector,
                      make_rng, pseudo_inverse, row_space_projector)
-from .model import (Batch, LoRALinear, Network, apply_b_perturbation, backward, build_network,
-                    forward)
+from .model import (Batch, GradientSet, LoRALinear, Network, apply_b_perturbation, backward,
+                    build_network, forward)
 from .optimizers import (OPTIMIZER_KINDS, BaseUpdateConfig, _pinv_factors, base_update,
                          full_to_lowrank_perturbation, init_sgd_state,
                          perturbation_from_gradients, reconstruct_full_gradient, rho_at,
@@ -50,6 +55,66 @@ def random_batch(rng: Rng, net: Network, k: int = 6) -> Batch:
     else:
         targets = rng.standard_normal((net.out_dim, k))
     return Batch(inputs=rng.standard_normal((net.in_dim, k)), targets=targets)
+
+
+def central_difference(net: Network, batch: Batch, mat: np.ndarray,
+                       eps: float = 1e-6) -> np.ndarray:
+    """Central differences (loss(+eps) - loss(-eps)) / (2 eps) of net's loss
+    on batch in each entry of mat, one of net's parameter arrays, walked
+    in np.ndindex order; each entry is put back exactly."""
+    numeric = np.zeros_like(mat)
+    for idx in np.ndindex(*mat.shape):
+        orig = mat[idx]
+        mat[idx] = orig + eps
+        _, up = forward(net, batch)
+        mat[idx] = orig - eps
+        _, down = forward(net, batch)
+        mat[idx] = orig
+        numeric[idx] = (up - down) / (2.0 * eps)
+    return numeric
+
+
+def reference_plan(net: Network, grads: GradientSet,
+                   rho: float) -> tuple[list[np.ndarray], list[np.ndarray], tuple[int, ...]]:
+    """The dense route the steps' plan must reproduce, layer by layer:
+    reconstruct the full gradient, scale it to rho (sam_direction) and
+    transfer it onto b.  Returns (e_w_bar, e_b, degenerate_layers)."""
+    e_w_bar, e_b, degenerate = [], [], []
+    for i, layer in enumerate(net.layers):
+        direction, flat = sam_direction(reconstruct_full_gradient(
+            grads.grad_b[i], grads.grad_a[i], layer.a, layer.b, layer.scale), rho)
+        if flat:
+            degenerate.append(i)
+        e_w_bar.append(direction)
+        e_b.append(full_to_lowrank_perturbation(direction, layer.a, layer.scale))
+    return e_w_bar, e_b, tuple(degenerate)
+
+
+def qr_pseudo_inverse(m: np.ndarray, tol: float) -> np.ndarray:
+    """m^+ as q @ t from the steps' QR route (_pinv_factors, looked up in
+    this module), which takes a wide factor: a tall m goes in as its
+    transpose."""
+    tall = m.shape[0] > m.shape[1]
+    q, t = _pinv_factors(m.T if tall else m, tol)
+    p = q @ t
+    return p.T if tall else p
+
+
+def pinv_factors_agreement(rng: Rng, n_cases: int) -> float:
+    """Worst entry of qr_pseudo_inverse - pseudo_inverse over n_cases
+    random shapes up to 8 x 8, every fourth with a zero row and the first
+    all zero."""
+    worst = 0.0
+    for trial in range(n_cases):
+        rows = int(rng.integers(1, 9))
+        cols = int(rng.integers(1, 9))
+        m = rng.standard_normal((rows, cols))
+        if trial % 4 == 0:
+            m[0, :] = 0.0
+        if trial == 0:
+            m = np.zeros((rows, cols))
+        worst = _worst(worst, _worst_abs(qr_pseudo_inverse(m, DEFAULT_TOL) - pseudo_inverse(m)))
+    return worst
 
 
 def algebraic_core(rng: Rng, n_cases: int) -> tuple[float, float, float]:
@@ -107,7 +172,6 @@ def gradient_fidelity(rng: Rng, n_nets: int) -> tuple[float, float]:
     the merged-weight gradient, so the identity holds by construction
     there and the central differences are that layer's check."""
     fd_rel = chain = 0.0
-    eps = 1e-6
     for trial in range(n_nets):
         depth = int(rng.integers(2, 4))
         dims = [int(rng.integers(2, 6)) for _ in range(depth + 1)]
@@ -119,16 +183,10 @@ def gradient_fidelity(rng: Rng, n_nets: int) -> tuple[float, float]:
         grads = backward(net, batch, want_full=True)
         for li, layer in enumerate(net.layers):
             for mat, grad in ((layer.b, grads.grad_b[li]), (layer.a, grads.grad_a[li])):
+                numeric = central_difference(net, batch, mat)
                 for idx in np.ndindex(*mat.shape):
-                    orig = mat[idx]
-                    mat[idx] = orig + eps
-                    _, up = forward(net, batch)
-                    mat[idx] = orig - eps
-                    _, down = forward(net, batch)
-                    mat[idx] = orig
-                    numeric = (up - down) / (2.0 * eps)
-                    denom = _worst(abs(numeric), abs(grad[idx]), 1e-8)
-                    fd_rel = _worst(fd_rel, abs(numeric - grad[idx]) / denom)
+                    denom = _worst(abs(numeric[idx]), abs(grad[idx]), 1e-8)
+                    fd_rel = _worst(fd_rel, abs(numeric[idx] - grad[idx]) / denom)
             gw = grads.grad_w[li]
             chain = _worst(chain, _worst_abs(grads.grad_b[li] - layer.scale * (gw @ layer.a.T),
                                              grads.grad_a[li] - layer.scale * (layer.b.T @ gw)))
@@ -291,22 +349,7 @@ def verify() -> VerifyReport:
     penrose, projector, core_match = algebraic_core(rng, 30)
     add("pseudo_inverse_moore_penrose", penrose, 1e-9)
 
-    # The QR route the steps run agrees with the SVD route everywhere; it
-    # takes a wide factor, so a tall matrix goes in as its transpose.
-    worst = 0.0
-    for trial in range(30):
-        rows = int(rng.integers(1, 9))
-        cols = int(rng.integers(1, 9))
-        m = rng.standard_normal((rows, cols))
-        if trial % 4 == 0:
-            m[0, :] = 0.0
-        if trial == 0:
-            m = np.zeros((rows, cols))
-        tall = rows > cols
-        q, t = _pinv_factors(m.T if tall else m, DEFAULT_TOL)
-        p = q @ t
-        worst = _worst(worst, _worst_abs((p.T if tall else p) - pseudo_inverse(m)))
-    add("pinv_factors_agreement", worst, 1e-9)
+    add("pinv_factors_agreement", pinv_factors_agreement(rng, 30), 1e-9)
     add("row_projector_properties", projector, 1e-10)
 
     fd_rel, chain = gradient_fidelity(rng, 3)
@@ -323,12 +366,10 @@ def verify() -> VerifyReport:
         batch_t = random_batch(rng, net_t)
         grads_t = backward(net_t, batch_t)
         plan = perturbation_from_gradients(net_t, grads_t, rho=0.1)
-        for li, layer in enumerate(net_t.layers):
-            e_w_bar, _ = sam_direction(reconstruct_full_gradient(
-                grads_t.grad_b[li], grads_t.grad_a[li], layer.a, layer.b, layer.scale
-            ), 0.1)
+        e_w_bar, _, _ = reference_plan(net_t, grads_t, 0.1)
+        for li, e_w in enumerate(e_w_bar):
             diff, unproj = diagnostics.loss_match_residual(
-                net_t, batch_t, li, e_w_bar, plan.e_b[li]
+                net_t, batch_t, li, e_w, plan.e_b[li]
             )
             worst = _worst(worst, diff)
             residual_info = _worst(residual_info, unproj)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from flatlora import diagnostics
-from flatlora.checks import random_batch, random_net
+from flatlora.checks import random_batch, random_net, reference_plan
 from flatlora.linalg import NumericalError, ShapeError, make_rng
 from flatlora.model import (
     Batch,
@@ -38,8 +38,6 @@ from flatlora.optimizers import (
     init_perturb_state,
     init_sgd_state,
     perturbation_from_gradients,
-    reconstruct_full_gradient,
-    sam_direction,
 )
 
 
@@ -376,12 +374,7 @@ def plan_and_directions(net, batch, rho):
     transfers, taken by the reference route (reconstruct, normalise)."""
     grads = backward(net, batch)
     plan = perturbation_from_gradients(net, grads, rho)
-    e_w_bar = [
-        sam_direction(reconstruct_full_gradient(gb, ga, layer.a, layer.b, layer.scale),
-                      rho)[0]
-        for gb, ga, layer in zip(grads.grad_b, grads.grad_a, net.layers)
-    ]
-    return plan, e_w_bar
+    return plan, reference_plan(net, grads, rho)[0]
 
 
 def test_loss_match_projected_difference_vanishes():

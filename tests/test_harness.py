@@ -37,6 +37,7 @@ from flatlora.model import PerturbationHandle, forward
 from flatlora.optimizers import (
     OPTIMIZER_KINDS,
     BaseUpdateConfig,
+    StepStats,
     eflat_lora_step,
     flat_lora_step,
     init_perturb_state,
@@ -164,6 +165,29 @@ def test_validate_and_the_owners_apply_one_rule(name, owners, rejected, accepted
         ExperimentConfig(**{name: value}).validate()
         for owner in owners:
             owner(value)
+
+
+# Per field, a value validate refuses with every other field at its
+# default, and the fields it names: no rank fits a zero-width layer, so a
+# zero dim names the rank too.
+BAD_FIELDS = [
+    ("task", "regression", ["task"]),
+    ("layer_dims", [16], ["layer_dims"]),
+    ("layer_dims", [16, 0, 4], ["layer_dims", "rank"]),
+    ("rho_schedule", "linear", ["rho_schedule"]),
+    ("batch_size", 0, ["batch_size"]),
+    ("n_batches", 0, ["n_batches"]),
+    ("steps", -1, ["steps"]),
+    ("eval_every", 0, ["eval_every"]),
+]
+
+
+@pytest.mark.parametrize("name, value, fields", BAD_FIELDS,
+                         ids=[f"{name}={value}".replace(" ", "") for name, value, _ in BAD_FIELDS])
+def test_validate_names_each_bad_field(name, value, fields):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(**{name: value}).validate()
+    assert err.value.fields == fields
 
 
 def test_task_specific_validation():
@@ -457,6 +481,26 @@ def test_divergence_stops_at_the_first_floating_point_error(kind):
     assert isinstance(err.value.__cause__, FloatingPointError)
     assert str(err.value) == (
         f"aborted at step {err.value.step}: {err.value.__cause__}")
+
+
+def test_run_aborts_on_a_nan_training_loss(monkeypatch):
+    """A step that returns a NaN loss without raising ends the run at
+    that step."""
+    stats = StepStats(grad_evals=1, loss_original=math.nan, loss_perturbed=math.nan,
+                      perturb_norm=0.0)
+    monkeypatch.setattr(harness, "lora_step", lambda *args: stats)
+    with pytest.raises(ExperimentAbort, match="training loss is nan") as err:
+        run_experiment(tiny_config(optimizer="lora"))
+    assert err.value.step == 1
+
+
+def test_run_aborts_on_a_nan_eval_loss(monkeypatch):
+    """A sharpness probe that returns a NaN loss without raising ends the
+    run at the first evaluation."""
+    monkeypatch.setattr(diagnostics, "sam_probe", lambda *args: (math.nan, 0.0))
+    with pytest.raises(ExperimentAbort, match="eval loss is nan") as err:
+        run_experiment(tiny_config(optimizer="lora", eval_every=5))
+    assert err.value.step == 5
 
 
 def test_sweep_writes_one_file_pair_per_seed(tmp_path):

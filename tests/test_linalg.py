@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+from flatlora.checks import pinv_factors_agreement, qr_pseudo_inverse
 from flatlora.linalg import (
     DEFAULT_TOL,
     NumericalError,
+    ShapeError,
     _sq_norm,
     _worst,
     _worst_abs,
@@ -18,7 +20,6 @@ from flatlora.linalg import (
     pseudo_inverse,
     row_space_projector,
 )
-from flatlora.optimizers import _pinv_factors
 
 MP_TOL = 1e-9
 PROJ_TOL = 1e-10
@@ -107,37 +108,24 @@ def test_pseudo_inverse_involution():
         assert np.max(np.abs(pseudo_inverse(pseudo_inverse(m)) - m)) < 1e-9
 
 
-def qr_pseudo_inverse(m, tol=DEFAULT_TOL):
-    """m^+ as q @ t from the steps' QR route, which takes a wide factor: a
-    tall m goes in as its transpose."""
-    tall = m.shape[0] > m.shape[1]
-    q, t = _pinv_factors(m.T if tall else m, tol)
-    p = q @ t
-    return p.T if tall else p
-
-
-PINV_ROUTES = pytest.mark.parametrize("route", [qr_pseudo_inverse], ids=["qr"])
-
-
-@PINV_ROUTES
-def test_gram_pseudo_inverse_agrees_with_svd_route(route):
+def test_qr_pseudo_inverse_agrees_with_svd_route():
     rng = make_rng(6)
     worst = 0.0
     for m in random_cases(rng, 60):
-        worst = _worst(worst, _worst_abs(route(m) - pseudo_inverse(m)))
+        worst = _worst(worst, _worst_abs(qr_pseudo_inverse(m, DEFAULT_TOL) - pseudo_inverse(m)))
     assert worst < MP_TOL
 
 
-@PINV_ROUTES
-def test_gram_pseudo_inverse_fallback_paths(route):
-    # Exact zero (Cholesky fails outright; QR's |diag R| is all zero).
+def test_qr_pseudo_inverse_fallback_paths():
+    # Exact zero (QR's |diag R| is all zero, so the SVD route takes it).
     z = np.zeros((4, 2))
-    assert np.array_equal(route(z), np.zeros((2, 4)))
-    # Nearly dependent rows (factorisation succeeds but is not trusted).
+    assert np.array_equal(qr_pseudo_inverse(z, DEFAULT_TOL), np.zeros((2, 4)))
+    # Nearly dependent rows (|diag R| spans more than the guard, so the SVD
+    # route takes them too).
     rng = make_rng(7)
     base = rng.standard_normal(6)
     m = np.stack([base, base + 1e-13 * rng.standard_normal(6)])
-    p = route(m)
+    p = qr_pseudo_inverse(m, DEFAULT_TOL)
     assert np.max(np.abs(m @ p @ m - m)) < 1e-6  # rank-1 treatment, not a blow-up
     assert np.max(np.abs(p)) < 1e3
 
@@ -146,18 +134,13 @@ def test_qr_route_meets_verify_tolerance_on_verify_recipe():
     """3,000 draws of verify's pinv_factors_agreement recipe (shapes up to
     8 x 8, every fourth with a zero row, the first all zero): the steps'
     q @ t stays within verify's 1e-9 of the SVD route."""
-    rng = make_rng(5)
-    worst = 0.0
-    for trial in range(3000):
-        rows = int(rng.integers(1, 9))
-        cols = int(rng.integers(1, 9))
-        m = rng.standard_normal((rows, cols))
-        if trial % 4 == 0:
-            m[0, :] = 0.0
-        if trial == 0:
-            m = np.zeros((rows, cols))
-        worst = _worst(worst, _worst_abs(qr_pseudo_inverse(m) - pseudo_inverse(m)))
-    assert worst < MP_TOL
+    assert pinv_factors_agreement(make_rng(5), 3000) < MP_TOL
+
+
+def test_as_matrix_refuses_a_vector_or_a_3d_array():
+    for shape in ((3,), (2, 3, 4)):
+        with pytest.raises(ShapeError, match=f"got ndim={len(shape)}"):
+            as_matrix(np.ones(shape))
 
 
 def test_projector_properties():

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flatlora.checks import random_net
+from flatlora.checks import central_difference, random_net
 from flatlora.harness import ExperimentConfig, _raising_errstate, make_step
 from flatlora.linalg import ShapeError, make_rng
 from flatlora.model import (
@@ -31,7 +31,6 @@ from flatlora.model import (
 from flatlora.optimizers import init_perturb_state
 from flatlora import model
 
-FD_STEP = 1e-6
 FD_TOL = 1e-4
 
 
@@ -70,6 +69,8 @@ def test_layer_shape_validation():
         LoRALinear(w0=w0, b=np.zeros((4, 2)), a=np.zeros((2, 6)), scale=0.0)
     with pytest.raises(ShapeError):
         LoRALinear(w0=w0, b=np.zeros((4, 0)), a=np.zeros((0, 6)), scale=1.0)
+    with pytest.raises(ShapeError, match=r"a must be \(2, 6\), got \(2, 5\)"):
+        LoRALinear(w0=w0, b=np.zeros((4, 2)), a=np.zeros((2, 5)), scale=1.0)
 
 
 def test_network_adjacency_validation():
@@ -84,6 +85,11 @@ def test_network_adjacency_validation():
         Network(layers=[l1], loss_kind="hinge")
     with pytest.raises(ShapeError):
         build_network([5], rank=1, scale=1.0, rng=rng)
+    with pytest.raises(ShapeError, match="at least one layer"):
+        Network(layers=[])
+    with pytest.raises(ShapeError, match=r"w0\[1\] must be \(3, 4\), got \(4, 3\)"):
+        build_network([5, 4, 3], rank=1, scale=1.0, rng=rng,
+                      w0_list=[np.zeros((4, 5)), np.zeros((4, 3))])
 
 
 def test_batch_validation():
@@ -251,23 +257,6 @@ def test_forward_with_offsets_refuses_a_complex_or_list_offset(bad, k):
 
 # ------------------------------------------------------------------ backward
 
-def fd_gradient(net, batch, layer_index, which, step=FD_STEP):
-    """Central finite differences through the loss, entry by entry."""
-    layer = net.layers[layer_index]
-    target = layer.b if which == "b" else layer.a
-    grad = np.zeros_like(target)
-    for i in range(target.shape[0]):
-        for j in range(target.shape[1]):
-            old = target[i, j]
-            target[i, j] = old + step
-            _, up = forward(net, batch)
-            target[i, j] = old - step
-            _, down = forward(net, batch)
-            target[i, j] = old
-            grad[i, j] = (up - down) / (2.0 * step)
-    return grad
-
-
 @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
 @pytest.mark.parametrize("loss", ["mse", "softmax-ce"])
 def test_backward_matches_finite_differences(activation, loss):
@@ -276,9 +265,9 @@ def test_backward_matches_finite_differences(activation, loss):
     grads = backward(net, batch)
     _, loss_val = forward(net, batch)
     assert abs(grads.loss - loss_val) < 1e-14
-    for idx in range(len(net.layers)):
+    for idx, layer in enumerate(net.layers):
         for which, got in (("b", grads.grad_b[idx]), ("a", grads.grad_a[idx])):
-            want = fd_gradient(net, batch, idx, which)
+            want = central_difference(net, batch, getattr(layer, which))
             denom = max(np.max(np.abs(want)), 1e-12)
             assert np.max(np.abs(got - want)) / denom < FD_TOL, (
                 f"layer {idx} grad_{which} mismatch under {activation}/{loss}"
@@ -290,18 +279,8 @@ def test_merged_gradient_matches_finite_differences():
     net = small_net(seed=41)
     batch = random_batch(net, seed=41)
     grads = backward(net, batch, want_full=True)
-    step = FD_STEP
     for idx, layer in enumerate(net.layers):
-        want = np.zeros_like(layer.w0)
-        for i in range(layer.w0.shape[0]):
-            for j in range(layer.w0.shape[1]):
-                old = layer.w0[i, j]
-                layer.w0[i, j] = old + step
-                _, up = forward(net, batch)
-                layer.w0[i, j] = old - step
-                _, down = forward(net, batch)
-                layer.w0[i, j] = old
-                want[i, j] = (up - down) / (2.0 * step)
+        want = central_difference(net, batch, layer.w0)
         denom = max(np.max(np.abs(want)), 1e-12)
         assert np.max(np.abs(grads.grad_w[idx] - want)) / denom < FD_TOL
 

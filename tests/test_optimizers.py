@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from flatlora.checks import reference_plan
 from flatlora.linalg import (
     _worst,
     _worst_abs,
@@ -156,30 +157,11 @@ def test_plan_matches_composed_reference_route():
     grads = backward(net, batch)
     rho = 0.2
     plan = perturbation_from_gradients(net, grads, rho)
-    for i, layer in enumerate(net.layers):
-        g_bar = reconstruct_full_gradient(
-            grads.grad_b[i], grads.grad_a[i], layer.a, layer.b, layer.scale
-        )
-        direction, degenerate = sam_direction(g_bar, rho)
-        assert not degenerate
-        e_b = full_to_lowrank_perturbation(direction, layer.a, layer.scale)
-        assert np.max(np.abs(plan.e_b[i] - e_b)) < 1e-12
+    _, e_b, degenerate = reference_plan(net, grads, rho)
+    assert degenerate == ()
+    for got, want in zip(plan.e_b, e_b):
+        assert np.max(np.abs(got - want)) < 1e-12
     assert plan.degenerate_layers == ()
-
-
-def _oracle_plan(net, grads, rho):
-    """Dense route: reconstruct, normalise, transfer, layer by layer."""
-    e_w_bar, e_b, degenerate = [], [], []
-    for i, layer in enumerate(net.layers):
-        g_bar = reconstruct_full_gradient(
-            grads.grad_b[i], grads.grad_a[i], layer.a, layer.b, layer.scale
-        )
-        direction, flat = sam_direction(g_bar, rho)
-        if flat:
-            degenerate.append(i)
-        e_w_bar.append(direction)
-        e_b.append(full_to_lowrank_perturbation(direction, layer.a, layer.scale))
-    return e_w_bar, e_b, tuple(degenerate)
 
 
 def test_plan_normalizes_each_layer_to_rho():
@@ -189,7 +171,7 @@ def test_plan_normalizes_each_layer_to_rho():
     rho = 0.37
     grads = backward(net, batch)
     plan = perturbation_from_gradients(net, grads, rho)
-    e_w_bar, e_b, _ = _oracle_plan(net, grads, rho)
+    e_w_bar, e_b, _ = reference_plan(net, grads, rho)
     for e in e_w_bar:
         assert abs(np.linalg.norm(e) - rho) < 1e-10
     for got, want in zip(plan.e_b, e_b):
@@ -206,7 +188,7 @@ def test_plan_flags_degenerate_layers_at_exact_minimum():
     batch = Batch(inputs=inputs, targets=preds)
     grads = backward(net, batch)
     plan = perturbation_from_gradients(net, grads, rho=0.5)
-    e_w_bar, _, _ = _oracle_plan(net, grads, 0.5)
+    e_w_bar, _, _ = reference_plan(net, grads, 0.5)
     assert plan.degenerate_layers == tuple(range(len(net.layers)))
     for e_w, e_b in zip(e_w_bar, plan.e_b):
         assert np.array_equal(e_w, np.zeros_like(e_w))
@@ -248,7 +230,7 @@ def test_plan_handles_zero_b_factor_at_init():
     batch = make_batch(net, seed=9)
     grads = backward(net, batch)
     plan = perturbation_from_gradients(net, grads, rho=0.1)
-    e_w_bar, _, _ = _oracle_plan(net, grads, 0.1)
+    e_w_bar, _, _ = reference_plan(net, grads, 0.1)
     for e_w, e_b in zip(e_w_bar, plan.e_b):
         assert np.all(np.isfinite(e_w))
         assert np.all(np.isfinite(e_b))
@@ -277,8 +259,8 @@ _GUARD_FACTORS.update(
     "wide", "full-rank-square", "zero-b", "exact-minimum", *_GUARD_FACTORS,
 ], ids=lambda case: f"{case}-standard")
 def test_factored_plan_matches_dense_oracle(case, monkeypatch):
-    """The plan's e_b and its degenerate layers agree with the dense SVD reconstruct -> sam_direction -> transfer
-    route, on both sides of the QR -> SVD switch for a, which fires
+    """The plan's e_b and its degenerate layers agree with the dense SVD
+    reconstruct -> sam_direction -> transfer route, on both sides of the QR -> SVD switch for a, which fires
     exactly below the guard."""
     fallbacks = []
     original = optimizers.pseudo_inverse
@@ -310,7 +292,7 @@ def test_factored_plan_matches_dense_oracle(case, monkeypatch):
     elif _GUARD_FACTORS.get(case, 1.0) < 1.0:
         want_fallbacks = [layer.a.shape for layer in net.layers]
     assert fallbacks == want_fallbacks
-    _, e_b, degenerate = _oracle_plan(net, grads, 0.3)
+    _, e_b, degenerate = reference_plan(net, grads, 0.3)
     assert plan.degenerate_layers == degenerate
     assert degenerate == (
         tuple(range(len(net.layers))) if case == "exact-minimum" else ())

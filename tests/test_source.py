@@ -3,8 +3,9 @@ scripts or the demos imports is used, no package module reduces through a
 BLAS dot, the self-checks, the diagnostics and the tests' running worst
 residuals reduce nothing through the builtin max,
 every name the benchmark's tracer wraps is bound where it looks it up, the
-two it alone needs are called nowhere in the package, and the benchmark's
-own step calls still run."""
+two it alone needs are called nowhere in the package, each oracle of
+flatlora.checks is written out nowhere else, and the benchmark's own step
+calls still run."""
 
 import ast
 import importlib.util
@@ -201,6 +202,71 @@ def test_package_calls_no_tracer_only_name():
     hits = [f"{path.name}: {hit}" for path in sorted(PACKAGE_DIR.glob("*.py"))
             for hit in calls_of(path.read_text(encoding="utf-8"), TRACER_ONLY)]
     assert hits == []
+
+
+def functions_calling_all(source: str, names) -> list[str]:
+    """Functions whose body, nested functions included, calls every one of
+    names, bare or as an attribute."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef)
+            and set(names) <= {getattr(call.func, "id", getattr(call.func, "attr", None))
+                               for call in ast.walk(node) if isinstance(call, ast.Call)}]
+
+
+def plus_minus_steps(source: str) -> list[str]:
+    """Functions that set one subscript to x + e and also to x - e: the two
+    shifts of a central difference."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            shifts = {op: set() for op in (ast.Add, ast.Sub)}
+            for a in ast.walk(node):
+                if (isinstance(a, ast.Assign) and isinstance(a.targets[0], ast.Subscript)
+                        and isinstance(a.value, ast.BinOp) and type(a.value.op) in shifts):
+                    shifts[type(a.value.op)].add(
+                        tuple(map(ast.unparse, (a.targets[0], a.value.left, a.value.right))))
+            if shifts[ast.Add] & shifts[ast.Sub]:
+                hits.append(node.name)
+    return hits
+
+
+REFERENCE_ROUTE = ("reconstruct_full_gradient", "sam_direction")
+
+
+def test_oracle_scans_flag_only_a_copy():
+    source = (
+        "def route(g):\n    return sam_direction(o.reconstruct_full_gradient(*g), 0.1)\n"
+        "def half(g):\n    return reconstruct_full_gradient(*g)\n"
+        "def outer(g):\n    def inner():\n        return sam_direction(g, 0.1)\n"
+        "    return reconstruct_full_gradient(inner())\n"
+        "def fd(m, e):\n    for i in range(3):\n        x = m[i]\n"
+        "        m[i] = x + e\n        m[i] = x - e\n        m[i] = x\n"
+        "def shift(m, e):\n    m[0] = m[0] + e\n    m[1] = m[1] - e\n"
+        "def pinv(m):\n    return optimizers._pinv_factors(m.T, 1e-12)\n"
+        "bound = optimizers._pinv_factors\n"
+    )
+    assert functions_calling_all(source, REFERENCE_ROUTE) == ["route", "outer"]
+    assert functions_calling_all(source, ["_pinv_factors"]) == ["pinv"]
+    assert plus_minus_steps(source) == ["fd"]
+
+
+def test_each_oracle_has_one_definition():
+    """The dense reference route, the central-difference loop and the
+    tall-transpose call of _pinv_factors each live once, in flatlora.checks,
+    and every test calls that one (optimizers.py, where _pinv_factors
+    lives, is left out of its scan).  The demos are not scanned:
+    transfer_identity.py prints each step of the reference route."""
+    route, pinv, fd = [], [], []
+    for path in sorted([*PACKAGE_DIR.glob("*.py"), *(REPO_DIR / "tests").glob("*.py")]):
+        source = path.read_text(encoding="utf-8")
+        route += [f"{path.name}: {name}" for name in functions_calling_all(source, REFERENCE_ROUTE)]
+        fd += [f"{path.name}: {name}" for name in plus_minus_steps(source)]
+        if path.name != "optimizers.py":
+            pinv += [f"{path.name}: {name}"
+                     for name in functions_calling_all(source, ["_pinv_factors"])]
+    assert route == ["checks.py: reference_plan"]
+    assert pinv == ["checks.py: qr_pseudo_inverse"]
+    assert fd == ["checks.py: central_difference"]
 
 
 def test_tracer_patch_targets_are_bound():
