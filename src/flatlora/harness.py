@@ -7,6 +7,12 @@ config seed through named substreams, every norm is numpy's pairwise sum
 count, and the metrics CSV is written with round-trip float formatting, so
 an identical config and seed reproduces the file byte for byte.  The
 training loop reads no clock; only train_kinds times each step call.
+
+generate_task's teacher-student branch makes every draw in the calling
+thread, in stream order, and hands each train batch to one worker thread,
+which only adds the teacher's outputs into the batch's drawn noise while
+the next batch is drawn; no array of the task depends on how the two
+threads are scheduled.
 """
 
 from __future__ import annotations
@@ -16,7 +22,9 @@ import hashlib
 import json
 import math
 import os
+import queue
 import statistics
+import threading
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -117,7 +125,8 @@ class ExperimentConfig:
         if self.rho_schedule not in RHO_SCHEDULES + ("auto",):
             problems["rho_schedule"] = f"must be 'auto' or one of {RHO_SCHEDULES}"
         # Each rule below is the check its runtime owner makes on the way in,
-        # and the message is the owner's.
+        # and the message is the owner's.  No rank fits a bad layer_dims, so
+        # the rank is checked only against good ones.
         for name, check in (("rank", self._check_layer_ranks),
                             ("scale", lambda: _check_scale(self.scale)),
                             ("learning_rate", lambda: _check_learning_rate(self.learning_rate)),
@@ -127,6 +136,8 @@ class ExperimentConfig:
                             ("beta", lambda: _check_beta(self.beta)),
                             ("direction_variant", lambda: _check_variant(self.direction_variant)),
                             ("svd_tol", lambda: _check_tol(self.svd_tol))):
+            if name == "rank" and "layer_dims" in problems:
+                continue
             try:
                 check()
             except ValueError as exc:
@@ -261,6 +272,26 @@ def _dense_forward(weights: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     return h
 
 
+def _add_teacher_outputs(
+    teacher: list[np.ndarray],
+    jobs: queue.SimpleQueue,
+    errstate: dict,
+    errors: list[BaseException],
+) -> None:
+    """generate_task's worker: for each (x, targets) taken from jobs, in
+    order, add the teacher's output at x into targets, under the caller's
+    numpy error state, until None or an error in either thread.  Its own
+    error goes to errors.  It draws nothing and calls no name that a
+    tracer may wrap."""
+    try:
+        with np.errstate(**errstate):
+            while not errors and (job := jobs.get()) is not None:
+                x, targets = job
+                targets += _dense_forward(teacher, x)
+    except BaseException as exc:
+        errors.append(exc)
+
+
 def generate_task(cfg: ExperimentConfig) -> Task:
     """Deterministic synthetic data for the configured task kind.
 
@@ -281,21 +312,44 @@ def generate_task(cfg: ExperimentConfig) -> Task:
     dims = cfg.layer_dims
     rng = make_rng([cfg.seed, 0])
     if cfg.task == "teacher-student":
-        teacher = [
-            rng.standard_normal((n, m)) / np.sqrt(m)
-            for m, n in zip(dims, dims[1:])
-        ]
-        w0_list = [
-            w + 0.1 * rng.standard_normal(w.shape) / np.sqrt(w.shape[1])
-            for w in teacher
-        ]
+        teacher = []
+        for m, n in zip(dims, dims[1:]):
+            w = rng.standard_normal((n, m))
+            w /= np.sqrt(m)
+            teacher.append(w)
+        w0_list = []
+        for w in teacher:
+            d = rng.standard_normal(w.shape)
+            d *= 0.1
+            d /= np.sqrt(w.shape[1])
+            d += w
+            w0_list.append(d)
+        # A train target is t + noise_std * noise, which has the bits of the
+        # noise scaled in place with t added into it, since * and + commute
+        # exactly.  This thread draws every batch in stream order and scales
+        # its noise; one worker adds the teacher's t while the next is drawn.
+        jobs: queue.SimpleQueue = queue.SimpleQueue()
+        errors: list[BaseException] = []
+        worker = threading.Thread(target=_add_teacher_outputs,
+                                  args=(teacher, jobs, np.geterr(), errors))
+        worker.start()
         train = []
-        for _ in range(cfg.n_batches):
-            x = rng.standard_normal((dims[0], cfg.batch_size))
-            t = _dense_forward(teacher, x)
-            t = t + cfg.noise_std * rng.standard_normal(t.shape)
-            train.append(Batch(inputs=x, targets=t))
-        x_eval = rng.standard_normal((dims[0], cfg.batch_size))
+        try:
+            for _ in range(cfg.n_batches):
+                if errors:
+                    break
+                x = rng.standard_normal((dims[0], cfg.batch_size))
+                noise = rng.standard_normal((dims[-1], cfg.batch_size))
+                noise *= cfg.noise_std
+                jobs.put((x, noise))
+                train.append(Batch(inputs=x, targets=noise))
+            x_eval = rng.standard_normal((dims[0], cfg.batch_size))
+        except BaseException as exc:
+            errors.append(exc)
+        jobs.put(None)
+        worker.join()
+        if errors:
+            raise errors[0]
         eval_batch = Batch(inputs=x_eval, targets=_dense_forward(teacher, x_eval))
         return Task(
             train_batches=train,

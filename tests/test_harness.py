@@ -7,6 +7,8 @@ import dataclasses
 import json
 import math
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -32,7 +34,7 @@ from flatlora.harness import (
     sweep,
     train_kinds,
 )
-from flatlora.linalg import ShapeError
+from flatlora.linalg import ShapeError, make_rng
 from flatlora.model import PerturbationHandle, forward
 from flatlora.optimizers import (
     OPTIMIZER_KINDS,
@@ -168,12 +170,12 @@ def test_validate_and_the_owners_apply_one_rule(name, owners, rejected, accepted
 
 
 # Per field, a value validate refuses with every other field at its
-# default, and the fields it names: no rank fits a zero-width layer, so a
-# zero dim names the rank too.
+# default, and the fields it names: a zero dim names layer_dims alone, as
+# the rank is checked only against good layer_dims.
 BAD_FIELDS = [
     ("task", "regression", ["task"]),
     ("layer_dims", [16], ["layer_dims"]),
-    ("layer_dims", [16, 0, 4], ["layer_dims", "rank"]),
+    ("layer_dims", [16, 0, 4], ["layer_dims"]),
     ("rho_schedule", "linear", ["rho_schedule"]),
     ("batch_size", 0, ["batch_size"]),
     ("n_batches", 0, ["n_batches"]),
@@ -244,6 +246,10 @@ def test_generate_task_deterministic():
         assert np.array_equal(b1.inputs, b2.inputs)
         assert np.array_equal(b1.targets, b2.targets)
     assert np.array_equal(t1.eval_batch.inputs, t2.eval_batch.inputs)
+    assert np.array_equal(t1.eval_batch.targets, t2.eval_batch.targets)
+    assert len(t1.w0_list) == len(t2.w0_list) == len(cfg.layer_dims) - 1
+    for w1, w2 in zip(t1.w0_list, t2.w0_list):
+        assert np.array_equal(w1, w2)
     assert not np.array_equal(t1.train_batches[0].inputs,
                               generate_task(tiny_config(seed=4)).train_batches[0].inputs)
 
@@ -252,7 +258,8 @@ def test_generate_task_peaks_within_an_activation_of_the_task_it_returns():
     """The teacher's hidden outputs take their tanh in place, so at the
     default config generate_task's traced peak exceeds the bytes of the
     task it returns by no more than 1.05 of the largest activation (it
-    reads 1.02; 1.77 when each tanh made a fresh array)."""
+    reads 1.03 with the targets built on a worker thread, 1.02 in one
+    thread, 1.77 when each tanh made a fresh array)."""
     cfg = ExperimentConfig()
     generate_task(cfg)
     tracemalloc.start()
@@ -267,6 +274,158 @@ def test_generate_task_peaks_within_an_activation_of_the_task_it_returns():
             + sum(w.nbytes for w in task.w0_list))
     activation = max(cfg.layer_dims) * cfg.batch_size * 8
     assert peak - held <= 1.05 * activation
+
+
+def serial_teacher_student(cfg: ExperimentConfig):
+    """The teacher-student task drawn and built in one thread, each array
+    a fresh result as generate_task once built them: the oracle for the
+    bytes of its train batches, eval batch and w0_list."""
+    dims = cfg.layer_dims
+    rng = make_rng([cfg.seed, 0])
+    teacher = [rng.standard_normal((n, m)) / np.sqrt(m) for m, n in zip(dims, dims[1:])]
+    w0_list = [w + 0.1 * rng.standard_normal(w.shape) / np.sqrt(w.shape[1])
+               for w in teacher]
+    train = []
+    for _ in range(cfg.n_batches):
+        x = rng.standard_normal((dims[0], cfg.batch_size))
+        t = harness._dense_forward(teacher, x)
+        train.append((x, t + cfg.noise_std * rng.standard_normal(t.shape)))
+    x_eval = rng.standard_normal((dims[0], cfg.batch_size))
+    return train, (x_eval, harness._dense_forward(teacher, x_eval)), w0_list
+
+
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"layer_dims": [256, 256, 64], "rank": 8, "batch_size": 64},
+    {"layer_dims": [16, 16, 16, 4]},
+    {"n_batches": 1},
+    {"noise_std": 0.0},
+], ids=["default", "wide", "three-layers", "one-batch", "no-noise"])
+def test_teacher_student_task_has_the_bytes_of_one_thread(overrides):
+    cfg = ExperimentConfig(**overrides)
+    task = generate_task(cfg)
+    train, (x_eval, t_eval), w0_list = serial_teacher_student(cfg)
+    assert len(task.train_batches) == len(train) == cfg.n_batches
+    for batch, (x, t) in zip(task.train_batches, train):
+        assert same_bytes(batch.inputs, x) and same_bytes(batch.targets, t)
+    assert same_bytes(task.eval_batch.inputs, x_eval)
+    assert same_bytes(task.eval_batch.targets, t_eval)
+    assert len(task.w0_list) == len(w0_list)
+    assert all(same_bytes(w, v) for w, v in zip(task.w0_list, w0_list))
+
+
+def raised_within(fn, seconds: float = 60.0) -> BaseException | None:
+    """What fn() raised (None if it returned), run in a daemon thread
+    joined with a timeout, so a hang fails the test instead of stalling
+    the suite."""
+    raised = []
+
+    def body():
+        try:
+            fn()
+        except BaseException as exc:
+            raised.append(exc)
+        else:
+            raised.append(None)
+
+    runner = threading.Thread(target=body, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), f"no return within {seconds} s"
+    return raised[0]
+
+
+def test_generate_task_propagates_a_worker_error_and_leaves_no_thread(monkeypatch):
+    def failing_forward(weights, x):
+        raise RuntimeError("teacher forward failed")
+
+    monkeypatch.setattr(harness, "_dense_forward", failing_forward)
+    threads = threading.active_count()
+    exc = raised_within(lambda: generate_task(tiny_config(n_batches=6)))
+    assert isinstance(exc, RuntimeError) and str(exc) == "teacher forward failed"
+    assert threading.active_count() == threads
+
+
+class FailingGenerator:
+    """A generator whose draw number fail_at (0-based) raises; every
+    other draw is the wrapped generator's."""
+
+    def __init__(self, rng, fail_at: int):
+        self.rng, self.fail_at, self.draws = rng, fail_at, 0
+
+    def standard_normal(self, shape):
+        self.draws += 1
+        if self.draws > self.fail_at:
+            raise RuntimeError(f"draw {self.fail_at} failed")
+        return self.rng.standard_normal(shape)
+
+
+def test_generate_task_propagates_a_caller_error_and_leaves_no_thread(monkeypatch):
+    """The two-layer teacher and w0 take draws 0-3 and batch i draws
+    4 + 2i and 5 + 2i, so draw 8 is the third batch's input, after two
+    batches went to the worker."""
+    real_make_rng = harness.make_rng
+    monkeypatch.setattr(harness, "make_rng",
+                        lambda seed: FailingGenerator(real_make_rng(seed), fail_at=8))
+    threads = threading.active_count()
+    exc = raised_within(lambda: generate_task(tiny_config(n_batches=6)))
+    assert isinstance(exc, RuntimeError) and str(exc) == "draw 8 failed"
+    assert threading.active_count() == threads
+
+
+def test_concurrent_generate_task_calls_keep_their_bytes():
+    """Three callers at once, each with its own worker, under a 10 us
+    switch interval: every task still has the one-thread bytes."""
+    cfgs = [tiny_config(seed=seed, n_batches=5) for seed in (1, 2, 3)]
+    tasks = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=lambda c=c: tasks.update({c.seed: generate_task(c)}))
+                   for c in cfgs]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60.0)
+            assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for cfg in cfgs:
+        train, (x_eval, t_eval), _ = serial_teacher_student(cfg)
+        task = tasks[cfg.seed]
+        for batch, (x, t) in zip(task.train_batches, train, strict=True):
+            assert same_bytes(batch.inputs, x) and same_bytes(batch.targets, t)
+        assert same_bytes(task.eval_batch.targets, t_eval)
+
+
+def test_generate_task_worker_runs_under_the_callers_error_state(monkeypatch):
+    """The first teacher forward, always the worker's, overflows; under
+    over="raise" that is a FloatingPointError out of generate_task, as in
+    the one-thread oracle, and under numpy's default state a warning."""
+    def overflowing_once(real):
+        calls = []
+
+        def forward(weights, x):
+            calls.append(x)
+            out = real(weights, x)
+            return out * 1e308 * 1e308 if len(calls) == 1 else out
+        return forward
+
+    real_forward = harness._dense_forward
+    cfg = tiny_config()
+    for build in (generate_task, serial_teacher_student):
+        monkeypatch.setattr(harness, "_dense_forward", overflowing_once(real_forward))
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                build(cfg)
+    monkeypatch.setattr(harness, "_dense_forward", overflowing_once(real_forward))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        task = generate_task(cfg)
+    assert not np.all(np.isfinite(task.train_batches[0].targets))
 
 
 def test_teacher_student_noise_touches_train_targets_only():
