@@ -9,10 +9,11 @@ an identical config and seed reproduces the file byte for byte.  The
 training loop reads no clock; only train_kinds times each step call.
 
 generate_task's teacher-student branch makes every draw in the calling
-thread, in stream order, and hands each train batch to one worker thread,
-which only adds the teacher's outputs into the batch's drawn noise while
-the next batch is drawn; no array of the task depends on how the two
-threads are scheduled.
+thread, in stream order.  One worker thread only does arithmetic on the
+drawn arrays: it builds the teacher and w0 from their draws, then adds
+the teacher's outputs into each train batch's drawn noise while the next
+batch is drawn.  No array of the task depends on how the two threads are
+scheduled.
 """
 
 from __future__ import annotations
@@ -274,17 +275,27 @@ def _dense_forward(weights: list[np.ndarray], x: np.ndarray) -> np.ndarray:
 
 def _add_teacher_outputs(
     teacher: list[np.ndarray],
+    w0_list: list[np.ndarray],
     jobs: queue.SimpleQueue,
     errstate: dict,
     errors: list[BaseException],
 ) -> None:
-    """generate_task's worker: for each (x, targets) taken from jobs, in
-    order, add the teacher's output at x into targets, under the caller's
-    numpy error state, until None or an error in either thread.  Its own
-    error goes to errors.  It draws nothing and calls no name that a
-    tracer may wrap."""
+    """generate_task's worker, under the caller's numpy error state: build
+    the teacher and w0 in place from their draws, then for each
+    (x, targets) taken from jobs, in order, add the teacher's output at x
+    into targets, until None or an error in either thread.  Its own error
+    goes to errors.  It draws nothing and calls no name that a tracer may
+    wrap."""
     try:
         with np.errstate(**errstate):
+            # w / sqrt(m) and w + 0.1 * d / sqrt(m), each array's
+            # operations in the order the formula gives them (+ commutes).
+            for w, d in zip(teacher, w0_list):
+                root = np.sqrt(w.shape[1])
+                w /= root
+                d *= 0.1
+                d /= root
+                d += w
             while not errors and (job := jobs.get()) is not None:
                 x, targets = job
                 targets += _dense_forward(teacher, x)
@@ -312,26 +323,17 @@ def generate_task(cfg: ExperimentConfig) -> Task:
     dims = cfg.layer_dims
     rng = make_rng([cfg.seed, 0])
     if cfg.task == "teacher-student":
-        teacher = []
-        for m, n in zip(dims, dims[1:]):
-            w = rng.standard_normal((n, m))
-            w /= np.sqrt(m)
-            teacher.append(w)
-        w0_list = []
-        for w in teacher:
-            d = rng.standard_normal(w.shape)
-            d *= 0.1
-            d /= np.sqrt(w.shape[1])
-            d += w
-            w0_list.append(d)
+        teacher = [rng.standard_normal((n, m)) for m, n in zip(dims, dims[1:])]
+        w0_list = [rng.standard_normal(w.shape) for w in teacher]
         # A train target is t + noise_std * noise, which has the bits of the
         # noise scaled in place with t added into it, since * and + commute
-        # exactly.  This thread draws every batch in stream order and scales
-        # its noise; one worker adds the teacher's t while the next is drawn.
+        # exactly.  This thread makes every draw in stream order and scales
+        # each batch's noise; one worker builds the teacher and w0 from
+        # their draws, then adds each batch's t while the next is drawn.
         jobs: queue.SimpleQueue = queue.SimpleQueue()
         errors: list[BaseException] = []
         worker = threading.Thread(target=_add_teacher_outputs,
-                                  args=(teacher, jobs, np.geterr(), errors))
+                                  args=(teacher, w0_list, jobs, np.geterr(), errors))
         worker.start()
         train = []
         try:

@@ -278,8 +278,8 @@ def test_generate_task_peaks_within_an_activation_of_the_task_it_returns():
 
 def serial_teacher_student(cfg: ExperimentConfig):
     """The teacher-student task drawn and built in one thread, each array
-    a fresh result as generate_task once built them: the oracle for the
-    bytes of its train batches, eval batch and w0_list."""
+    a fresh result of its formula: the oracle for the bytes of
+    generate_task's train batches, eval batch and w0_list."""
     dims = cfg.layer_dims
     rng = make_rng([cfg.seed, 0])
     teacher = [rng.standard_normal((n, m)) / np.sqrt(m) for m, n in zip(dims, dims[1:])]
