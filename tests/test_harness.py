@@ -452,7 +452,6 @@ def test_matrix_factorization_loss_is_exact_quadratic():
     """With scaled-identity inputs the training loss equals half the squared
     Frobenius distance between the merged weight and the target."""
     from flatlora.harness import _build_student
-    from flatlora.linalg import make_rng
 
     cfg = tiny_config(task="matrix-factorization", layer_dims=[5, 4], rank=2,
                       optimizer="lora")
