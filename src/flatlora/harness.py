@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagnostics
-from .linalg import _check_tol, _sq_norm, make_rng
+from .linalg import _check_tol, make_rng
 from .model import Batch, Network, _check_rank, _check_scale, build_network, forward
 from .optimizers import (
     OPTIMIZER_KINDS,
@@ -57,7 +57,7 @@ from .optimizers import (
     rho_at,
 )
 
-TASK_KINDS = ("teacher-student", "two-cluster", "matrix-factorization")
+TASK_KINDS = ("teacher-student", "matrix-factorization")
 
 OUT_DIR_ENV_VAR = "FLATLORA_OUT_DIR"
 
@@ -119,8 +119,6 @@ class ExperimentConfig:
             problems["layer_dims"] = "need >= 2 positive dims"
         elif self.task == "matrix-factorization" and len(self.layer_dims) != 2:
             problems["layer_dims"] = "matrix-factorization uses exactly [in, out]"
-        elif self.task == "two-cluster" and self.layer_dims[-1] != 2:
-            problems["layer_dims"] = "two-cluster needs output dim 2"
         if self.optimizer not in OPTIMIZER_KINDS:
             problems["optimizer"] = f"must be one of {OPTIMIZER_KINDS}"
         if self.rho_schedule not in RHO_SCHEDULES + ("auto",):
@@ -311,9 +309,6 @@ def generate_task(cfg: ExperimentConfig) -> Task:
     the student's frozen base weights start near the teacher, so training
     mimics adapting a competent base model.
 
-    two-cluster: two Gaussian blobs with one-hot targets under softmax
-    cross-entropy.
-
     matrix-factorization: a single linear layer with zero base weight is
     trained to factor a rank-one target; inputs are sqrt(in_dim) times the
     identity, which makes the loss exactly half the squared Frobenius
@@ -359,32 +354,6 @@ def generate_task(cfg: ExperimentConfig) -> Task:
             w0_list=w0_list,
             activation="tanh",
             loss_kind="mse",
-        )
-    if cfg.task == "two-cluster":
-        direction = rng.standard_normal(dims[0])
-        direction /= math.sqrt(_sq_norm(direction))
-        separation = 6.0
-        centers = np.stack([0.5 * separation * direction, -0.5 * separation * direction])
-        w0_list = [
-            rng.standard_normal((n, m)) / np.sqrt(m)
-            for m, n in zip(dims, dims[1:])
-        ]
-
-        def draw(k: int) -> Batch:
-            labels = rng.integers(0, 2, size=k)
-            x = centers[labels].T + rng.standard_normal((dims[0], k))
-            t = np.zeros((2, k))
-            t[labels, np.arange(k)] = 1.0
-            return Batch(inputs=x, targets=t)
-
-        train = [draw(cfg.batch_size) for _ in range(cfg.n_batches)]
-        eval_batch = draw(cfg.batch_size)
-        return Task(
-            train_batches=train,
-            eval_batch=eval_batch,
-            w0_list=w0_list,
-            activation="tanh",
-            loss_kind="softmax-ce",
         )
     # matrix-factorization
     m, n = dims[0], dims[1]

@@ -253,7 +253,8 @@ def test_efficiency_ratios_on_default_config():
         ok,
         f"wall flat/lora={flat_ratio:.2f} in [1.6,2.4], "
         f"eflat/lora={eflat_ratio:.2f} in [0.95,1.4]; "
-        f"grad-eval ratios {flat_evals:.0f}x/{eflat_evals:.0f}x (exact)",
+        f"grad-eval ratios {flat_evals:.0f}x/{eflat_evals:.0f}x (exact); median ms/step "
+        + ", ".join(f"{e.optimizer}={e.median_step_ms:.3f}" for e in report.entries),
     )
 
 

@@ -174,6 +174,7 @@ def test_validate_and_the_owners_apply_one_rule(name, owners, rejected, accepted
 # the rank is checked only against good layer_dims.
 BAD_FIELDS = [
     ("task", "regression", ["task"]),
+    ("task", "two-cluster", ["task"]),
     ("layer_dims", [16], ["layer_dims"]),
     ("layer_dims", [16, 0, 4], ["layer_dims"]),
     ("rho_schedule", "linear", ["rho_schedule"]),
@@ -197,10 +198,6 @@ def test_task_specific_validation():
         ExperimentConfig(task="matrix-factorization", layer_dims=[4, 4, 4],
                          rank=2).validate()
     assert "layer_dims" in err.value.fields
-    with pytest.raises(ConfigError):
-        ExperimentConfig(task="two-cluster", layer_dims=[6, 5, 3],
-                         rank=2).validate()
-    ExperimentConfig(task="two-cluster", layer_dims=[6, 5, 2], rank=2).validate()
 
 
 def test_config_hash_excludes_seed_only():
@@ -436,16 +433,6 @@ def test_teacher_student_noise_touches_train_targets_only():
     assert not np.array_equal(clean.train_batches[0].targets,
                               noisy.train_batches[0].targets)
     assert clean.activation == "tanh" and clean.loss_kind == "mse"
-
-
-def test_two_cluster_targets_are_one_hot():
-    task = generate_task(tiny_config(task="two-cluster", layer_dims=[6, 5, 2]))
-    assert task.loss_kind == "softmax-ce"
-    for batch in task.train_batches + [task.eval_batch]:
-        assert batch.targets.shape[0] == 2
-        assert np.array_equal(np.sum(batch.targets, axis=0),
-                              np.ones(batch.targets.shape[1]))
-        assert set(np.unique(batch.targets)) <= {0.0, 1.0}
 
 
 def test_matrix_factorization_loss_is_exact_quadratic():

@@ -697,21 +697,6 @@ def test_ema_beta_one_keeps_only_latest():
 
 # -------------------------------------------------------------------- memory
 
-def test_memory_counts_formula():
-    rng = make_rng(21)
-    for _ in range(10):
-        depth = int(rng.integers(2, 5))
-        dims = [int(rng.integers(2, 10)) for _ in range(depth)]
-        rank = int(rng.integers(1, min(dims) + 1))
-        net = build_network(dims, rank=rank, scale=1.0, rng=rng)
-        trainable = sum(n * rank + rank * m for m, n in zip(dims, dims[1:]))
-        for kind, mult in (("lora", 0.0), ("lora-sam", 1.0),
-                           ("flat-lora", 1.5), ("eflat-lora", 2.0)):
-            counts = param_and_memory_counts(net, kind)
-            assert counts.trainable == trainable
-            assert counts.extra == mult * trainable
-
-
 def test_memory_counts_unknown_kind():
     net = make_net()
     with pytest.raises(ValueError):
