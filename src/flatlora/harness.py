@@ -85,11 +85,11 @@ def _raising_errstate() -> np.errstate:
     return np.errstate(over="raise", invalid="raise", divide="raise")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one run needs.  The config hash covers every field except
-    the seed, so sweeps over seeds share a hash and runs land in files
-    named <hash>_<seed>.csv."""
+    """Everything one run needs, checked when made and frozen.  The config
+    hash covers every field except the seed, so sweeps over seeds share a
+    hash and runs land in files named <hash>_<seed>.csv."""
 
     task: str = "teacher-student"
     layer_dims: list[int] = field(default_factory=lambda: [16, 16, 4])
@@ -111,12 +111,19 @@ class ExperimentConfig:
     seed: int = 0
     svd_tol: float = 1e-12
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        problems: dict[str, str] = {}
+        problems = {f.name: f"must be {f.type}, got {type(getattr(self, f.name)).__name__}"
+                    for f in dataclasses.fields(self)
+                    if type(getattr(self, f.name)) is not _FIELD_TYPES[f.type][0]}
+        if problems:
+            raise ConfigError(problems)
         if self.task not in TASK_KINDS:
             problems["task"] = f"must be one of {TASK_KINDS}"
-        if len(self.layer_dims) < 2 or any(d < 1 for d in self.layer_dims):
-            problems["layer_dims"] = "need >= 2 positive dims"
+        if len(self.layer_dims) < 2 or any(type(d) is not int or d < 1 for d in self.layer_dims):
+            problems["layer_dims"] = "need >= 2 positive int dims"
         elif self.task == "matrix-factorization" and len(self.layer_dims) != 2:
             problems["layer_dims"] = "matrix-factorization uses exactly [in, out]"
         if self.optimizer not in OPTIMIZER_KINDS:
@@ -191,16 +198,17 @@ def _format_value(value) -> str:
     return str(value)
 
 
-# One value parser per field type of ExperimentConfig (its annotations are
-# strings under postponed evaluation), the inverse of _format_value.
-_TYPE_PARSERS = {
-    "str": str,
-    "int": int,
-    "float": float,
-    "list[int]": lambda s: [int(p) for p in s.split(",")],
+# Per field annotation of ExperimentConfig (a string under postponed
+# evaluation), the exact type of a value, so no bool or numpy scalar, and
+# the parser of its text, the inverse of _format_value.
+_FIELD_TYPES = {
+    "str": (str, str),
+    "int": (int, int),
+    "float": (float, float),
+    "list[int]": (list, lambda s: [int(p) for p in s.split(",")]),
 }
 _CONFIG_PARSERS = {
-    f.name: _TYPE_PARSERS[f.type] for f in dataclasses.fields(ExperimentConfig)
+    f.name: _FIELD_TYPES[f.type][1] for f in dataclasses.fields(ExperimentConfig)
 }
 
 
@@ -208,8 +216,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     """Parse the flat key = value format (# starts a comment line).
 
     Unknown, repeated and unparseable keys raise ConfigError listing every
-    offender; missing keys keep their defaults.  The parsed config is
-    validated before it is returned.
+    offender; missing keys keep their defaults, and the config checks
+    the values as it is made.
     """
     values: dict = {}
     problems: dict[str, str] = {}
@@ -236,13 +244,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
             problems[key] = f"cannot parse {value!r}"
     if problems:
         raise ConfigError(problems)
-    cfg = ExperimentConfig(**values)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_config_text(fh.read())
 
 
@@ -281,9 +287,8 @@ def _add_teacher_outputs(
     """generate_task's worker, under the caller's numpy error state: build
     the teacher and w0 in place from their draws, then for each
     (x, targets) taken from jobs, in order, add the teacher's output at x
-    into targets, until None or an error in either thread.  Its own error
-    goes to errors.  It draws nothing and calls no name that a tracer may
-    wrap."""
+    into targets, until None.  Its own error goes to errors, and it ends
+    there.  It draws nothing and calls no name that a tracer may wrap."""
     try:
         with np.errstate(**errstate):
             # w / sqrt(m) and w + 0.1 * d / sqrt(m), each array's
@@ -294,7 +299,7 @@ def _add_teacher_outputs(
                 d *= 0.1
                 d /= root
                 d += w
-            while not errors and (job := jobs.get()) is not None:
+            while (job := jobs.get()) is not None:
                 x, targets = job
                 targets += _dense_forward(teacher, x)
     except BaseException as exc:
@@ -312,9 +317,9 @@ def generate_task(cfg: ExperimentConfig) -> Task:
     matrix-factorization: a single linear layer with zero base weight is
     trained to factor a rank-one target; inputs are sqrt(in_dim) times the
     identity, which makes the loss exactly half the squared Frobenius
-    distance between the merged weight and the target.
+    distance between the merged weight and the target.  An error of the
+    calling thread wins over one of the worker, raised once it stops.
     """
-    cfg.validate()
     dims = cfg.layer_dims
     rng = make_rng([cfg.seed, 0])
     if cfg.task == "teacher-student":
@@ -341,10 +346,9 @@ def generate_task(cfg: ExperimentConfig) -> Task:
                 jobs.put((x, noise))
                 train.append(Batch(inputs=x, targets=noise))
             x_eval = rng.standard_normal((dims[0], cfg.batch_size))
-        except BaseException as exc:
-            errors.append(exc)
-        jobs.put(None)
-        worker.join()
+        finally:
+            jobs.put(None)
+            worker.join()
         if errors:
             raise errors[0]
         eval_batch = Batch(inputs=x_eval, targets=_dense_forward(teacher, x_eval))
@@ -439,7 +443,8 @@ def make_step(
     (None for the other kinds), which evaluation code removes and
     reapplies around its measurements.  The step functions are
     looked up in this module on every call, so wrappers installed on this
-    module's names (perfbench's tracer) see every step.
+    module's names (perfbench's tracer) see every step.  A config is
+    checked when made, so cfg.optimizer is one of OPTIMIZER_KINDS.
     """
     opt = BaseUpdateConfig(
         learning_rate=cfg.learning_rate,
@@ -458,11 +463,10 @@ def make_step(
     if kind == "flat-lora":
         return (lambda batch, t: flat_lora_step(
             net, batch, rho_at(rho0, t, schedule), opt, sgd, tol=tol)), None
-    if kind == "eflat-lora":
-        pstate = init_perturb_state(net, rho0=rho0, beta=cfg.beta)
-        return (lambda batch, t: eflat_lora_step(
-            net, batch, pstate, opt, sgd, tol=tol, schedule=schedule)), pstate
-    raise ValueError(f"unknown optimizer kind {kind!r}")
+    # eflat-lora
+    pstate = init_perturb_state(net, rho0=rho0, beta=cfg.beta)
+    return (lambda batch, t: eflat_lora_step(
+        net, batch, pstate, opt, sgd, tol=tol, schedule=schedule)), pstate
 
 
 def run_experiment(
@@ -478,7 +482,6 @@ def run_experiment(
     under _raising_errstate(), so divergence stops at its first numpy
     operation, with no warnings, as an abort at that step.
     """
-    cfg.validate()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     task = generate_task(cfg)
@@ -597,13 +600,11 @@ def sweep(
     """Run the same config across seeds (data and init reseeded per run).
     A seed listed twice would rewrite its run's files, and a bad seed
     would stop the sweep part way; either raises ConfigError before any
-    run."""
+    run, the bad seed as its config is made by dataclasses.replace."""
     repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
     if repeated:
         raise ConfigError({"seeds": f"repeated {', '.join(map(str, repeated))}"})
     run_cfgs = [dataclasses.replace(cfg, seed=seed) for seed in seeds]
-    for run_cfg in run_cfgs:
-        run_cfg.validate()
     return [run_experiment(run_cfg, out_dir=out_dir)[1] for run_cfg in run_cfgs]
 
 
@@ -673,7 +674,6 @@ class BenchReport:
 
 def _bench_warmup(cfg: ExperimentConfig, repeats: int) -> int:
     """The warmup step count of a bench; bad arguments raise ConfigError."""
-    cfg.validate()
     if repeats < 1:
         raise ConfigError({"repeats": f"must be >= 1, got {repeats}"})
     warmup = max(1, cfg.steps // 10)

@@ -59,7 +59,7 @@ class OptimizerStateError(RuntimeError):
     inconsistent with the step counter)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class BaseUpdateConfig:
     """Hyperparameters of the underlying momentum-SGD update."""
 

@@ -110,10 +110,8 @@ def test_parse_collects_every_offender():
 
 
 def test_validate_collects_every_offender():
-    cfg = ExperimentConfig(optimizer="adam", rank=99, beta=2.0,
-                           direction_variant="signed")
     with pytest.raises(ConfigError) as err:
-        cfg.validate()
+        ExperimentConfig(optimizer="adam", rank=99, beta=2.0, direction_variant="signed")
     assert {"optimizer", "rank", "beta", "direction_variant"} <= set(err.value.fields)
     for bad in (math.nan, math.inf):
         with pytest.raises(ConfigError) as err:
@@ -182,6 +180,14 @@ BAD_FIELDS = [
     ("n_batches", 0, ["n_batches"]),
     ("steps", -1, ["steps"]),
     ("eval_every", 0, ["eval_every"]),
+    # The type rule: a value of the field's exact type, else the hash and
+    # the canonical text would differ for one value, or a run fail late.
+    ("rho0", np.float64(0.05), ["rho0"]),
+    ("layer_dims", (16, 16, 4), ["layer_dims"]),
+    ("layer_dims", [16, 16.0, 4], ["layer_dims"]),
+    ("learning_rate", 1, ["learning_rate"]),
+    ("steps", 3.0, ["steps"]),
+    ("rank", True, ["rank"]),
 ]
 
 
@@ -191,6 +197,25 @@ def test_validate_names_each_bad_field(name, value, fields):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(**{name: value}).validate()
     assert err.value.fields == fields
+
+
+def test_types_are_checked_first_and_every_offender_named():
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(rank=True, steps=3.0, optimizer="adam")
+    assert str(err.value) == ("invalid config (rank: must be int, got bool; "
+                              "steps: must be int, got float)")
+
+
+def test_config_classes_are_frozen():
+    for cfg, name in ((tiny_config(), "steps"), (BaseUpdateConfig(learning_rate=0.05), "momentum")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
+
+
+def test_replace_checks_the_config_it_makes():
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(tiny_config(), steps=-1)
+    assert err.value.fields == ["steps"]
 
 
 def test_task_specific_validation():
@@ -702,11 +727,11 @@ def test_make_step_matches_explicit_calls_with_every_field(kind):
         assert np.array_equal(got.a, want.a)
 
 
-def test_make_step_rejects_unknown_kind():
-    cfg = tiny_config()
-    net = _build_student(cfg, generate_task(cfg))
-    with pytest.raises(ValueError, match="bogus"):
-        make_step(dataclasses.replace(cfg, optimizer="bogus"), net)
+def test_unknown_kind_cannot_be_built():
+    """make_step has no branch for an unknown kind, as no config holds one."""
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(tiny_config(), optimizer="bogus")
+    assert err.value.fields == ["optimizer"]
 
 
 # --------------------------------------------------------------------- bench
@@ -875,6 +900,18 @@ def test_cli_run_writes_outputs_and_exits_zero(tmp_path, capsys):
     csv_path, sum_path = run_paths(cfg, out)
     assert os.path.exists(csv_path) and os.path.exists(sum_path)
     assert "final:" in capsys.readouterr().out
+
+
+def test_cli_run_reads_a_config_saved_with_a_bom(tmp_path):
+    """A UTF-8 byte order mark, as some editors save one, is not read as
+    part of the first key."""
+    cfg_path, cfg = write_cfg(tmp_path)
+    bom_path = tmp_path / "bom.cfg"
+    bom_path.write_text("\ufeff" + cfg.canonical_text(), encoding="utf-8")
+    assert load_config(str(bom_path)) == load_config(cfg_path) == cfg
+    out = str(tmp_path / "results")
+    assert main(["run", "--config", str(bom_path), "--out", out]) == 0
+    assert all(os.path.exists(path) for path in run_paths(cfg, out))
 
 
 def test_cli_run_uses_env_out_dir(tmp_path, monkeypatch):

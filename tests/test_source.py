@@ -206,6 +206,15 @@ def test_package_calls_no_tracer_only_name():
     assert hits == []
 
 
+def test_only_the_config_calls_validate():
+    """ExperimentConfig.__post_init__ checks every config as it is made,
+    so nothing else in the package calls validate."""
+    hits = [f"{path.name}: {hit}" for path in sorted(PACKAGE_DIR.glob("*.py"))
+            for hit in calls_of(path.read_text(encoding="utf-8"), ["validate"])]
+    line = flatlora.harness.ExperimentConfig.__post_init__.__code__.co_firstlineno + 1
+    assert hits == [f"harness.py: self.validate() (line {line})"]
+
+
 def functions_calling_all(source: str, names) -> list[str]:
     """Functions whose body, nested functions included, calls every one of
     names, bare or as an attribute."""
