@@ -207,7 +207,8 @@ def test_types_are_checked_first_and_every_offender_named():
 
 
 def test_config_classes_are_frozen():
-    for cfg, name in ((tiny_config(), "steps"), (BaseUpdateConfig(learning_rate=0.05), "momentum")):
+    for cfg, name in ((tiny_config(), "steps"),
+                      (BaseUpdateConfig(learning_rate=0.05), "momentum")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cfg, name, getattr(cfg, name))
 
