@@ -36,7 +36,7 @@ base = ExperimentConfig(
 )
 task = generate_task(base)
 
-print(f"task: {base.task}, dims {base.layer_dims}, rank {base.rank}, "
+print(f"task: {base.task}, dims {list(base.layer_dims)}, rank {base.rank}, "
       f"{base.n_batches} batches of {base.batch_size}, {base.steps} steps")
 print()
 print(f"{'optimizer':<12} {'train loss':>10} {'eval loss':>10} "

@@ -1,9 +1,9 @@
 """Self-checks of the identities the package is built on.
 
-Each shared check draws its own cases and returns its worst residuals:
-verify() runs it small for `flatlora verify`, and the acceptance suite
-runs it on many more cases under its own seeds and tolerances.  Checks
-only verify() runs live in its body.
+Each shared check draws its own cases and returns its worst residuals,
+or whether an exact identity held: verify() runs it small for
+`flatlora verify`, and the tests run it under their own seeds, sizes and
+tolerances.  Checks only verify() runs live in its body.
 
 Four oracles are defined here once, for verify() and the tests alike:
 central_difference, reference_plan (the dense reconstruct ->
@@ -57,20 +57,22 @@ def random_batch(rng: Rng, net: Network, k: int = 6) -> Batch:
     return Batch(inputs=rng.standard_normal((net.in_dim, k)), targets=targets)
 
 
-def central_difference(net: Network, batch: Batch, mat: np.ndarray,
-                       eps: float = 1e-6) -> np.ndarray:
-    """Central differences (loss(+eps) - loss(-eps)) / (2 eps) of net's loss
-    on batch in each entry of mat, one of net's parameter arrays, walked
-    in np.ndindex order; each entry is put back exactly."""
+FD_EPS = 1e-6
+
+
+def central_difference(net: Network, batch: Batch, mat: np.ndarray) -> np.ndarray:
+    """Central differences (loss(+FD_EPS) - loss(-FD_EPS)) / (2 FD_EPS) of
+    net's loss on batch in each entry of mat, one of net's parameter
+    arrays, walked in np.ndindex order; each entry is put back exactly."""
     numeric = np.zeros_like(mat)
     for idx in np.ndindex(*mat.shape):
         orig = mat[idx]
-        mat[idx] = orig + eps
+        mat[idx] = orig + FD_EPS
         _, up = forward(net, batch)
-        mat[idx] = orig - eps
+        mat[idx] = orig - FD_EPS
         _, down = forward(net, batch)
         mat[idx] = orig
-        numeric[idx] = (up - down) / (2.0 * eps)
+        numeric[idx] = (up - down) / (2.0 * FD_EPS)
     return numeric
 
 
@@ -193,6 +195,24 @@ def gradient_fidelity(rng: Rng, n_nets: int) -> tuple[float, float]:
     return fd_rel, chain
 
 
+def transfer_loss_match(rng: Rng, n_nets: int, rho: float) -> tuple[float, float]:
+    """Worst (loss-match, unrepresented) residuals of each layer's plan at
+    rho, shifted onto b, against reference_plan's dense direction, over
+    n_nets random 6-5-3 rank-2 networks (see loss_match_residual)."""
+    worst = unrepresented = 0.0
+    for _ in range(n_nets):
+        net = random_net(rng, (6, 5, 3), rank=2, scale=2.0)
+        batch = random_batch(rng, net)
+        grads = backward(net, batch)
+        plan = perturbation_from_gradients(net, grads, rho)
+        e_w_bar, _, _ = reference_plan(net, grads, rho)
+        for li, e_w in enumerate(e_w_bar):
+            diff, unproj = diagnostics.loss_match_residual(net, batch, li, e_w, plan.e_b[li])
+            worst = _worst(worst, diff)
+            unrepresented = _worst(unrepresented, unproj)
+    return worst, unrepresented
+
+
 def zero_radius_degeneration(cfg: ExperimentConfig) -> float:
     """Worst factor difference after cfg.steps steps at rho0 = 0 between
     plain training and each sharpness-aware kind from the same seed (the
@@ -249,6 +269,42 @@ def ema_closed_form(cfg: ExperimentConfig) -> tuple[float, float]:
             want += cfg.beta * (1.0 - cfg.beta) ** (cfg.steps - k) * e_list[li]
         closed = _worst(closed, _worst_abs(want - ema))
     return closed, beta_one
+
+
+def apply_revert_restores(rng: Rng) -> bool:
+    """Whether apply_b_perturbation puts b + e in new arrays on a random
+    6-5-3 rank-2 network, and revert() hands back the original b and a
+    objects with their bytes."""
+    net = random_net(rng, (6, 5, 3), rank=2, scale=2.0)
+    before = [(layer.b, layer.a, layer.b.copy(), layer.a.copy()) for layer in net.layers]
+    e_b = [0.1 * rng.standard_normal(layer.b.shape) for layer in net.layers]
+    with apply_b_perturbation(net, e_b):
+        shifted = all(layer.b is not b and np.array_equal(layer.b, b + e)
+                      for layer, (b, *_), e in zip(net.layers, before, e_b))
+    return shifted and all(layer.b is b and layer.a is a and np.array_equal(b, b0)
+                           and np.array_equal(a, a0)
+                           for layer, (b, a, b0, a0) in zip(net.layers, before))
+
+
+def step_composition(cfg: ExperimentConfig) -> float:
+    """Worst factor difference between one flat-lora step of cfg and its
+    composition without an in-place shift: the plan at step 1's radius,
+    the gradient at a shifted copy, base_update of the unshifted student."""
+    cfg = dataclasses.replace(cfg, optimizer="flat-lora", steps=1)
+    task = generate_task(cfg)
+    live = train_kinds(cfg, task, ("flat-lora",))["flat-lora"].net
+    ref = _build_student(cfg, task)
+    batch = task.train_batch(1)
+    rho = rho_at(cfg.rho0, 1, cfg.resolved_schedule())
+    plan = perturbation_from_gradients(ref, backward(ref, batch), rho, cfg.svd_tol)
+    probe = copy.deepcopy(ref)
+    for layer, e in zip(probe.layers, plan.e_b):
+        layer.b = layer.b + e
+    opt = BaseUpdateConfig(learning_rate=cfg.learning_rate, momentum=cfg.momentum,
+                           weight_decay=cfg.weight_decay)
+    base_update(ref, backward(probe, batch), opt, init_sgd_state(ref))
+    return _worst(*(_worst_abs(ll.b - lr_.b, ll.a - lr_.a)
+                    for ll, lr_ in zip(live.layers, ref.layers)))
 
 
 def drift_bound(n_seeds: int, rho: float, scale: float, steps: int) -> tuple[float, float]:
@@ -356,65 +412,17 @@ def verify() -> VerifyReport:
     add("gradient_finite_difference", fd_rel, 1e-4)
     add("gradient_chain_identity", chain, 1e-10)
 
-    # The hot-path plan's transferred perturbation reproduces the projected
-    # dense loss exactly, and the unrepresentable component is reported,
-    # never asserted.
-    worst = core_match
-    residual_info = 0.0
-    for _ in range(5):
-        net_t = random_net(rng, (6, 5, 3), rank=2, scale=2.0)
-        batch_t = random_batch(rng, net_t)
-        grads_t = backward(net_t, batch_t)
-        plan = perturbation_from_gradients(net_t, grads_t, rho=0.1)
-        e_w_bar, _, _ = reference_plan(net_t, grads_t, 0.1)
-        for li, e_w in enumerate(e_w_bar):
-            diff, unproj = diagnostics.loss_match_residual(
-                net_t, batch_t, li, e_w, plan.e_b[li]
-            )
-            worst = _worst(worst, diff)
-            residual_info = _worst(residual_info, unproj)
-    add("transfer_loss_match", worst, 1e-10)
-    checks.append(
-        VerifyCheck(
-            "unrepresentable_component_report",
-            True,
-            residual_info,
-            math.inf,
-            "informational: dense perturbation mass outside the row space of a",
-        )
-    )
+    match, residual_info = transfer_loss_match(rng, 5, 0.1)
+    add("transfer_loss_match", _worst(core_match, match), 1e-10)
+    checks.append(VerifyCheck("unrepresentable_component_report", True, residual_info, math.inf,
+                              "informational: dense perturbation mass outside the row space of a"))
 
     add("rho_zero_degeneration", zero_radius_degeneration(_tiny(steps=25)), 1e-12)
     ema = ema_closed_form(_tiny(optimizer="eflat-lora", steps=10, rho0=0.08, beta=0.7))
     add("ema_closed_form", _worst(*ema), 1e-10)
 
-    # Apply/revert restores the exact parameter bytes.
-    net_r = random_net(rng, (6, 5, 3), rank=2, scale=2.0)
-    before = [(layer.b.copy(), layer.a.copy()) for layer in net_r.layers]
-    apply_b_perturbation(
-        net_r, [0.1 * rng.standard_normal(layer.b.shape) for layer in net_r.layers]
-    ).revert()
-    add_flag("apply_revert_bit_identical", all(
-        np.array_equal(layer.b, b) and np.array_equal(layer.a, a)
-        for layer, (b, a) in zip(net_r.layers, before)
-    ))
-
-    # A full two-pass step equals the same computation written without any
-    # in-place perturb/revert (catches a skipped or wrong revert).
-    cfg_c = _tiny(optimizer="flat-lora", steps=1)
-    task = generate_task(cfg_c)
-    net_live = train_kinds(cfg_c, task, ("flat-lora",))["flat-lora"].net
-    net_ref = _build_student(cfg_c, task)
-    b0 = task.train_batches[0]
-    plan = perturbation_from_gradients(net_ref, backward(net_ref, b0), 0.05)
-    probe = copy.deepcopy(net_ref)
-    for layer, e in zip(probe.layers, plan.e_b):
-        layer.b = layer.b + e
-    base_update(net_ref, backward(probe, b0), BaseUpdateConfig(learning_rate=0.05),
-                init_sgd_state(net_ref))
-    worst = _worst(*(_worst_abs(ll.b - lr_.b, ll.a - lr_.a)
-                     for ll, lr_ in zip(net_live.layers, net_ref.layers)))
-    add("step_composition_equivalence", worst, 1e-14)
+    add_flag("apply_revert_bit_identical", apply_revert_restores(rng))
+    add("step_composition_equivalence", step_composition(_tiny()), 1e-14)
 
     # Over 20 steps of each kind, the frozen base weights never move and
     # the gradient evaluations per step are exactly 1, 2, 2, 1.

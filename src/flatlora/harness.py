@@ -28,7 +28,7 @@ import statistics
 import threading
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +92,7 @@ class ExperimentConfig:
     hash and runs land in files named <hash>_<seed>.csv."""
 
     task: str = "teacher-student"
-    layer_dims: list[int] = field(default_factory=lambda: [16, 16, 4])
+    layer_dims: tuple[int, ...] = (16, 16, 4)
     rank: int = 4
     scale: float = 1.0
     optimizer: str = "lora"
@@ -112,6 +112,8 @@ class ExperimentConfig:
     svd_tol: float = 1e-12
 
     def __post_init__(self) -> None:
+        if type(self.layer_dims) is list:
+            object.__setattr__(self, "layer_dims", tuple(self.layer_dims))
         self.validate()
 
     def validate(self) -> None:
@@ -148,18 +150,12 @@ class ExperimentConfig:
                 check()
             except ValueError as exc:
                 problems[name] = str(exc)
-        if self.batch_size < 1:
-            problems["batch_size"] = "must be >= 1"
-        if self.n_batches < 1:
-            problems["n_batches"] = "must be >= 1"
         if not (self.noise_std >= 0.0 and math.isfinite(self.noise_std)):
             problems["noise_std"] = "must be >= 0 and finite"
-        if self.steps < 0:
-            problems["steps"] = "must be >= 0"
-        if self.eval_every < 1:
-            problems["eval_every"] = "must be >= 1"
-        if self.seed < 0:
-            problems["seed"] = "must be >= 0"
+        for name, floor in (("batch_size", 1), ("n_batches", 1), ("steps", 0),
+                            ("eval_every", 1), ("seed", 0)):
+            if getattr(self, name) < floor:
+                problems[name] = f"must be >= {floor}"
         if problems:
             raise ConfigError(problems)
 
@@ -191,10 +187,8 @@ class ExperimentConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, list):
+    if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -205,7 +199,7 @@ _FIELD_TYPES = {
     "str": (str, str),
     "int": (int, int),
     "float": (float, float),
-    "list[int]": (list, lambda s: [int(p) for p in s.split(",")]),
+    "tuple[int, ...]": (tuple, lambda s: tuple(int(p) for p in s.split(","))),
 }
 _CONFIG_PARSERS = {
     f.name: _FIELD_TYPES[f.type][1] for f in dataclasses.fields(ExperimentConfig)
@@ -312,13 +306,13 @@ def generate_task(cfg: ExperimentConfig) -> Task:
     teacher-student: a frozen random tanh teacher produces regression
     targets (train targets carry Gaussian noise, the eval batch is clean);
     the student's frozen base weights start near the teacher, so training
-    mimics adapting a competent base model.
+    mimics adapting a competent base model.  An error of the calling
+    thread wins over one of the worker, raised once it stops.
 
     matrix-factorization: a single linear layer with zero base weight is
     trained to factor a rank-one target; inputs are sqrt(in_dim) times the
     identity, which makes the loss exactly half the squared Frobenius
-    distance between the merged weight and the target.  An error of the
-    calling thread wins over one of the worker, raised once it stops.
+    distance between the merged weight and the target.
     """
     dims = cfg.layer_dims
     rng = make_rng([cfg.seed, 0])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from flatlora import diagnostics
-from flatlora.checks import random_batch, random_net, reference_plan
+from flatlora.checks import random_batch, random_net, reference_plan, transfer_loss_match
 from flatlora.linalg import NumericalError, ShapeError, make_rng
 from flatlora.model import (
     Batch,
@@ -380,14 +380,9 @@ def plan_and_directions(net, batch, rho):
 def test_loss_match_projected_difference_vanishes():
     """The low-rank shift reproduces the projected dense perturbation's
     loss exactly; the unprojected component is reported, not asserted."""
-    net = generic_net(seed=14)
-    batch = generic_batch(net, seed=14)
-    plan, e_w_bar = plan_and_directions(net, batch, rho=0.3)
-    for idx in range(len(net.layers)):
-        diff, unrepresented = loss_match_residual(
-            net, batch, idx, e_w_bar[idx], plan.e_b[idx])
-        assert diff < 1e-10
-        assert unrepresented >= 0.0
+    diff, unrepresented = transfer_loss_match(make_rng(14), 3, 0.3)
+    assert diff < 1e-10
+    assert unrepresented >= 0.0
 
 
 def test_loss_match_full_row_rank_represents_everything():

@@ -80,7 +80,7 @@ def test_parse_config_text_happy_path():
         rho0 = 0.2
         """
     )
-    assert cfg.layer_dims == [8, 6, 4]
+    assert cfg.layer_dims == (8, 6, 4)
     assert cfg.optimizer == "eflat-lora"
     assert cfg.learning_rate == 0.1
     # Unset keys keep their defaults.
@@ -183,7 +183,6 @@ BAD_FIELDS = [
     # The type rule: a value of the field's exact type, else the hash and
     # the canonical text would differ for one value, or a run fail late.
     ("rho0", np.float64(0.05), ["rho0"]),
-    ("layer_dims", (16, 16, 4), ["layer_dims"]),
     ("layer_dims", [16, 16.0, 4], ["layer_dims"]),
     ("learning_rate", 1, ["learning_rate"]),
     ("steps", 3.0, ["steps"]),
@@ -197,6 +196,17 @@ def test_validate_names_each_bad_field(name, value, fields):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(**{name: value}).validate()
     assert err.value.fields == fields
+
+
+def test_layer_dims_list_and_tuple_make_one_hashable_config():
+    """A list is stored as a tuple: a list and a tuple make one config with
+    one config hash, the config is hashable, and no dim can be assigned."""
+    from_list = ExperimentConfig(layer_dims=[16, 16, 4])
+    from_tuple = ExperimentConfig(layer_dims=(16, 16, 4))
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert from_list.config_hash() == from_tuple.config_hash() == "dc8e475cddf1"
+    with pytest.raises(TypeError):
+        from_list.layer_dims[1] = 0
 
 
 def test_types_are_checked_first_and_every_offender_named():

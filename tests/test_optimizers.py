@@ -9,7 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flatlora.checks import reference_plan
+from flatlora.checks import (ema_closed_form, reference_plan, step_composition,
+                             zero_radius_degeneration)
+from flatlora.harness import ExperimentConfig
 from flatlora.linalg import (
     _worst,
     _worst_abs,
@@ -473,26 +475,13 @@ def test_two_pass_steps_revert_perturbation_before_update():
     """After a flat step, parameters equal start minus lr times the
     perturbed-point gradient; no perturbation residue remains."""
     net = make_net(seed=14)
-    batch = make_batch(net, seed=14)
-    twin = copy.deepcopy(net)
-    cfg = BaseUpdateConfig(learning_rate=0.03)
-
-    stats = flat_lora_step(net, batch, 0.1, cfg, init_sgd_state(net))
+    stats = flat_lora_step(net, make_batch(net, seed=14), 0.1,
+                           BaseUpdateConfig(learning_rate=0.03), init_sgd_state(net))
     assert stats.perturb_norm > 0.0
     assert math.isfinite(stats.loss_original) and math.isfinite(stats.loss_perturbed)
-
-    from flatlora.model import apply_b_perturbation
-    plan = perturbation_from_gradients(twin, backward(twin, batch), 0.1)
-    handle = apply_b_perturbation(twin, plan.e_b)
-    perturbed_grads = backward(twin, batch)
-    handle.revert()
-    for layer, gb, ga in zip(twin.layers, perturbed_grads.grad_b,
-                             perturbed_grads.grad_a):
-        layer.b = layer.b - 0.03 * gb
-        layer.a = layer.a - 0.03 * ga
-    for got, want in zip(net.layers, twin.layers):
-        assert np.max(np.abs(got.b - want.b)) == 0.0
-        assert np.max(np.abs(got.a - want.a)) == 0.0
+    assert step_composition(ExperimentConfig(
+        layer_dims=[6, 5, 3], rank=2, learning_rate=0.03, rho0=0.1, batch_size=9,
+        n_batches=1, seed=14)) == 0.0
 
 
 @pytest.mark.parametrize("step", [lora_sam_step, flat_lora_step],
@@ -551,40 +540,12 @@ def test_entry_points_reject_a_bad_radius_or_decay(bad):
 
 
 def test_zero_rho_two_pass_steps_match_plain_lora():
-    """rho = 0 collapses every sharpness-aware variant onto plain training,
-    trajectory-exact."""
-    cfg = BaseUpdateConfig(learning_rate=0.04)
-    batches = [make_batch(make_net(seed=15), seed=s) for s in range(5)]
-
-    plain = make_net(seed=15)
-    state_p = init_sgd_state(plain)
-    flat = make_net(seed=15)
-    state_f = init_sgd_state(flat)
-    sam = make_net(seed=15)
-    state_s = init_sgd_state(sam)
-    for batch in batches:
-        lora_step(plain, batch, cfg, state_p)
-        flat_lora_step(flat, batch, 0.0, cfg, state_f)
-        lora_sam_step(sam, batch, 0.0, cfg, state_s)
-    for p, f, s in zip(plain.layers, flat.layers, sam.layers):
-        assert np.array_equal(p.b, f.b) and np.array_equal(p.a, f.a)
-        assert np.array_equal(p.b, s.b) and np.array_equal(p.a, s.a)
-
-
-def test_eflat_zero_rho_matches_plain_lora():
-    cfg = BaseUpdateConfig(learning_rate=0.04)
-    plain = make_net(seed=16)
-    ema = make_net(seed=16)
-    state_p = init_sgd_state(plain)
-    state_e = init_sgd_state(ema)
-    pstate = init_perturb_state(ema, rho0=0.0, beta=0.9)
-    for s in range(5):
-        batch = make_batch(plain, seed=s)
-        lora_step(plain, batch, cfg, state_p)
-        eflat_lora_step(ema, batch, pstate, cfg, state_e)
-    pstate.remove(ema)
-    for p, e in zip(plain.layers, ema.layers):
-        assert np.array_equal(p.b, e.b) and np.array_equal(p.a, e.a)
+    """rho = 0 collapses every sharpness-aware variant, the two-pass steps
+    and eflat-lora alike, onto plain training, trajectory-exact."""
+    for seed in (15, 16):
+        assert zero_radius_degeneration(ExperimentConfig(
+            layer_dims=[6, 5, 3], rank=2, learning_rate=0.04, batch_size=9,
+            n_batches=5, steps=5, seed=seed)) == 0.0
 
 
 # ----------------------------------------------------------------- EMA state
@@ -655,44 +616,15 @@ def test_perturb_state_validation():
         init_perturb_state(net, rho0=-0.1, beta=0.9)
 
 
-def _shift_then_eflat_step(net, batch, pstate, cfg, state):
-    """The step's e_t, built its way on the live network just before an
-    eflat_lora_step with the default schedule runs."""
-    rho_t = rho_at(pstate.rho0, pstate.step_index + 1, "inverse-sqrt")
-    e_t = perturbation_from_gradients(net, backward(net, batch), rho_t).e_b
-    eflat_lora_step(net, batch, pstate, cfg, state)
-    return e_t
-
-
 def test_ema_matches_closed_form_sum():
     """After T steps the EMA equals sum_k beta * (1-beta)^(T-k) * e_k with
-    e_k the recorded per-step perturbations."""
-    net = make_net(seed=19)
-    cfg = BaseUpdateConfig(learning_rate=0.02)
-    state = init_sgd_state(net)
-    beta = 0.7
-    pstate = init_perturb_state(net, rho0=0.15, beta=beta)
-    recorded = []
-    T = 6
-    for s in range(T):
-        recorded.append(_shift_then_eflat_step(net, make_batch(net, seed=s), pstate,
-                                               cfg, state))
-    for i in range(len(net.layers)):
-        closed = np.zeros_like(pstate.ema_e_b[i])
-        for k, e_list in enumerate(recorded, start=1):
-            closed += beta * (1.0 - beta) ** (T - k) * e_list[i]
-        assert np.max(np.abs(pstate.ema_e_b[i] - closed)) < 1e-10
-
-
-def test_ema_beta_one_keeps_only_latest():
-    net = make_net(seed=20)
-    cfg = BaseUpdateConfig(learning_rate=0.02)
-    state = init_sgd_state(net)
-    pstate = init_perturb_state(net, rho0=0.15, beta=1.0)
-    for s in range(4):
-        last = _shift_then_eflat_step(net, make_batch(net, seed=s), pstate, cfg, state)
-    for ema, last in zip(pstate.ema_e_b, last):
-        assert np.max(np.abs(ema - last)) < 1e-15
+    e_k the recorded per-step perturbations, and with beta = 1 it equals
+    the newest one after each of 4 steps."""
+    closed, beta_one = ema_closed_form(ExperimentConfig(
+        layer_dims=[6, 5, 3], rank=2, optimizer="eflat-lora", learning_rate=0.02,
+        rho0=0.15, beta=0.7, batch_size=9, n_batches=6, steps=6, seed=19))
+    assert closed < 1e-10
+    assert beta_one < 1e-15
 
 
 # -------------------------------------------------------------------- memory
