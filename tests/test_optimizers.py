@@ -539,13 +539,19 @@ def test_entry_points_reject_a_bad_radius_or_decay(bad):
             assert layer.b is b and layer.a is a
 
 
+def _zero_rho_config(seed):
+    return ExperimentConfig(layer_dims=[6, 5, 3], rank=2, learning_rate=0.04,
+                            batch_size=9, n_batches=5, steps=5, seed=seed)
+
+
 def test_zero_rho_two_pass_steps_match_plain_lora():
     """rho = 0 collapses every sharpness-aware variant, the two-pass steps
     and eflat-lora alike, onto plain training, trajectory-exact."""
-    for seed in (15, 16):
-        assert zero_radius_degeneration(ExperimentConfig(
-            layer_dims=[6, 5, 3], rank=2, learning_rate=0.04, batch_size=9,
-            n_batches=5, steps=5, seed=seed)) == 0.0
+    assert zero_radius_degeneration(_zero_rho_config(15)) == 0.0
+
+
+def test_eflat_zero_rho_matches_plain_lora():
+    assert zero_radius_degeneration(_zero_rho_config(16)) == 0.0
 
 
 # ----------------------------------------------------------------- EMA state
@@ -616,14 +622,23 @@ def test_perturb_state_validation():
         init_perturb_state(net, rho0=-0.1, beta=0.9)
 
 
+def _ema_residuals(seed):
+    return ema_closed_form(ExperimentConfig(
+        layer_dims=[6, 5, 3], rank=2, optimizer="eflat-lora", learning_rate=0.02,
+        rho0=0.15, beta=0.7, batch_size=9, n_batches=6, steps=6, seed=seed))
+
+
 def test_ema_matches_closed_form_sum():
     """After T steps the EMA equals sum_k beta * (1-beta)^(T-k) * e_k with
-    e_k the recorded per-step perturbations, and with beta = 1 it equals
-    the newest one after each of 4 steps."""
-    closed, beta_one = ema_closed_form(ExperimentConfig(
-        layer_dims=[6, 5, 3], rank=2, optimizer="eflat-lora", learning_rate=0.02,
-        rho0=0.15, beta=0.7, batch_size=9, n_batches=6, steps=6, seed=19))
+    e_k the recorded per-step perturbations."""
+    closed, _ = _ema_residuals(19)
     assert closed < 1e-10
+
+
+def test_ema_beta_one_keeps_only_latest():
+    """With beta = 1 the EMA equals the newest perturbation after each of
+    4 steps."""
+    _, beta_one = _ema_residuals(20)
     assert beta_one < 1e-15
 
 
