@@ -428,10 +428,11 @@ def verify() -> VerifyReport:
     # the gradient evaluations per step are exactly 1, 2, 2, 1.
     cfg_w = _tiny(steps=20)
     task = generate_task(cfg_w)
+    frozen = [w.copy() for w in task.w0_list]  # students may share a read-only w0
     runs = train_kinds(cfg_w, task, OPTIMIZER_KINDS)
     add_flag("base_weights_frozen", all(
         np.array_equal(layer.w0, w0)
-        for run in runs.values() for layer, w0 in zip(run.net.layers, task.w0_list)
+        for run in runs.values() for layer, w0 in zip(run.net.layers, frozen)
     ))
     expected_evals = {"lora": 1, "lora-sam": 2, "flat-lora": 2, "eflat-lora": 1}
     add_flag("grad_eval_counts", all(

@@ -3,7 +3,8 @@
 Subcommands: run (one experiment), sweep (same config across seeds),
 verify (self-check suite), bench (per-step wall-time comparison).  Exit
 codes: 0 on success, 1 when a config, the bench arguments or --out is
-invalid or a verify check fails, 2 when training aborts on non-finite numbers.
+invalid, a verify check fails or a command runs out of memory (one line
+on stderr, no traceback), 2 when training aborts on non-finite numbers.
 """
 
 from __future__ import annotations
@@ -153,6 +154,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ExperimentAbort, NumericalError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -34,7 +34,8 @@ import numpy as np
 
 from . import diagnostics
 from .linalg import _check_tol, make_rng
-from .model import Batch, Network, _check_rank, _check_scale, build_network, forward
+from .model import (Batch, Network, _check_rank, _check_scale, _merged_route,
+                    build_network, forward)
 from .optimizers import (
     OPTIMIZER_KINDS,
     RHO_SCHEDULES,
@@ -307,7 +308,11 @@ def generate_task(cfg: ExperimentConfig) -> Task:
     targets (train targets carry Gaussian noise, the eval batch is clean);
     the student's frozen base weights start near the teacher, so training
     mimics adapting a competent base model.  An error of the calling
-    thread wins over one of the worker, raised once it stops.
+    thread wins over one of the worker, raised once it stops.  When the
+    first layer takes the factored route at cfg.rank and cfg.batch_size,
+    its w0 is made read-only, and each train batch whose w0 @ inputs,
+    built here once the worker is done, is finite carries it as
+    base_product, its inputs read-only too.
 
     matrix-factorization: a single linear layer with zero base weight is
     trained to factor a rank-one target; inputs are sqrt(in_dim) times the
@@ -345,6 +350,14 @@ def generate_task(cfg: ExperimentConfig) -> Task:
             worker.join()
         if errors:
             raise errors[0]
+        w0 = w0_list[0]
+        if not _merged_route(w0.shape, cfg.rank, cfg.batch_size):
+            w0.flags.writeable = False
+            for batch in train:
+                product = w0 @ batch.inputs
+                if np.isfinite(product).all():
+                    batch.inputs.flags.writeable = False
+                    batch.base_product = (w0, product)
         eval_batch = Batch(inputs=x_eval, targets=_dense_forward(teacher, x_eval))
         return Task(
             train_batches=train,

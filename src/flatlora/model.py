@@ -90,10 +90,14 @@ class LoRALinear:
 
 @dataclass
 class Batch:
-    """Column-major sample batch: inputs (d_in, k), targets (d_out, k)."""
+    """Column-major sample batch: inputs (d_in, k), targets (d_out, k).
+    base_product, set by generate_task, is (w0, w0 @ inputs) for a first
+    layer of the factored route, built once with both operands read-only;
+    the sweep adds it in place of that product (_forward_cache)."""
 
     inputs: Matrix
     targets: Matrix
+    base_product: tuple[Matrix, Matrix] | None = None
 
     def __post_init__(self) -> None:
         self.inputs = as_matrix(self.inputs)
@@ -171,15 +175,18 @@ def build_network(
 ) -> Network:
     """Assemble a network from a dim chain [d0, d1, ..., dL].
 
-    w0_list supplies the frozen weights (copied); when omitted they are
-    Gaussian scaled by 1/sqrt(fan_in).
+    w0_list supplies the frozen weights, copied unless read-only and
+    owning their data, as generate_task leaves a weight that every student
+    of the task then shares; when omitted they are Gaussian / sqrt(fan_in).
     """
     if len(layer_dims) < 2:
         raise ShapeError("layer_dims needs at least an input and an output dim")
     layers = []
     for i, (m, n) in enumerate(zip(layer_dims, layer_dims[1:])):
         if w0_list is not None:
-            w0 = as_matrix(w0_list[i]).copy()
+            w0 = as_matrix(w0_list[i])
+            if w0.flags.writeable or not w0.flags.owndata:
+                w0 = w0.copy()
             if w0.shape != (n, m):
                 raise ShapeError(f"w0[{i}] must be {(n, m)}, got {w0.shape}")
         else:
@@ -339,13 +346,13 @@ def _check_shift(shift, shape: tuple[int, int], what: str) -> None:
         raise ShapeError(f"{what} must be {shape}, got {shift.shape}")
 
 
-def _merged_route(layer: LoRALinear, k: int) -> bool:
-    """Whether the sweep runs layer through its merged weight for a batch
-    of k columns: when the n x m weight holds no more entries than the
-    rank x k product a @ h, one product with w0 + scale * b @ a does the
-    work of the factored route's two skinny ones."""
-    n, m = layer.w0.shape
-    return n * m <= layer.rank * k
+def _merged_route(shape: tuple[int, int], rank: int, k: int) -> bool:
+    """Whether the sweep runs a layer of an n x m weight (shape) through
+    its merged weight for a batch of k columns: when the weight holds no
+    more entries than the rank x k product a @ h, one product with
+    w0 + scale * b @ a does the work of the factored route's two skinny ones."""
+    n, m = shape
+    return n * m <= rank * k
 
 
 def _forward_cache(
@@ -369,7 +376,11 @@ def _forward_cache(
     scaled in place unless scale is 1.0, where x * 1.0 == x bit for bit,
     then w0 @ h added into it by BLAS (_add_product), and then
     offsets[i] @ h added by BLAS too, since folding the offset there
-    would build an n x m weight larger than the rank x k product.  So
+    would build an n x m weight larger than the rank x k product.  On
+    layer 0, a batch's base_product (w0, w0 @ h) is added with += instead
+    while its w0 is layer.w0 itself and w0 and h are read-only, so neither
+    changed since it was built: the bits _add_product gives at one BLAS
+    thread (at more, numpy's w0 @ h, where dgemm may round otherwise).  So
     each layer's output is built in one fresh array and no other n x k
     array is made, with the roundings of the formula written out
     (_add_product says when), and a @ h (rank x k) is dropped once
@@ -394,7 +405,7 @@ def _forward_cache(
             acts.append(h)
         if off is not None:
             _check_shift(off, layer.w0.shape, f"offset {i}")
-        if _merged_route(layer, h.shape[1]):
+        if _merged_route(layer.w0.shape, layer.rank, h.shape[1]):
             w = layer.merged_weight()
             if off is not None:
                 w += off
@@ -406,7 +417,12 @@ def _forward_cache(
                 z *= layer.scale
             if check is None:
                 check = _overflow_raises()
-            _add_product(layer.w0, h, z, check)
+            base = batch.base_product if i == 0 else None
+            if (base is not None and base[0] is layer.w0
+                    and not (layer.w0.flags.writeable or h.flags.writeable)):
+                z += base[1]
+            else:
+                _add_product(layer.w0, h, z, check)
             if off is not None:
                 _add_product(off, h, z, check)
         if i < last:
@@ -523,7 +539,7 @@ def backward(net: Network, batch: Batch, want_full: bool = False) -> GradientSet
         layer = net.layers[i]
         x_in = acts.pop()
         scale = layer.scale
-        merged = _merged_route(layer, k)
+        merged = _merged_route(layer.w0.shape, layer.rank, k)
         if merged:
             gw = g @ x_in.T
             gb, ga = gw @ layer.a.T, layer.b.T @ gw

@@ -379,10 +379,12 @@ def plan_and_directions(net, batch, rho):
 
 def test_loss_match_projected_difference_vanishes():
     """The low-rank shift reproduces the projected dense perturbation's
-    loss exactly; the unprojected component is reported, not asserted."""
+    loss exactly.  At rank 2 below the input dim 6 the dense direction has
+    mass outside the row space of a, so the unprojected component is
+    reported positive (0.214 here)."""
     diff, unrepresented = transfer_loss_match(make_rng(14), 3, 0.3)
     assert diff < 1e-10
-    assert unrepresented >= 0.0
+    assert unrepresented > 0.0
 
 
 def test_loss_match_full_row_rank_represents_everything():

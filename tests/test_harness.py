@@ -461,6 +461,101 @@ def test_generate_task_worker_runs_under_the_callers_error_state(monkeypatch):
     assert not np.all(np.isfinite(task.train_batches[0].targets))
 
 
+WIDE = {"layer_dims": [256, 256, 64], "rank": 8, "batch_size": 64}
+
+
+def test_a_base_product_freezes_its_operands():
+    """At the wide dims every train batch carries w0 @ x of the task's
+    own layer-0 w0, with the bytes numpy's product gives; writing into
+    that w0, the student's layer-0 weight (the same array) or a batch's
+    inputs raises, so the product cannot go stale.  The eval batch and
+    the second layer keep their writable arrays."""
+    cfg = ExperimentConfig(**WIDE)
+    task = generate_task(cfg)
+    w0 = task.w0_list[0]
+    assert _build_student(cfg, task).layers[0].w0 is w0
+    for batch in task.train_batches:
+        base_w0, product = batch.base_product
+        assert base_w0 is w0 and same_bytes(product, w0 @ batch.inputs)
+        with pytest.raises(ValueError, match="read-only"):
+            batch.inputs[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        w0[0, 0] = 0.0
+    assert task.eval_batch.base_product is None
+    assert task.eval_batch.inputs.flags.writeable and task.w0_list[1].flags.writeable
+
+
+def test_the_default_task_carries_no_base_product():
+    """At the default dims layer 0 takes the merged route, so no batch
+    carries a product and every task array stays writable."""
+    task = generate_task(ExperimentConfig())
+    batches = task.train_batches + [task.eval_batch]
+    assert all(batch.base_product is None for batch in batches)
+    assert all(b.inputs.flags.writeable and b.targets.flags.writeable for b in batches)
+    assert all(w.flags.writeable for w in task.w0_list)
+
+
+class ScaledGenerator:
+    """A generator whose every draw is the wrapped one's times factor."""
+
+    def __init__(self, rng, factor: float):
+        self.rng, self.factor = rng, factor
+
+    def standard_normal(self, shape):
+        return self.rng.standard_normal(shape) * self.factor
+
+
+def test_a_task_whose_base_product_overflows_attaches_none(monkeypatch):
+    """Draws scaled by 1e200 make every layer-0 w0 @ x overflow, so no
+    train batch carries a product, and forward under over="raise" still
+    raises FloatingPointError from the BLAS sum of the factored layer 0:
+    the task-level twin of
+    test_forward_raises_on_an_overflow_in_a_factored_tanh_layer.  (A
+    non-finite product added with += would raise nothing: the second
+    layer is merged, and NaN passes through it quietly.)"""
+    cfg = tiny_config()
+    real_make_rng = harness.make_rng
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "make_rng",
+                      lambda seed: ScaledGenerator(real_make_rng(seed), 1e200))
+        with np.errstate(all="ignore"):
+            task = generate_task(cfg)
+    net = _build_student(cfg, task)
+    assert [model._merged_route(layer.w0.shape, cfg.rank, cfg.batch_size)
+            for layer in net.layers] == [False, True]
+    assert all(batch.base_product is None for batch in task.train_batches)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="added by BLAS"):
+            forward(net, task.train_batches[0])
+
+
+@pytest.mark.parametrize("overrides, products", [({}, 0), (WIDE, 8)],
+                         ids=["default", "wide"])
+def test_a_task_holds_its_arrays_and_one_base_product_per_batch(overrides, products):
+    """numpy's traced data bytes held by a task are exactly its batches
+    and w0_list plus, at the wide dims, n_batches products of n1 x k
+    float64: 8 * 256 * 64 * 8 bytes; the default task holds nothing
+    more.  With no product that is the task byte model
+    8 * ((n_batches + 1) * k * (d0 + dL) + sum n * m)."""
+    cfg = ExperimentConfig(**overrides)
+    generate_task(cfg)
+    tracemalloc.start()
+    try:
+        task = generate_task(cfg)
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    finally:
+        tracemalloc.stop()
+    held = sum(stat.size for stat in snapshot.statistics("filename"))
+    dims, k = cfg.layer_dims, cfg.batch_size
+    arrays = 8 * ((cfg.n_batches + 1) * k * (dims[0] + dims[-1])
+                  + sum(n * m for m, n in zip(dims, dims[1:])))
+    batches = task.train_batches + [task.eval_batch]
+    assert arrays == (sum(b.inputs.nbytes + b.targets.nbytes for b in batches)
+                      + sum(w.nbytes for w in task.w0_list))
+    assert held - arrays == products * dims[1] * k * 8
+
+
 def test_teacher_student_noise_touches_train_targets_only():
     clean = generate_task(tiny_config(noise_std=0.0))
     noisy = generate_task(tiny_config(noise_std=0.5))
@@ -1044,6 +1139,29 @@ def test_cli_empty_out_exits_one_before_any_work(tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUT_DIR_ENV_VAR, "")
         assert main([*argv, "--config", cfg_path]) == 1
         assert capsys.readouterr().err == "cannot use an empty output path\n"
+
+
+def test_cli_turns_a_memory_error_into_one_line_and_exit_one(tmp_path, monkeypatch,
+                                                            capsys):
+    """A task too large for memory ends run, sweep and bench with one
+    stderr line and exit 1, not a traceback; generate_task raises the
+    error here, so nothing large is allocated."""
+    cfg_path, _ = write_cfg(tmp_path, optimizer="lora", steps=30, batch_size=4)
+
+    message = ("Unable to allocate 74.5 GiB for an array with shape "
+               "(100000, 100000) and data type float64")
+    monkeypatch.setattr(harness, "generate_task", lambda cfg: _raise(MemoryError(message)))
+    for argv in (["run"], ["sweep", "--seeds", "0,1"], ["bench", "--repeats", "1"]):
+        assert main([*argv, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"out of memory: {message}\n"
+    monkeypatch.setattr(harness, "generate_task", lambda cfg: _raise(MemoryError()))
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "out of memory\n"
+
+
+def _raise(exc):
+    raise exc
 
 
 def test_cli_verify_exits_zero(capsys):

@@ -9,8 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from flatlora import diagnostics
 from flatlora.checks import apply_revert_restores, central_difference, random_net
-from flatlora.harness import ExperimentConfig, _raising_errstate, make_step
+from flatlora.harness import (ExperimentConfig, _build_student, _raising_errstate,
+                              generate_task, make_step)
 from flatlora.linalg import ShapeError, make_rng
 from flatlora.model import (
     AccumulationError,
@@ -910,6 +912,103 @@ def test_forward_raises_on_an_overflow_in_a_factored_tanh_layer():
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             forward(net, batch)
+
+
+WIDE = dict(layer_dims=[256, 256, 64], rank=8, batch_size=64)
+
+
+def _wide_student(scale=1.0):
+    """A wide task (both layers on the factored route), its student with
+    nonzero b, and a train batch carrying its layer-0 base product."""
+    cfg = ExperimentConfig(**WIDE, scale=scale)
+    task = generate_task(cfg)
+    net = _build_student(cfg, task)
+    rng = make_rng(71)
+    for layer in net.layers:
+        layer.b = rng.standard_normal(layer.b.shape) * 0.3
+    batch = task.train_batches[1]
+    assert not any(_merged(layer, 64) for layer in net.layers)
+    assert batch.base_product[0] is task.w0_list[0] is net.layers[0].w0
+    return task, net, batch
+
+
+def _sweep_results(net, batch):
+    """Every output of the four sweep entry points on one batch, as
+    arrays, with a layer-0 offset for forward_with_offsets."""
+    rng = make_rng(73)
+    offsets = [rng.standard_normal(layer.w0.shape) * 1e-3 for layer in net.layers]
+    pred, loss = forward(net, batch)
+    grads = backward(net, batch, want_full=True)
+    pred_off, loss_off = forward_with_offsets(net, batch, [offsets[0], None])
+    probe = diagnostics.sam_probe(net, batch, 0.05)
+    return [pred, pred_off, *grads.grad_b, *grads.grad_a, *grads.grad_w,
+            np.array([loss, grads.loss, loss_off, *probe])]
+
+
+def _blas_sums(monkeypatch):
+    """Count the sweep's _add_product calls whose x is a layer's w0."""
+    calls = []
+    real = model._add_product
+
+    def counting(x, y, out, check=None):
+        calls.append(x)
+        return real(x, y, out, check)
+
+    monkeypatch.setattr(model, "_add_product", counting)
+    return calls
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_a_base_product_gives_the_bytes_of_the_blas_sum(monkeypatch, scale):
+    """At the wide dims forward, backward(want_full=True),
+    forward_with_offsets with a layer-0 offset and sam_probe write the
+    same bytes on a task's train batch, whose layer 0 adds the product
+    generate_task built, as on a batch of the same arrays without it,
+    whose layer 0 adds w0 @ x by BLAS: z + w0 @ x either way."""
+    task, net, batch = _wide_student(scale)
+    plain = Batch(inputs=batch.inputs, targets=batch.targets)
+    calls = _blas_sums(monkeypatch)
+    with_product = _sweep_results(net, batch)
+    assert not any(x is net.layers[0].w0 for x in calls)
+    without = _sweep_results(net, plain)
+    assert any(x is net.layers[0].w0 for x in calls)
+    for got, want in zip(with_product, without, strict=True):
+        assert _same_bytes(got, want)
+
+
+def test_the_sweep_adds_w0_x_by_blas_unless_the_product_is_the_layers_own(
+        monkeypatch):
+    """A base product stands in only for the very read-only w0 it was
+    built from: a deep-copied student, students built from a writable
+    and from a read-only copy of w0_list, and the task's w0 or the
+    batch's inputs made writable again each take the BLAS sum, with the
+    same bytes."""
+    task, net, batch = _wide_student()
+    want = _sweep_results(net, batch)
+
+    def rebuilt(writeable):
+        w0_list = [w.copy() for w in task.w0_list]
+        for w in w0_list:
+            w.flags.writeable = writeable
+        other = build_network(WIDE["layer_dims"], rank=8, scale=1.0, rng=make_rng(5),
+                              w0_list=w0_list)
+        for src, dst in zip(net.layers, other.layers):
+            dst.b, dst.a = src.b, src.a
+        return other
+
+    calls = _blas_sums(monkeypatch)
+    for other in (copy.deepcopy(net), rebuilt(True), rebuilt(False)):
+        assert other.layers[0].w0 is not task.w0_list[0]
+        got = _sweep_results(other, batch)
+        assert any(x is other.layers[0].w0 for x in calls)
+        assert all(_same_bytes(g, w) for g, w in zip(got, want, strict=True))
+    for operand in (task.w0_list[0], batch.inputs):
+        calls.clear()
+        operand.flags.writeable = True
+        got = _sweep_results(net, batch)
+        operand.flags.writeable = False
+        assert any(x is net.layers[0].w0 for x in calls)
+        assert all(_same_bytes(g, w) for g, w in zip(got, want, strict=True))
 
 
 @pytest.mark.parametrize("overflow", ["product", "sum"])
