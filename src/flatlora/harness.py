@@ -7,13 +7,6 @@ config seed through named substreams, every norm is numpy's pairwise sum
 count, and the metrics CSV is written with round-trip float formatting, so
 an identical config and seed reproduces the file byte for byte.  The
 training loop reads no clock; only train_kinds times each step call.
-
-generate_task's teacher-student branch makes every draw in the calling
-thread, in stream order.  One worker thread only does arithmetic on the
-drawn arrays: it builds the teacher and w0 from their draws, then adds
-the teacher's outputs into each train batch's drawn noise while the next
-batch is drawn.  No array of the task depends on how the two threads are
-scheduled.
 """
 
 from __future__ import annotations
@@ -23,9 +16,7 @@ import hashlib
 import json
 import math
 import os
-import queue
 import statistics
-import threading
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -34,7 +25,7 @@ import numpy as np
 
 from . import diagnostics
 from .linalg import _check_tol, make_rng
-from .model import (Batch, Network, _check_rank, _check_scale, _merged_route,
+from .model import (Batch, Network, _check_rank, _check_scale, _freeze, _merged_route,
                     build_network, forward)
 from .optimizers import (
     OPTIMIZER_KINDS,
@@ -61,6 +52,11 @@ from .optimizers import (
 TASK_KINDS = ("teacher-student", "matrix-factorization")
 
 OUT_DIR_ENV_VAR = "FLATLORA_OUT_DIR"
+
+# The largest task (task_bytes) a config may ask for, the same on every
+# machine so that a config's verdict does not depend on where it is checked;
+# the default task holds 4.4 MB.
+MAX_TASK_BYTES = 4 * 2**30
 
 
 class ConfigError(ValueError):
@@ -157,6 +153,15 @@ class ExperimentConfig:
                             ("eval_every", 1), ("seed", 0)):
             if getattr(self, name) < floor:
                 problems[name] = f"must be >= {floor}"
+        # Refused before any draw, since a task too large to hold would
+        # otherwise fail only when numpy allocates, or exhaust the host.
+        if not problems.keys() & {"task", "layer_dims", "batch_size", "n_batches"}:
+            size = task_bytes(self)
+            if size > MAX_TASK_BYTES:
+                sized_by = (("layer_dims",) if self.task == "matrix-factorization"
+                            else ("batch_size", "n_batches", "layer_dims"))
+                for name in sized_by:
+                    problems[name] = f"the task would hold {size} bytes, over {MAX_TASK_BYTES}"
         if problems:
             raise ConfigError(problems)
 
@@ -262,6 +267,24 @@ class Task:
         return self.train_batches[(t - 1) % len(self.train_batches)]
 
 
+def task_bytes(cfg: ExperimentConfig) -> int:
+    """The data bytes of the arrays generate_task(cfg) returns.  For
+    teacher-student, 8 * ((n_batches + 1) * k * (d0 + dL) + sum n * m):
+    every batch's inputs and targets and each layer's w0, plus the
+    n_batches layer-0 base products, n1 x k each, when that layer takes
+    the factored route.  For matrix-factorization, the m x m inputs and
+    the n x m targets and w0."""
+    dims, k = cfg.layer_dims, cfg.batch_size
+    if cfg.task == "matrix-factorization":
+        m, n = dims
+        return 8 * m * (m + 2 * n)
+    floats = ((cfg.n_batches + 1) * k * (dims[0] + dims[-1])
+              + sum(n * m for m, n in zip(dims, dims[1:])))
+    if not _merged_route((dims[1], dims[0]), cfg.rank, k):
+        floats += cfg.n_batches * dims[1] * k
+    return 8 * floats
+
+
 def _dense_forward(weights: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     # tanh in place: each hidden layer holds one array at a time.
     h = x
@@ -272,47 +295,16 @@ def _dense_forward(weights: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     return h
 
 
-def _add_teacher_outputs(
-    teacher: list[np.ndarray],
-    w0_list: list[np.ndarray],
-    jobs: queue.SimpleQueue,
-    errstate: dict,
-    errors: list[BaseException],
-) -> None:
-    """generate_task's worker, under the caller's numpy error state: build
-    the teacher and w0 in place from their draws, then for each
-    (x, targets) taken from jobs, in order, add the teacher's output at x
-    into targets, until None.  Its own error goes to errors, and it ends
-    there.  It draws nothing and calls no name that a tracer may wrap."""
-    try:
-        with np.errstate(**errstate):
-            # w / sqrt(m) and w + 0.1 * d / sqrt(m), each array's
-            # operations in the order the formula gives them (+ commutes).
-            for w, d in zip(teacher, w0_list):
-                root = np.sqrt(w.shape[1])
-                w /= root
-                d *= 0.1
-                d /= root
-                d += w
-            while (job := jobs.get()) is not None:
-                x, targets = job
-                targets += _dense_forward(teacher, x)
-    except BaseException as exc:
-        errors.append(exc)
-
-
 def generate_task(cfg: ExperimentConfig) -> Task:
     """Deterministic synthetic data for the configured task kind.
 
     teacher-student: a frozen random tanh teacher produces regression
     targets (train targets carry Gaussian noise, the eval batch is clean);
     the student's frozen base weights start near the teacher, so training
-    mimics adapting a competent base model.  An error of the calling
-    thread wins over one of the worker, raised once it stops.  When the
-    first layer takes the factored route at cfg.rank and cfg.batch_size,
-    its w0 is made read-only, and each train batch whose w0 @ inputs,
-    built here once the worker is done, is finite carries it as
-    base_product, its inputs read-only too.
+    mimics adapting a competent base model.  When the first layer takes
+    the factored route at cfg.rank and cfg.batch_size, its w0 and each
+    train batch whose w0 @ inputs is finite are frozen (model._freeze),
+    and the batch carries that product, frozen too, as base_product.
 
     matrix-factorization: a single linear layer with zero base weight is
     trained to factor a rank-one target; inputs are sqrt(in_dim) times the
@@ -324,40 +316,32 @@ def generate_task(cfg: ExperimentConfig) -> Task:
     if cfg.task == "teacher-student":
         teacher = [rng.standard_normal((n, m)) for m, n in zip(dims, dims[1:])]
         w0_list = [rng.standard_normal(w.shape) for w in teacher]
-        # A train target is t + noise_std * noise, which has the bits of the
-        # noise scaled in place with t added into it, since * and + commute
-        # exactly.  This thread makes every draw in stream order and scales
-        # each batch's noise; one worker builds the teacher and w0 from
-        # their draws, then adds each batch's t while the next is drawn.
-        jobs: queue.SimpleQueue = queue.SimpleQueue()
-        errors: list[BaseException] = []
-        worker = threading.Thread(target=_add_teacher_outputs,
-                                  args=(teacher, w0_list, jobs, np.geterr(), errors))
-        worker.start()
+        # w / sqrt(m) and w + 0.1 * d / sqrt(m), each array's operations in
+        # the order the formula gives them (+ commutes).
+        for w, d in zip(teacher, w0_list):
+            root = np.sqrt(w.shape[1])
+            w /= root
+            d *= 0.1
+            d /= root
+            d += w
+        w0 = None
+        if not _merged_route(w0_list[0].shape, cfg.rank, cfg.batch_size):
+            w0 = w0_list[0] = _freeze(w0_list[0])
         train = []
-        try:
-            for _ in range(cfg.n_batches):
-                if errors:
-                    break
-                x = rng.standard_normal((dims[0], cfg.batch_size))
-                noise = rng.standard_normal((dims[-1], cfg.batch_size))
-                noise *= cfg.noise_std
-                jobs.put((x, noise))
-                train.append(Batch(inputs=x, targets=noise))
-            x_eval = rng.standard_normal((dims[0], cfg.batch_size))
-        finally:
-            jobs.put(None)
-            worker.join()
-        if errors:
-            raise errors[0]
-        w0 = w0_list[0]
-        if not _merged_route(w0.shape, cfg.rank, cfg.batch_size):
-            w0.flags.writeable = False
-            for batch in train:
-                product = w0 @ batch.inputs
-                if np.isfinite(product).all():
-                    batch.inputs.flags.writeable = False
-                    batch.base_product = (w0, product)
+        for _ in range(cfg.n_batches):
+            x = rng.standard_normal((dims[0], cfg.batch_size))
+            # A train target is t + noise_std * noise, which has the bits of
+            # the noise scaled in place with t added into it, since * and +
+            # commute exactly.
+            targets = rng.standard_normal((dims[-1], cfg.batch_size))
+            targets *= cfg.noise_std
+            targets += _dense_forward(teacher, x)
+            batch = Batch(inputs=x, targets=targets)
+            if w0 is not None and np.isfinite(product := w0 @ x).all():
+                batch.inputs = _freeze(x)
+                batch.base_product = (w0, _freeze(product))
+            train.append(batch)
+        x_eval = rng.standard_normal((dims[0], cfg.batch_size))
         eval_batch = Batch(inputs=x_eval, targets=_dense_forward(teacher, x_eval))
         return Task(
             train_batches=train,

@@ -92,8 +92,9 @@ class LoRALinear:
 class Batch:
     """Column-major sample batch: inputs (d_in, k), targets (d_out, k).
     base_product, set by generate_task, is (w0, w0 @ inputs) for a first
-    layer of the factored route, built once with both operands read-only;
-    the sweep adds it in place of that product (_forward_cache)."""
+    layer of the factored route, built once, with both operands and the
+    product frozen (_freeze); the sweep adds it in place of that product
+    (_forward_cache)."""
 
     inputs: Matrix
     targets: Matrix
@@ -164,6 +165,17 @@ def make_lora_layer(w0: Matrix, rank: int, scale: float, rng: Rng) -> LoRALinear
     return LoRALinear(w0=w0, b=b, a=a, scale=scale)
 
 
+def _freeze(m: Matrix) -> Matrix:
+    """A read-only copy of m over an immutable bytes buffer, which numpy
+    refuses to make writable again, so nothing can change its entries."""
+    return np.ndarray(m.shape, np.float64, buffer=m.tobytes())
+
+
+def _frozen(m: Matrix) -> bool:
+    """Whether m is read-only over a bytes buffer, as _freeze makes it."""
+    return not m.flags.writeable and isinstance(m.base, bytes)
+
+
 def build_network(
     layer_dims: list[int],
     rank: int,
@@ -175,9 +187,9 @@ def build_network(
 ) -> Network:
     """Assemble a network from a dim chain [d0, d1, ..., dL].
 
-    w0_list supplies the frozen weights, copied unless read-only and
-    owning their data, as generate_task leaves a weight that every student
-    of the task then shares; when omitted they are Gaussian / sqrt(fan_in).
+    w0_list supplies the frozen weights, copied unless _frozen, as
+    generate_task leaves a weight that every student of the task then
+    shares; when omitted they are Gaussian / sqrt(fan_in).
     """
     if len(layer_dims) < 2:
         raise ShapeError("layer_dims needs at least an input and an output dim")
@@ -185,7 +197,7 @@ def build_network(
     for i, (m, n) in enumerate(zip(layer_dims, layer_dims[1:])):
         if w0_list is not None:
             w0 = as_matrix(w0_list[i])
-            if w0.flags.writeable or not w0.flags.owndata:
+            if not _frozen(w0):
                 w0 = w0.copy()
             if w0.shape != (n, m):
                 raise ShapeError(f"w0[{i}] must be {(n, m)}, got {w0.shape}")
@@ -378,9 +390,10 @@ def _forward_cache(
     offsets[i] @ h added by BLAS too, since folding the offset there
     would build an n x m weight larger than the rank x k product.  On
     layer 0, a batch's base_product (w0, w0 @ h) is added with += instead
-    while its w0 is layer.w0 itself and w0 and h are read-only, so neither
-    changed since it was built: the bits _add_product gives at one BLAS
-    thread (at more, numpy's w0 @ h, where dgemm may round otherwise).  So
+    while its w0 is layer.w0 itself and w0, h and the product are
+    _frozen, so none can have changed since it was built: the bits
+    _add_product gives at one BLAS thread (at more, numpy's w0 @ h, where
+    dgemm may round otherwise).  So
     each layer's output is built in one fresh array and no other n x k
     array is made, with the roundings of the formula written out
     (_add_product says when), and a @ h (rank x k) is dropped once
@@ -419,7 +432,7 @@ def _forward_cache(
                 check = _overflow_raises()
             base = batch.base_product if i == 0 else None
             if (base is not None and base[0] is layer.w0
-                    and not (layer.w0.flags.writeable or h.flags.writeable)):
+                    and all(map(_frozen, (layer.w0, h, base[1])))):
                 z += base[1]
             else:
                 _add_product(layer.w0, h, z, check)

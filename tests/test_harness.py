@@ -8,7 +8,6 @@ import json
 import math
 import os
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -291,8 +290,7 @@ def test_generate_task_peaks_within_an_activation_of_the_task_it_returns():
     """The teacher's hidden outputs take their tanh in place, so at the
     default config generate_task's traced peak exceeds the bytes of the
     task it returns by no more than 1.05 of the largest activation (it
-    reads 1.03 with the targets built on a worker thread, 1.02 in one
-    thread, 1.77 when each tanh made a fresh array)."""
+    reads 1.02, and 1.77 when each tanh made a fresh array)."""
     cfg = ExperimentConfig()
     generate_task(cfg)
     tracemalloc.start()
@@ -351,94 +349,10 @@ def test_teacher_student_task_has_the_bytes_of_one_thread(overrides):
     assert all(same_bytes(w, v) for w, v in zip(task.w0_list, w0_list))
 
 
-def raised_within(fn, seconds: float = 60.0) -> BaseException | None:
-    """What fn() raised (None if it returned), run in a daemon thread
-    joined with a timeout, so a hang fails the test instead of stalling
-    the suite."""
-    raised = []
-
-    def body():
-        try:
-            fn()
-        except BaseException as exc:
-            raised.append(exc)
-        else:
-            raised.append(None)
-
-    runner = threading.Thread(target=body, daemon=True)
-    runner.start()
-    runner.join(seconds)
-    assert not runner.is_alive(), f"no return within {seconds} s"
-    return raised[0]
-
-
-def test_generate_task_propagates_a_worker_error_and_leaves_no_thread(monkeypatch):
-    def failing_forward(weights, x):
-        raise RuntimeError("teacher forward failed")
-
-    monkeypatch.setattr(harness, "_dense_forward", failing_forward)
-    threads = threading.active_count()
-    exc = raised_within(lambda: generate_task(tiny_config(n_batches=6)))
-    assert isinstance(exc, RuntimeError) and str(exc) == "teacher forward failed"
-    assert threading.active_count() == threads
-
-
-class FailingGenerator:
-    """A generator whose draw number fail_at (0-based) raises; every
-    other draw is the wrapped generator's."""
-
-    def __init__(self, rng, fail_at: int):
-        self.rng, self.fail_at, self.draws = rng, fail_at, 0
-
-    def standard_normal(self, shape):
-        self.draws += 1
-        if self.draws > self.fail_at:
-            raise RuntimeError(f"draw {self.fail_at} failed")
-        return self.rng.standard_normal(shape)
-
-
-def test_generate_task_propagates_a_caller_error_and_leaves_no_thread(monkeypatch):
-    """The two-layer teacher and w0 take draws 0-3 and batch i draws
-    4 + 2i and 5 + 2i, so draw 8 is the third batch's input, after two
-    batches went to the worker."""
-    real_make_rng = harness.make_rng
-    monkeypatch.setattr(harness, "make_rng",
-                        lambda seed: FailingGenerator(real_make_rng(seed), fail_at=8))
-    threads = threading.active_count()
-    exc = raised_within(lambda: generate_task(tiny_config(n_batches=6)))
-    assert isinstance(exc, RuntimeError) and str(exc) == "draw 8 failed"
-    assert threading.active_count() == threads
-
-
-def test_concurrent_generate_task_calls_keep_their_bytes():
-    """Three callers at once, each with its own worker, under a 10 us
-    switch interval: every task still has the one-thread bytes."""
-    cfgs = [tiny_config(seed=seed, n_batches=5) for seed in (1, 2, 3)]
-    tasks = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        callers = [threading.Thread(target=lambda c=c: tasks.update({c.seed: generate_task(c)}))
-                   for c in cfgs]
-        for caller in callers:
-            caller.start()
-        for caller in callers:
-            caller.join(60.0)
-            assert not caller.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    for cfg in cfgs:
-        train, (x_eval, t_eval), _ = serial_teacher_student(cfg)
-        task = tasks[cfg.seed]
-        for batch, (x, t) in zip(task.train_batches, train, strict=True):
-            assert same_bytes(batch.inputs, x) and same_bytes(batch.targets, t)
-        assert same_bytes(task.eval_batch.targets, t_eval)
-
-
-def test_generate_task_worker_runs_under_the_callers_error_state(monkeypatch):
-    """The first teacher forward, always the worker's, overflows; under
-    over="raise" that is a FloatingPointError out of generate_task, as in
-    the one-thread oracle, and under numpy's default state a warning."""
+def test_generate_task_runs_under_the_callers_error_state(monkeypatch):
+    """The first teacher forward overflows; under over="raise" that is a
+    FloatingPointError out of generate_task, as in the one-thread
+    oracle, and under numpy's default state a warning."""
     def overflowing_once(real):
         calls = []
 
@@ -467,9 +381,11 @@ WIDE = {"layer_dims": [256, 256, 64], "rank": 8, "batch_size": 64}
 def test_a_base_product_freezes_its_operands():
     """At the wide dims every train batch carries w0 @ x of the task's
     own layer-0 w0, with the bytes numpy's product gives; writing into
-    that w0, the student's layer-0 weight (the same array) or a batch's
-    inputs raises, so the product cannot go stale.  The eval batch and
-    the second layer keep their writable arrays."""
+    that w0, the student's layer-0 weight (the same array), a batch's
+    inputs or the product raises, and so does making any of them, or an
+    array over the same buffer, writable again, so the product cannot
+    go stale.  The eval batch and the second layer keep their writable
+    arrays."""
     cfg = ExperimentConfig(**WIDE)
     task = generate_task(cfg)
     w0 = task.w0_list[0]
@@ -477,10 +393,16 @@ def test_a_base_product_freezes_its_operands():
     for batch in task.train_batches:
         base_w0, product = batch.base_product
         assert base_w0 is w0 and same_bytes(product, w0 @ batch.inputs)
+        for frozen in (batch.inputs, product, np.frombuffer(product.base)):
+            with pytest.raises(ValueError, match="read-only"):
+                frozen[0, ...] = 0.0
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                frozen.flags.writeable = True
+    for frozen in (w0, np.frombuffer(w0.base)):
         with pytest.raises(ValueError, match="read-only"):
-            batch.inputs[0, 0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        w0[0, 0] = 0.0
+            frozen[0, ...] = 0.0
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            frozen.flags.writeable = True
     assert task.eval_batch.base_product is None
     assert task.eval_batch.inputs.flags.writeable and task.w0_list[1].flags.writeable
 
@@ -532,28 +454,81 @@ def test_a_task_whose_base_product_overflows_attaches_none(monkeypatch):
 @pytest.mark.parametrize("overrides, products", [({}, 0), (WIDE, 8)],
                          ids=["default", "wide"])
 def test_a_task_holds_its_arrays_and_one_base_product_per_batch(overrides, products):
-    """numpy's traced data bytes held by a task are exactly its batches
-    and w0_list plus, at the wide dims, n_batches products of n1 x k
-    float64: 8 * 256 * 64 * 8 bytes; the default task holds nothing
-    more.  With no product that is the task byte model
-    8 * ((n_batches + 1) * k * (d0 + dL) + sum n * m)."""
+    """The data bytes a task holds are exactly its batches and w0_list
+    plus, at the wide dims, n_batches products of n1 x k float64:
+    8 * 256 * 64 * 8 bytes; the default task holds nothing more.  With
+    no product that is the task byte model
+    8 * ((n_batches + 1) * k * (d0 + dL) + sum n * m), and with them
+    task_bytes(cfg).  numpy traces its own arrays in its domain; a
+    frozen array's data is a bytes object, traced in Python's, where it
+    is the only allocation over 4 KiB the task holds."""
     cfg = ExperimentConfig(**overrides)
     generate_task(cfg)
     tracemalloc.start()
     try:
         task = generate_task(cfg)
-        snapshot = tracemalloc.take_snapshot().filter_traces(
-            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    held = sum(stat.size for stat in snapshot.statistics("filename"))
+    batches = task.train_batches + [task.eval_batch]
+    products_held = [b.base_product[1] for b in batches if b.base_product is not None]
+    buffers = {id(a.base): a.base for a in task.w0_list + products_held
+               + [b.inputs for b in batches] if isinstance(a.base, bytes)}
+    numpy_domain = np.lib.tracemalloc_domain
+    in_numpy = sum(t.size for t in snapshot.traces if t.domain == numpy_domain)
+    in_python = [t.size for t in snapshot.traces if t.domain == 0 and t.size > 4096]
+    assert sorted(in_python) == sorted(map(sys.getsizeof, buffers.values()))
+    held = in_numpy + sum(map(len, buffers.values()))
     dims, k = cfg.layer_dims, cfg.batch_size
     arrays = 8 * ((cfg.n_batches + 1) * k * (dims[0] + dims[-1])
                   + sum(n * m for m, n in zip(dims, dims[1:])))
-    batches = task.train_batches + [task.eval_batch]
     assert arrays == (sum(b.inputs.nbytes + b.targets.nbytes for b in batches)
                       + sum(w.nbytes for w in task.w0_list))
+    assert len(buffers) == (1 + 2 * products if products else 0)
     assert held - arrays == products * dims[1] * k * 8
+    assert held == harness.task_bytes(cfg)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"batch_size": 10**20},
+    {"layer_dims": (100000, 100000, 4)},
+    {"n_batches": 10**12, "steps": 0},
+], ids=["batch-size", "layer-dims", "n-batches"])
+def test_a_config_whose_task_exceeds_the_ceiling_is_refused_when_made(overrides):
+    """Each of these configs would ask for far more than
+    MAX_TASK_BYTES; it is refused as the config is made, naming the
+    three fields that size the task, before any draw or allocation."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**overrides)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.fields == ["batch_size", "layer_dims", "n_batches"]
+    assert f"over {harness.MAX_TASK_BYTES}" in str(err.value)
+    assert peak < 2**20
+
+
+def test_the_task_ceiling_refuses_one_byte_over(monkeypatch):
+    """A task of exactly MAX_TASK_BYTES is accepted and one byte more is
+    refused; a matrix-factorization task is sized by layer_dims alone."""
+    size = harness.task_bytes(ExperimentConfig())
+    monkeypatch.setattr(harness, "MAX_TASK_BYTES", size)
+    ExperimentConfig()
+    monkeypatch.setattr(harness, "MAX_TASK_BYTES", size - 1)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig()
+    assert err.value.fields == ["batch_size", "layer_dims", "n_batches"]
+    cfg = ExperimentConfig(task="matrix-factorization", layer_dims=(6, 4))
+    task = generate_task(cfg)
+    size = harness.task_bytes(cfg)
+    assert size == (task.train_batches[0].inputs.nbytes + task.train_batches[0].targets.nbytes
+                    + task.w0_list[0].nbytes)
+    monkeypatch.setattr(harness, "MAX_TASK_BYTES", size - 1)
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(cfg, seed=1)
+    assert err.value.fields == ["layer_dims"]
 
 
 def test_teacher_student_noise_touches_train_targets_only():

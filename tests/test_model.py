@@ -978,11 +978,12 @@ def test_a_base_product_gives_the_bytes_of_the_blas_sum(monkeypatch, scale):
 
 def test_the_sweep_adds_w0_x_by_blas_unless_the_product_is_the_layers_own(
         monkeypatch):
-    """A base product stands in only for the very read-only w0 it was
+    """A base product stands in only for the very frozen w0 it was
     built from: a deep-copied student, students built from a writable
-    and from a read-only copy of w0_list, and the task's w0 or the
-    batch's inputs made writable again each take the BLAS sum, with the
-    same bytes."""
+    and from a read-only copy of w0_list (each copied, since numpy would
+    let their owner write them), and a hand-built batch whose
+    w0, inputs or product is read-only but could be made writable again
+    each take the BLAS sum, with the same bytes."""
     task, net, batch = _wide_student()
     want = _sweep_results(net, batch)
 
@@ -992,6 +993,7 @@ def test_the_sweep_adds_w0_x_by_blas_unless_the_product_is_the_layers_own(
             w.flags.writeable = writeable
         other = build_network(WIDE["layer_dims"], rank=8, scale=1.0, rng=make_rng(5),
                               w0_list=w0_list)
+        assert not any(layer.w0 is w for layer, w in zip(other.layers, w0_list))
         for src, dst in zip(net.layers, other.layers):
             dst.b, dst.a = src.b, src.a
         return other
@@ -1002,11 +1004,16 @@ def test_the_sweep_adds_w0_x_by_blas_unless_the_product_is_the_layers_own(
         got = _sweep_results(other, batch)
         assert any(x is other.layers[0].w0 for x in calls)
         assert all(_same_bytes(g, w) for g, w in zip(got, want, strict=True))
-    for operand in (task.w0_list[0], batch.inputs):
+    w0, product = batch.base_product
+    for reopenable in range(3):
+        operands = [w0, batch.inputs, product]
+        operands[reopenable] = operands[reopenable].copy()
+        operands[reopenable].flags.writeable = False
+        net.layers[0].w0 = operands[0]
+        hand_built = Batch(inputs=operands[1], targets=batch.targets,
+                           base_product=(operands[0], operands[2]))
         calls.clear()
-        operand.flags.writeable = True
-        got = _sweep_results(net, batch)
-        operand.flags.writeable = False
+        got = _sweep_results(net, hand_built)
         assert any(x is net.layers[0].w0 for x in calls)
         assert all(_same_bytes(g, w) for g, w in zip(got, want, strict=True))
 

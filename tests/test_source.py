@@ -4,9 +4,9 @@ BLAS dot, the self-checks, the diagnostics and the tests' running worst
 residuals reduce nothing through the builtin max,
 every name the benchmark's tracer wraps is bound where it looks it up, the
 two it alone needs are called nowhere in the package, each oracle of
-flatlora.checks is written out nowhere else, only the harness imports a
-thread library and its worker neither draws nor calls a traced name, and
-the benchmark's own step calls still run."""
+flatlora.checks is written out nowhere else, no package module imports a
+thread, queue or process library, and the benchmark's own step calls
+still run."""
 
 import ast
 import importlib.util
@@ -14,7 +14,6 @@ import inspect
 import pathlib
 import sys
 
-import numpy as np
 import pytest
 
 import flatlora
@@ -281,7 +280,7 @@ def test_each_oracle_has_one_definition():
     assert fd == ["checks.py: central_difference"]
 
 
-THREAD_MODULES = ("threading", "concurrent.futures", "multiprocessing")
+THREAD_MODULES = ("threading", "_thread", "queue", "concurrent.futures", "multiprocessing")
 
 
 def thread_imports(source: str) -> list[str]:
@@ -300,76 +299,24 @@ def thread_imports(source: str) -> list[str]:
     return hits
 
 
-def thread_targets(source: str) -> list[str]:
-    """The functions passed as target= to a Thread call."""
-    return [ast.unparse(kw.value) for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call)
-            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Thread"
-            for kw in node.keywords if kw.arg == "target"]
-
-
-def reachable_calls(source: str, name: str) -> set[str]:
-    """Every name called, bare or as an attribute, in the module function
-    name and, transitively, in the module functions it calls."""
-    functions = {node.name: node for node in ast.parse(source).body
-                 if isinstance(node, ast.FunctionDef)}
-    called: set[str] = set()
-    todo, seen = [name], set()
-    while todo:
-        fn = todo.pop()
-        if fn in seen or fn not in functions:
-            continue
-        seen.add(fn)
-        for node in ast.walk(functions[fn]):
-            if isinstance(node, ast.Call):
-                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
-                called.add(callee)
-                todo.append(callee)
-    return called
-
-
-# The names a call draws through: every public method of numpy's Generator.
-DRAWS = frozenset(n for n in dir(np.random.Generator) if not n.startswith("_"))
-
-
-def test_thread_scans_flag_imports_targets_and_reachable_calls():
+def test_thread_import_scan_flags_every_thread_queue_and_process_library():
     source = (
         "import threading\nimport concurrent.futures as cf\n"
         "from multiprocessing import Pool\nfrom concurrent import futures\n"
-        "import queue, threadpoolctl\nfrom os import path\n"
-        "def helper(x):\n    return forward(x) + rng.standard_normal(3)\n"
-        "def work(x):\n    q.get()\n    return helper(x)\n"
-        "def other():\n    backward()\n"
-        "t = threading.Thread(target=work, args=(1,))\n"
-        "u = Thread(target=self.run)\n"
+        "import queue, threadpoolctl\nfrom _thread import start_new_thread\n"
+        "from os import path\nimport multiprocessing.pool\n"
     )
     assert thread_imports(source) == [
-        "threading", "concurrent.futures", "multiprocessing.Pool", "concurrent.futures"]
-    assert thread_targets(source) == ["work", "self.run"]
-    assert reachable_calls(source, "work") == {"get", "helper", "forward", "standard_normal"}
-    assert reachable_calls(source, "work") & DRAWS == {"standard_normal"}
+        "threading", "concurrent.futures", "multiprocessing.Pool", "concurrent.futures",
+        "queue", "_thread.start_new_thread", "multiprocessing.pool"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
-def test_only_the_harness_starts_threads(path):
-    """generate_task's worker is the package's one thread, and the
-    harness its one module that imports a thread or process library."""
-    hits = thread_imports(path.read_text(encoding="utf-8"))
-    assert hits == (["threading"] if path.name == "harness.py" else [])
-
-
-def test_the_workers_target_draws_nothing_and_calls_no_traced_name():
-    """The worker makes no draw, so the stream stays in the calling
-    thread in its order, and calls no name perfbench's tracer wraps,
-    since the tracer keeps one span stack for the calling thread."""
-    tracer = load_perfbench_module("perfbench_tracer", TRACER)
-    traced = {attr for _, attr, _ in tracer.patch_targets(flatlora)}
-    source = (PACKAGE_DIR / "harness.py").read_text(encoding="utf-8")
-    targets = thread_targets(source)
-    assert targets == ["_add_teacher_outputs"]
-    calls = reachable_calls(source, targets[0])
-    assert "_dense_forward" in calls
-    assert calls & (traced | DRAWS) == set()
+def test_no_package_module_imports_a_thread_library(path):
+    """The package runs in its caller's thread: no module imports a
+    thread, queue or process library, so no task array, step or run can
+    depend on how threads are scheduled."""
+    assert thread_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_tracer_patch_targets_are_bound():
