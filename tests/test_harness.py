@@ -390,15 +390,12 @@ def test_a_base_product_freezes_its_operands():
     task = generate_task(cfg)
     w0 = task.w0_list[0]
     assert _build_student(cfg, task).layers[0].w0 is w0
+    arrays = [w0]
     for batch in task.train_batches:
         base_w0, product = batch.base_product
         assert base_w0 is w0 and same_bytes(product, w0 @ batch.inputs)
-        for frozen in (batch.inputs, product, np.frombuffer(product.base)):
-            with pytest.raises(ValueError, match="read-only"):
-                frozen[0, ...] = 0.0
-            with pytest.raises(ValueError, match="WRITEABLE"):
-                frozen.flags.writeable = True
-    for frozen in (w0, np.frombuffer(w0.base)):
+        arrays += [batch.inputs, product]
+    for frozen in arrays + [np.frombuffer(a.base) for a in arrays]:
         with pytest.raises(ValueError, match="read-only"):
             frozen[0, ...] = 0.0
         with pytest.raises(ValueError, match="WRITEABLE"):
@@ -471,14 +468,14 @@ def test_a_task_holds_its_arrays_and_one_base_product_per_batch(overrides, produ
     finally:
         tracemalloc.stop()
     batches = task.train_batches + [task.eval_batch]
-    products_held = [b.base_product[1] for b in batches if b.base_product is not None]
-    buffers = {id(a.base): a.base for a in task.w0_list + products_held
-               + [b.inputs for b in batches] if isinstance(a.base, bytes)}
+    buffers = [a.base for a in task.w0_list + [b.inputs for b in batches]
+               + [b.base_product[1] for b in batches if b.base_product is not None]
+               if model._frozen(a)]
     numpy_domain = np.lib.tracemalloc_domain
     in_numpy = sum(t.size for t in snapshot.traces if t.domain == numpy_domain)
     in_python = [t.size for t in snapshot.traces if t.domain == 0 and t.size > 4096]
-    assert sorted(in_python) == sorted(map(sys.getsizeof, buffers.values()))
-    held = in_numpy + sum(map(len, buffers.values()))
+    assert sorted(in_python) == sorted(map(sys.getsizeof, buffers))
+    held = in_numpy + sum(map(len, buffers))
     dims, k = cfg.layer_dims, cfg.batch_size
     arrays = 8 * ((cfg.n_batches + 1) * k * (dims[0] + dims[-1])
                   + sum(n * m for m, n in zip(dims, dims[1:])))
